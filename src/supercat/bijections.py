@@ -30,6 +30,7 @@ from .paths import (
     DyckPath,
     LatticePath,
     TwoMotzkinPath,
+    _rightmost,
     is_dyck,
     is_even_terminal_ballot,
     is_motzkin2,
@@ -68,7 +69,6 @@ class StartClass(Enum):
     B = "up-up-down"
     NSTAR = "up-up-up, avoids level one before the rightmost maximum"
     NSTARSTAR = "up-up-up, attains level one before the rightmost maximum"
-    OTHER = "other"  # unreachable for valid Dyck input; kept for totality
 
 
 class DyckPair(NamedTuple):
@@ -179,11 +179,9 @@ def classify_start(path: DyckPath) -> StartClass:
         return StartClass.A
     if prefix == "UUD":
         return StartClass.B
-    if prefix != "UUU":
-        return StartClass.OTHER
+    # a Dyck path of length >= 6 opening with neither of those opens UUU
     levels = path.levels
-    h = max(levels)
-    rightmost = len(levels) - 1 - levels[::-1].index(h)
+    rightmost = _rightmost(levels, path.height)
     if any(levels[x] == 1 for x in range(4, rightmost)):
         return StartClass.NSTARSTAR
     return StartClass.NSTAR
@@ -201,9 +199,7 @@ def injection_f(path: DyckPath) -> DyckPath:
         classify_start(path) is StartClass.NSTAR,
         "injection_f requires an up-up-up start avoiding level one before the rightmost maximum",
     )
-    levels = path.levels
-    h = max(levels)
-    rightmost = len(levels) - 1 - levels[::-1].index(h)
+    rightmost = _rightmost(path.levels, path.height)
     shrunk = path.steps[0] + path.steps[3:]
     # dropping string indices 1 and 2 shifts the flip target left by 2
     out = _flip(shrunk, rightmost - 2, "D", "U")
@@ -242,8 +238,7 @@ def g_intermediate(path: DyckPath) -> LatticePath:
         "injection_g requires an up-up-up start attaining level one before the rightmost maximum",
     )
     levels = path.levels
-    h = max(levels)
-    rightmost = len(levels) - 1 - levels[::-1].index(h)
+    rightmost = _rightmost(levels, path.height)
     y = next(x for x in range(4, rightmost) if levels[x] == 1)
     # the two steps entering y descend from level 3; after dropping string
     # indices 1 and 2 they sit at y-4 and y-3

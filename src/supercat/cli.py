@@ -28,9 +28,9 @@ from .numbers import VerificationReport, ballot_number, catalan, super_catalan_s
 from .paths import parse_path, reverse
 from .render import render_svg
 
-# Enumeration-backed verifications refuse larger sweeps without --force;
-# the bound is the total m+n the sweep implies (catalan(17) paths or so).
-ENUMERATION_CAP = 18
+# Verifications that would enumerate more paths than theorem1 does at
+# m+n <= 18 (C(1) + ... + C(17), about 1.8e8) refuse to run without --force.
+ENUMERATION_CAP = verify_mod.path_cost("theorem1", max_sum=18)
 
 
 def _dumps(obj) -> str:
@@ -43,7 +43,7 @@ def _default_jobs() -> int:
         try:
             return max(1, int(env))
         except ValueError:
-            pass
+            print(f"warning: ignoring SUPERCAT_JOBS={env!r}, not an integer", file=sys.stderr)
     return os.cpu_count() or 1
 
 
@@ -115,35 +115,20 @@ def _report_json(report: VerificationReport) -> dict:
     }
 
 
-def _implied_sum(identity: str, max_sum: int | None, max_n: int | None) -> int:
-    if identity in ("theorem1", "theorem1-dyck", "reversal"):
-        return max_sum or 14
-    if identity in ("theorem4", "pairs", "bijection-f", "bijection-g", "pair-map"):
-        return (max_n or 10) + 2
-    return 0
-
-
 def _cmd_verify(args) -> int:
     names = list(verify_mod.IDENTITIES) if args.identity == "all" else [args.identity]
-    max_sum = args.max_sum
-    max_m, max_n = args.max_m, args.max_n
-    if args.max is not None:
-        max_sum = max_sum or args.max
-        max_m = max_m or args.max
-        max_n = max_n or args.max
+    explicit = {"max_sum": args.max_sum, "max_m": args.max_m, "max_n": args.max_n}
+    bounds = {key: args.max if value is None else value for key, value in explicit.items()}
     for name in names:
-        implied = _implied_sum(name, max_sum, max_n)
-        if implied > ENUMERATION_CAP and not args.force:
+        cost = verify_mod.path_cost(name, **bounds)
+        if cost > ENUMERATION_CAP and not args.force:
             print(
-                f"{name}: refusing an enumeration sweep with m+n = {implied} > "
-                f"{ENUMERATION_CAP}; pass --force to run it anyway",
+                f"{name}: refusing a sweep over {cost:,} paths, more than the "
+                f"{ENUMERATION_CAP:,} budget; pass --force to run it anyway",
                 file=sys.stderr,
             )
             return 2
-    reports = [
-        verify_mod.run_identity(name, max_sum=max_sum, max_m=max_m, max_n=max_n, jobs=args.jobs)
-        for name in names
-    ]
+    reports = [verify_mod.run_identity(name, **bounds, jobs=args.jobs) for name in names]
     if args.format == "json":
         payload = [_report_json(r) for r in reports]
         print(_dumps(payload[0] if args.identity != "all" else payload))

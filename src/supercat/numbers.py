@@ -1,7 +1,7 @@
 """Exact closed-form values and algebraic identity checks.
 
-Every formula is evaluated as an exact rational whose denominator must
-reduce to 1; a non-integral result raises immediately instead of silently
+Every formula is evaluated by exact integer division whose remainder must
+be zero; a non-integral result raises immediately instead of silently
 rounding.  Plain Python integers carry the arbitrary precision.
 """
 
@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -19,10 +18,11 @@ from .errors import DomainError
 _fact = lru_cache(maxsize=None)(math.factorial)
 
 
-def _as_int(value: Fraction, what: str) -> int:
-    if value.denominator != 1:
-        raise AssertionError(f"internal: {what} evaluated to non-integer {value}")
-    return value.numerator
+def _exact_div(num: int, den: int, what: str) -> int:
+    quotient, remainder = divmod(num, den)
+    if remainder:
+        raise AssertionError(f"internal: {what} evaluated to non-integer {num}/{den}")
+    return quotient
 
 
 class Failure(NamedTuple):
@@ -51,8 +51,8 @@ def super_catalan_s(m: int, n: int) -> int:
     """(2m)! (2n)! / (m! n! (m+n)!), always an integer."""
     if m < 0 or n < 0:
         raise DomainError("super_catalan_s requires m, n >= 0")
-    q = Fraction(_fact(2 * m) * _fact(2 * n), _fact(m) * _fact(n) * _fact(m + n))
-    return _as_int(q, f"S({m},{n})")
+    num, den = _fact(2 * m) * _fact(2 * n), _fact(m) * _fact(n) * _fact(m + n)
+    return _exact_div(num, den, f"S({m},{n})")
 
 
 def super_catalan_t(m: int, n: int) -> int:
@@ -74,7 +74,7 @@ def catalan(n: int) -> int:
     """(2n)! / (n! (n+1)!)."""
     if n < 0:
         raise DomainError("catalan requires n >= 0")
-    return _as_int(Fraction(_fact(2 * n), _fact(n) * _fact(n + 1)), f"C({n})")
+    return _exact_div(_fact(2 * n), _fact(n) * _fact(n + 1), f"C({n})")
 
 
 def ballot_number(n: int, r: int) -> int:
@@ -82,7 +82,7 @@ def ballot_number(n: int, r: int) -> int:
     ending at level 2r-1."""
     if not 1 <= r <= n:
         raise DomainError(f"ballot_number requires 1 <= r <= n, got n={n}, r={r}")
-    return _as_int(Fraction(r * math.comb(2 * n, n + r), n), f"B({n},{r})")
+    return _exact_div(r * math.comb(2 * n, n + r), n, f"B({n},{r})")
 
 
 def ballot_sum_terms(m: int, n: int) -> list[tuple[int, int, int]]:
@@ -98,8 +98,8 @@ def ballot_sum_terms(m: int, n: int) -> list[tuple[int, int, int]]:
     terms = []
     for r in range(1, min(m, n) + 1):
         product_form = ballot_number(m, r) * ballot_number(n, r)
-        binomial_form = _as_int(
-            Fraction(r * r * math.comb(2 * m, m + r) * math.comb(2 * n, n + r), m * n),
+        binomial_form = _exact_div(
+            r * r * math.comb(2 * m, m + r) * math.comb(2 * n, n + r), m * n,
             f"ballot-sum term r={r} of ({m},{n})",
         )
         if product_form != binomial_form:

@@ -168,6 +168,10 @@ def validate(path: LatticePath, family: str, n: int | None = None, r: int | None
     raise DomainError(f"unknown family {family!r}")
 
 
+def _rightmost(levels: tuple[int, ...], level: int) -> int:
+    return len(levels) - 1 - levels[::-1].index(level)
+
+
 @dataclass(frozen=True)
 class PathMarkers:
     """Distinguished points and split statistics of a nonempty Dyck path.
@@ -194,7 +198,7 @@ def markers(path: DyckPath) -> PathMarkers:
         raise DomainError("markers require a valid Dyck path")
     levels = path.levels
     h = max(levels)
-    rightmost = len(levels) - 1 - levels[::-1].index(h)
+    rightmost = _rightmost(levels, h)
     leftmost = levels.index(h)
     # a nonempty Dyck path starts with U, so x=1 is always a level-one
     # candidate and the search below cannot fail

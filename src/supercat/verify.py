@@ -11,6 +11,7 @@ every worker count.
 
 from __future__ import annotations
 
+import inspect
 from collections.abc import Callable, Iterable, Sequence
 from concurrent.futures import ProcessPoolExecutor
 
@@ -21,6 +22,7 @@ from .numbers import (
     Failure,
     VerificationReport,
     ballot_sum_identity,
+    catalan,
     check_rubenstein,
     super_catalan_t,
 )
@@ -338,47 +340,60 @@ def verify_pair_map(max_n: int = 8) -> VerificationReport:
     return VerificationReport("pair-map", {"max_n": max_n}, tuple(failures), cases)
 
 
-IDENTITIES = (
-    "theorem1",
-    "theorem1-dyck",
-    "rubenstein",
-    "ballot-sum",
-    "symmetry",
-    "theorem4",
-    "pairs",
-    "bijection-f",
-    "bijection-g",
-    "pair-map",
-    "reversal",
-)
+def _catalan_sum(lo: int, hi: int) -> int:
+    return sum(catalan(n) for n in range(lo, hi + 1))
+
+
+def _rows_cost(max_sum: int, jobs: int) -> int:
+    return _catalan_sum(1, max_sum - 1)  # row s: the C(s-1) 2-Motzkin paths of length s-2
+
+
+def _injection_cost(max_n: int) -> int:
+    return _catalan_sum(3, max_n + 1) + 2 * _catalan_sum(2, max_n)
+
+
+# Every identity, in the order verify_all runs them: its suite and the paths
+# that suite enumerates, given its bounds.  Default bounds live only in the
+# suite signatures.
+_REGISTRY: dict[str, tuple[Callable[..., VerificationReport], Callable[..., int]]] = {
+    "theorem1": (verify_theorem1, _rows_cost),
+    "theorem1-dyck": (verify_theorem1_dyck, lambda **b: 2 * _rows_cost(**b)),
+    "rubenstein": (verify_rubenstein, lambda **_: 0),
+    "ballot-sum": (verify_ballot_sum, lambda **_: 0),
+    "symmetry": (verify_symmetry, lambda **_: 0),
+    "theorem4": (verify_theorem4, lambda max_n: _catalan_sum(1, max_n)),
+    "pairs": (verify_pairs, lambda max_n: _catalan_sum(2, max_n + 1)),
+    "bijection-f": (verify_bijection_f, _injection_cost),
+    "bijection-g": (verify_bijection_g, _injection_cost),
+    "pair-map": (verify_pair_map, lambda max_n: _catalan_sum(1, max_n) + _catalan_sum(2, max_n + 1)),
+    "reversal": (verify_reversal, _rows_cost),
+}
+IDENTITIES = tuple(_REGISTRY)
+
+
+def _resolve(name: str, **overrides: int | None):
+    """The named suite, its cost and its signature's default bounds, replaced by
+    each override it takes that is not None (an explicit 0 reaches the suite)."""
+    if name not in _REGISTRY:
+        raise DomainError(f"unknown identity {name!r}")
+    suite, cost = _REGISTRY[name]
+    params = inspect.signature(suite).parameters
+    bounds = {k: p.default if overrides.get(k) is None else overrides[k] for k, p in params.items()}
+    return suite, cost, bounds
 
 
 def run_identity(name: str, *, max_sum: int | None = None, max_m: int | None = None,
-                 max_n: int | None = None, jobs: int = 1) -> VerificationReport:
+                 max_n: int | None = None, jobs: int | None = None) -> VerificationReport:
     """Run one named suite with its default bounds unless overridden."""
-    if name == "theorem1":
-        return verify_theorem1(max_sum or 14, jobs)
-    if name == "theorem1-dyck":
-        return verify_theorem1_dyck(max_sum or 12, jobs)
-    if name == "rubenstein":
-        return verify_rubenstein(max_m or 50, max_n or 50)
-    if name == "ballot-sum":
-        return verify_ballot_sum(max_m or 30, max_n or 30)
-    if name == "symmetry":
-        return verify_symmetry(max_sum or 100)
-    if name == "theorem4":
-        return verify_theorem4(max_n or 10)
-    if name == "pairs":
-        return verify_pairs(max_n or 9)
-    if name == "bijection-f":
-        return verify_bijection_f(max_n or 8)
-    if name == "bijection-g":
-        return verify_bijection_g(max_n or 8)
-    if name == "pair-map":
-        return verify_pair_map(max_n or 8)
-    if name == "reversal":
-        return verify_reversal(max_sum or 12, jobs)
-    raise DomainError(f"unknown identity {name!r}")
+    suite, _, bounds = _resolve(name, max_sum=max_sum, max_m=max_m, max_n=max_n, jobs=jobs)
+    return suite(**bounds)
+
+
+def path_cost(name: str, *, max_sum: int | None = None, max_m: int | None = None,
+              max_n: int | None = None) -> int:
+    """Paths :func:`run_identity` would enumerate with the same overrides."""
+    _, cost, bounds = _resolve(name, max_sum=max_sum, max_m=max_m, max_n=max_n)
+    return cost(**bounds)
 
 
 def verify_all(jobs: int = 1) -> list[VerificationReport]:

@@ -161,7 +161,6 @@ class TestClassifyStart:
     def test_partition_and_class_sizes(self):
         for n in range(2, 8):
             sizes = start_class_sizes(n + 1)
-            assert sizes[StartClass.OTHER] == 0
             assert sizes[StartClass.A] == sizes[StartClass.B] == ref_catalan(n)
             total = sum(sizes.values())
             assert total == ref_catalan(n + 1)

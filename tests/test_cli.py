@@ -1,5 +1,6 @@
 import io
 import json
+import os
 
 import pytest
 
@@ -101,6 +102,35 @@ class TestVerify:
         code, _, err = run(capsys, "verify", "theorem1", "--max-sum", "19")
         assert code == 2
         assert "--force" in err
+
+    def test_cap_is_a_path_budget(self):
+        from supercat import cli, verify
+
+        assert verify.path_cost("theorem1", max_sum=18) <= cli.ENUMERATION_CAP
+        assert verify.path_cost("theorem1", max_sum=19) > cli.ENUMERATION_CAP
+        # every suite runs at its defaults without --force
+        assert all(verify.path_cost(name) <= cli.ENUMERATION_CAP for name in verify.IDENTITIES)
+
+    def test_costly_small_bound_refused_without_force(self, capsys, monkeypatch):
+        from supercat import verify
+
+        def never(*args, **kwargs):
+            raise AssertionError("sweep ran past the cap")
+
+        monkeypatch.setattr(verify, "run_identity", never)
+        code, out, err = run(capsys, "verify", "bijection-f", "--max-n", "16")
+        assert code == 2
+        assert out == ""
+        assert "--force" in err
+
+    @pytest.mark.parametrize(
+        "argv", [("theorem1", "--max-sum", "0"), ("all", "--max", "0"), ("rubenstein", "--max-m", "0")]
+    )
+    def test_zero_bound_is_not_replaced_by_default(self, capsys, argv):
+        code, out, err = run(capsys, "verify", *argv, "--jobs", "1")
+        assert code != 0
+        assert "passed\ttrue" not in out
+        assert "error:" in err
 
     def test_force_flag_accepted(self, capsys):
         code, _, _ = run(capsys, "verify", "theorem4", "--max-n", "4", "--force")
@@ -257,3 +287,13 @@ class TestJobsEnvironment:
         monkeypatch.setenv("SUPERCAT_JOBS", "3")
         args = build_parser().parse_args(["verify", "symmetry", "--jobs", "5"])
         assert args.jobs == 5
+
+    def test_unparsable_env_warns_and_falls_back(self, monkeypatch, capsys):
+        from supercat.cli import build_parser
+
+        monkeypatch.setenv("SUPERCAT_JOBS", "abc")
+        args = build_parser().parse_args(["verify", "symmetry"])
+        assert args.jobs == (os.cpu_count() or 1)
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "SUPERCAT_JOBS='abc'" in err

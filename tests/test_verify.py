@@ -56,3 +56,18 @@ def test_bounds_validated():
         verify.verify_bijection_f(1)
     with pytest.raises(DomainError):
         verify.verify_pairs(0)
+    # an explicit bound of 0 reaches the suite instead of its default
+    with pytest.raises(DomainError):
+        verify.run_identity("theorem1", max_sum=0)
+    with pytest.raises(DomainError):
+        verify.run_identity("rubenstein", max_m=0)
+
+
+def test_path_cost_counts_enumerated_paths():
+    # theorem1 exhausts the 2-Motzkin paths of lengths 0..max_sum-2
+    assert verify.path_cost("theorem1", max_sum=5) == 1 + 2 + 5 + 14
+    assert verify.path_cost("theorem1-dyck", max_sum=5) == 2 * (1 + 2 + 5 + 14)
+    assert verify.path_cost("theorem4", max_n=3) == 1 + 2 + 5
+    assert verify.path_cost("symmetry", max_sum=10**6) == 0
+    # defaults come from the suite signatures
+    assert verify.path_cost("theorem1") == verify.path_cost("theorem1", max_sum=14)
