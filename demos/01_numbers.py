@@ -10,9 +10,9 @@ from supercat import (
     ballot_sum_identity,
     ballot_sum_terms,
     catalan,
-    check_rubenstein,
     super_catalan_s,
     super_catalan_t,
+    verify,
 )
 
 print("A corner of the T(m,n) table (rows m, columns n):")
@@ -33,7 +33,7 @@ print("  S(4,7) =", super_catalan_s(4, 7), "= 2 *", super_catalan_t(4, 7))
 
 print()
 print("The doubling recurrence 4T(m,n) = T(m+1,n) + T(m,n+1), checked on a 30x30 grid:")
-report = check_rubenstein(30, 30)
+report = verify.verify_rubenstein(30, 30)
 print(f"  {report.cases} cells, failures: {len(report.failures)}")
 
 print()

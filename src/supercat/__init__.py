@@ -38,41 +38,33 @@ from .enumeration import (
 )
 from .errors import DomainError, ParseError, SupercatError
 from .numbers import (
-    Failure,
-    VerificationReport,
     ballot_number,
     ballot_sum_identity,
     ballot_sum_terms,
     catalan,
-    check_rubenstein,
     super_catalan_s,
     super_catalan_t,
 )
 from .paths import (
     EMPTY_PATH,
-    BallotPath,
     DyckPath,
     LatticePath,
     PathMarkers,
     TwoMotzkinPath,
-    is_ballot,
     is_dyck,
     is_even_terminal_ballot,
     is_motzkin2,
-    level_at,
     make_path,
     markers,
     parse_path,
-    render_path,
     reverse,
-    validate,
 )
 from .render import render_svg
+from .verify import Failure, VerificationReport
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BallotPath",
     "DomainError",
     "DyckPair",
     "DyckPath",
@@ -90,7 +82,6 @@ __all__ = [
     "ballot_sum_identity",
     "ballot_sum_terms",
     "catalan",
-    "check_rubenstein",
     "classify_start",
     "dyck_to_motzkin",
     "enum_ballot",
@@ -104,17 +95,14 @@ __all__ = [
     "injection_f_inverse",
     "injection_g",
     "injection_g_inverse",
-    "is_ballot",
     "is_dyck",
     "is_even_terminal_ballot",
     "is_motzkin2",
-    "level_at",
     "make_path",
     "markers",
     "motzkin_to_dyck",
     "pair_census",
     "parse_path",
-    "render_path",
     "render_svg",
     "reverse",
     "signed_count",
@@ -126,6 +114,5 @@ __all__ = [
     "theorem4_paths",
     "to_pair",
     "to_pair_all",
-    "validate",
     "weight",
 ]

@@ -17,7 +17,7 @@ wrong, never the caller).
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
@@ -134,18 +134,43 @@ def weight(path: TwoMotzkinPath, m: int) -> int:
     return 1 if path.levels[m - 1] % 2 == 0 else -1
 
 
+def _even_tally(paths: Iterable[TwoMotzkinPath], length: int) -> tuple[list[int], int]:
+    """For 2-Motzkin paths of the given length: how many sit on an even
+    level at each point, and how many paths there are."""
+    even = [0] * (length + 1)
+    total = 0
+    for path in paths:
+        total += 1
+        for x, lv in enumerate(path.levels):
+            if not lv & 1:
+                even[x] += 1
+    return even, total
+
+
+def _mod4_tally(paths: Iterable[DyckPath], s: int) -> tuple[list[int], int]:
+    """For Dyck paths of length 2s-2: how many sit at level 1 (mod 4) at the
+    point after 2m-1 steps, for each 1 <= m < s (index m), and how many paths
+    there are.  Every other path sits at level 3 (mod 4) there."""
+    ones = [0] * s
+    total = 0
+    for path in paths:
+        total += 1
+        levels = path.levels
+        for m in range(1, s):
+            residue = levels[2 * m - 1] % 4
+            if residue == 1:
+                ones[m] += 1
+            elif residue != 3:
+                raise AssertionError(f"internal: odd point at even level in {path.steps!r}")
+    return ones, total
+
+
 def signed_count(m: int, n: int) -> SignedCount:
     """Exhaustively tally 2-Motzkin paths of length m+n-2 by sign; the
     difference equals the super Catalan number T(m,n)."""
     _require(m >= 1 and n >= 1, "signed_count requires m, n >= 1")
-    positive = 0
-    total = 0
-    x = m - 1
-    for path in enum_motzkin2(m + n - 2):
-        total += 1
-        if path.levels[x] % 2 == 0:
-            positive += 1
-    return SignedCount(positive, total - positive)
+    even, total = _even_tally(enum_motzkin2(m + n - 2), m + n - 2)
+    return SignedCount(even[m - 1], total - even[m - 1])
 
 
 def signed_count_dyck(m: int, n: int) -> SignedCount:
@@ -153,17 +178,8 @@ def signed_count_dyck(m: int, n: int) -> SignedCount:
     2m-1 steps sits at level 1 (mod 4) for positive paths and 3 (mod 4) for
     negative ones."""
     _require(m >= 1 and n >= 1, "signed_count_dyck requires m, n >= 1")
-    positive = 0
-    negative = 0
-    x = 2 * m - 1
-    for path in enum_dyck(m + n - 1):
-        residue = path.levels[x] % 4
-        if residue == 1:
-            positive += 1
-        else:
-            _check(residue == 3, f"odd point at even level in {path.steps!r}")
-            negative += 1
-    return SignedCount(positive, negative)
+    ones, total = _mod4_tally(enum_dyck(m + n - 1), m + n)
+    return SignedCount(ones[m], total - ones[m])
 
 
 def classify_start(path: DyckPath) -> StartClass:
@@ -247,6 +263,9 @@ def g_intermediate(path: DyckPath) -> LatticePath:
     out = _flip(out, y - 3, "D", "U")
     result = parse_path(out, "dyck")
     _check(is_even_terminal_ballot(result), "stage one did not produce an even-terminal ballot path")
+    x = _rightmost(result.levels, 1)
+    gap = max(result.levels[x:]) - max(result.levels[: x + 1])
+    _check(gap >= 4, f"stage one of {path.steps!r} left a maximum gap of {gap}, below 4")
     return result
 
 
@@ -283,7 +302,7 @@ def injection_g_inverse(path: DyckPath) -> DyckPath:
     )
     ballot = _flip(path.steps, mk.rightmost_max, "D", "U")
     levels = parse_path(ballot, "dyck").levels
-    x = max(i for i, lv in enumerate(levels) if lv == 1)
+    x = _rightmost(levels, 1)
     grown = ballot[0] + "UU" + ballot[1:]
     # the two steps leaving x were at indices x and x+1; insertion shifts
     # them to x+2 and x+3
@@ -298,13 +317,7 @@ def theorem4_census(n: int) -> int:
     """Count Dyck paths of length 2n whose post-split maximum exceeds the
     pre-split maximum by at most 2, with the height-one path counted twice;
     equals the super Catalan number T(2,n)."""
-    _require(n >= 1, "theorem4_census requires n >= 1")
-    count = 0
-    for path in enum_dyck(n):
-        mk = markers(path)
-        if mk.h_plus <= mk.h_minus + 2:
-            count += 2 if mk.height == 1 else 1
-    return count
+    return sum(1 for _ in theorem4_paths(n))
 
 
 def theorem4_paths(n: int) -> Iterator[DyckPath]:

@@ -24,9 +24,10 @@ from .enumeration import (
     enum_pairs_total,
 )
 from .errors import SupercatError
-from .numbers import VerificationReport, ballot_number, catalan, super_catalan_s, super_catalan_t
+from .numbers import ballot_number, catalan, super_catalan_s, super_catalan_t
 from .paths import parse_path, reverse
 from .render import render_svg
+from .verify import VerificationReport
 
 # Verifications that would enumerate more paths than theorem1 does at
 # m+n <= 18 (C(1) + ... + C(17), about 1.8e8) refuse to run without --force.
@@ -41,9 +42,12 @@ def _default_jobs() -> int:
     env = os.environ.get("SUPERCAT_JOBS")
     if env:
         try:
-            return max(1, int(env))
+            jobs = int(env)
         except ValueError:
-            print(f"warning: ignoring SUPERCAT_JOBS={env!r}, not an integer", file=sys.stderr)
+            jobs = 0
+        if jobs >= 1:
+            return jobs
+        print(f"warning: ignoring SUPERCAT_JOBS={env!r}, not a positive integer", file=sys.stderr)
     return os.cpu_count() or 1
 
 
@@ -115,9 +119,24 @@ def _report_json(report: VerificationReport) -> dict:
     }
 
 
+def _flag(bound: str) -> str:
+    return "--" + bound.replace("_", "-")
+
+
 def _cmd_verify(args) -> int:
+    if args.jobs < 1:
+        print(f"--jobs must be at least 1, got {args.jobs}", file=sys.stderr)
+        return 2
     names = list(verify_mod.IDENTITIES) if args.identity == "all" else [args.identity]
     explicit = {"max_sum": args.max_sum, "max_m": args.max_m, "max_n": args.max_n}
+    if args.identity != "all":
+        # --max fills only the bounds a suite takes; an explicit bound must be one
+        _, _, defaults = verify_mod._resolve(args.identity)
+        stray = [_flag(k) for k, v in explicit.items() if v is not None and k not in defaults]
+        if stray:
+            taken = " and ".join(_flag(k) for k in explicit if k in defaults)
+            print(f"{args.identity} takes {taken}, not {' and '.join(stray)}", file=sys.stderr)
+            return 2
     bounds = {key: args.max if value is None else value for key, value in explicit.items()}
     for name in names:
         cost = verify_mod.path_cost(name, **bounds)

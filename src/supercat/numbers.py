@@ -1,4 +1,4 @@
-"""Exact closed-form values and algebraic identity checks.
+"""Exact closed-form values of the super Catalan, Catalan and ballot numbers.
 
 Every formula is evaluated by exact integer division whose remainder must
 be zero; a non-integral result raises immediately instead of silently
@@ -8,9 +8,7 @@ rounding.  Plain Python integers carry the arbitrary precision.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import NamedTuple
 
 from .errors import DomainError
 
@@ -23,28 +21,6 @@ def _exact_div(num: int, den: int, what: str) -> int:
     if remainder:
         raise AssertionError(f"internal: {what} evaluated to non-integer {num}/{den}")
     return quotient
-
-
-class Failure(NamedTuple):
-    """One violated instance: the parameters and both sides."""
-
-    params: tuple
-    lhs: object
-    rhs: object
-
-
-@dataclass(frozen=True)
-class VerificationReport:
-    """Outcome of checking one identity over a parameter range."""
-
-    identity: str
-    bounds: dict[str, int]
-    failures: tuple[Failure, ...]
-    cases: int
-
-    @property
-    def passed(self) -> bool:
-        return not self.failures
 
 
 def super_catalan_s(m: int, n: int) -> int:
@@ -118,24 +94,3 @@ def ballot_sum_identity(m: int, n: int) -> int:
         (term if r % 2 else -term) for r, term, _ in ballot_sum_terms(m, n)
     )
 
-
-def check_rubenstein(max_m: int, max_n: int) -> VerificationReport:
-    """Check 4 T(m,n) = T(m+1,n) + T(m,n+1) for all 1 <= m <= max_m,
-    1 <= n <= max_n."""
-    if max_m < 1 or max_n < 1:
-        raise DomainError("check_rubenstein requires bounds >= 1")
-    failures = []
-    cases = 0
-    for m in range(1, max_m + 1):
-        for n in range(1, max_n + 1):
-            cases += 1
-            lhs = 4 * super_catalan_t(m, n)
-            rhs = super_catalan_t(m + 1, n) + super_catalan_t(m, n + 1)
-            if lhs != rhs:
-                failures.append(Failure((m, n), lhs, rhs))
-    return VerificationReport(
-        identity="rubenstein",
-        bounds={"max_m": max_m, "max_n": max_n},
-        failures=tuple(failures),
-        cases=cases,
-    )

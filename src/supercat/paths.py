@@ -8,8 +8,8 @@ immutable value: the step string plus a cached level profile, where
 Family membership (Dyck, 2-Motzkin, ballot) is a predicate over this one
 type rather than a distinct runtime type: parsing is deliberately
 permissive, so a freshly parsed path may be invalid for every family.
-``DyckPath``/``TwoMotzkinPath``/``BallotPath`` are aliases used in
-signatures to say which family an operation expects or guarantees.
+``DyckPath``/``TwoMotzkinPath`` are aliases used in signatures to say
+which family an operation expects or guarantees.
 
 The text format is a single line over ``{U,D,S,W}`` with no separators;
 the empty string is the empty path.
@@ -70,7 +70,6 @@ class LatticePath:
 # Signature aliases; validity is checked by the is_* predicates.
 DyckPath = LatticePath
 TwoMotzkinPath = LatticePath
-BallotPath = LatticePath
 
 EMPTY_PATH = LatticePath("", (0,))
 
@@ -80,7 +79,7 @@ def parse_path(text: str, alphabet: str) -> LatticePath:
     (U/D/S/W) alphabet.
 
     Computes the level profile but does not enforce nonnegativity or any
-    terminal condition; use :func:`validate` for that.  Raises
+    terminal condition; the ``is_*`` predicates check those.  Raises
     :class:`ParseError` naming the first offending index.
     """
     try:
@@ -102,18 +101,6 @@ def make_path(text: str) -> LatticePath:
     return parse_path(text, "motzkin")
 
 
-def render_path(path: LatticePath) -> str:
-    """Inverse of parsing: the canonical single-line text of a path."""
-    return path.steps
-
-
-def level_at(path: LatticePath, x: int) -> int:
-    """Level (y-coordinate) of the point after ``x`` steps, 0 <= x <= len."""
-    if not 0 <= x <= len(path):
-        raise IndexError(f"point index {x} out of range 0..{len(path)}")
-    return path.levels[x]
-
-
 def is_dyck(path: LatticePath) -> bool:
     """Up/down steps only, never below the axis, ends on the axis.
 
@@ -129,43 +116,11 @@ def is_motzkin2(path: LatticePath) -> bool:
     return min(path.levels) >= 0 and path.levels[-1] == 0
 
 
-def is_ballot(path: LatticePath, n: int, r: int) -> bool:
-    """Up/down path of length 2n-1 from the origin to level 2r-1, never
-    below the axis."""
-    if not (isinstance(n, int) and isinstance(r, int) and 1 <= r <= n):
-        return False
-    if set(path.steps) - {UP, DOWN}:
-        return False
-    return (
-        len(path) == 2 * n - 1
-        and path.levels[-1] == 2 * r - 1
-        and min(path.levels) >= 0
-    )
-
-
 def is_even_terminal_ballot(path: LatticePath) -> bool:
     """Up/down path of even length ending at level 2, never below the axis."""
     if set(path.steps) - {UP, DOWN}:
         return False
     return len(path) % 2 == 0 and path.levels[-1] == 2 and min(path.levels) >= 0
-
-
-def validate(path: LatticePath, family: str, n: int | None = None, r: int | None = None) -> bool:
-    """True iff ``path`` satisfies every invariant of the named family.
-
-    ``family`` is ``"dyck"``, ``"motzkin2"`` or ``"ballot"`` (the latter
-    takes the ``(n, r)`` parameters).  Never raises for a well-formed path;
-    a family that no path can satisfy simply yields False.
-    """
-    if family == "dyck":
-        return is_dyck(path)
-    if family == "motzkin2":
-        return is_motzkin2(path)
-    if family == "ballot":
-        if n is None or r is None:
-            raise DomainError("ballot family requires n and r")
-        return is_ballot(path, n, r)
-    raise DomainError(f"unknown family {family!r}")
 
 
 def _rightmost(levels: tuple[int, ...], level: int) -> int:

@@ -1,5 +1,5 @@
 """Verification suites: each checks one identity exhaustively over a
-parameter range and returns a :class:`~supercat.numbers.VerificationReport`.
+parameter range and returns a :class:`VerificationReport`.
 
 The enumeration-backed suites tally a whole path family once per total
 length and read every (m, n) cell of that length off the same pass, so
@@ -12,30 +12,53 @@ every worker count.
 from __future__ import annotations
 
 import inspect
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Callable, Iterable, Iterator
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import dataclass
+from itertools import product
+from typing import NamedTuple
 
 from . import bijections as bij
 from .enumeration import enum_dyck, enum_motzkin2, enum_pairs_total
 from .errors import DomainError
-from .numbers import (
-    Failure,
-    VerificationReport,
-    ballot_sum_identity,
-    catalan,
-    check_rubenstein,
-    super_catalan_t,
-)
-from .paths import markers, parse_path, reverse
+from .numbers import ballot_sum_identity, catalan, super_catalan_t
+from .paths import DyckPath, TwoMotzkinPath, markers, parse_path, reverse
+
+
+class Failure(NamedTuple):
+    """One violated instance: the parameters and both sides."""
+
+    params: tuple
+    lhs: object
+    rhs: object
+
+
+@dataclass(frozen=True)
+class VerificationReport:
+    """Outcome of checking one identity over a parameter range."""
+
+    identity: str
+    bounds: dict[str, int]
+    failures: tuple[Failure, ...]
+    cases: int
+
+    @property
+    def passed(self) -> bool:
+        return not self.failures
+
 
 Row = tuple[list[Failure], int]
 
 
-def _map_rows(fn: Callable[[int], Row], args: Sequence[int], jobs: int) -> list[Row]:
-    if jobs <= 1 or len(args) <= 1:
-        return [fn(a) for a in args]
-    with ProcessPoolExecutor(max_workers=min(jobs, len(args))) as pool:
-        return list(pool.map(fn, args))
+def _checked(cases: Iterable[tuple[tuple, object, object]]) -> Row:
+    """Count ``(params, lhs, rhs)`` cases and keep those whose sides differ."""
+    failures = []
+    count = 0
+    for params, lhs, rhs in cases:
+        count += 1
+        if lhs != rhs:
+            failures.append(Failure(params, lhs, rhs))
+    return failures, count
 
 
 def _merge(identity: str, bounds: dict[str, int], rows: Iterable[Row]) -> VerificationReport:
@@ -47,85 +70,70 @@ def _merge(identity: str, bounds: dict[str, int], rows: Iterable[Row]) -> Verifi
     return VerificationReport(identity, bounds, tuple(failures), cases)
 
 
+def _row_suite(identity: str, row: Callable[[int], Row], max_sum: int, jobs: int) -> VerificationReport:
+    """Check each total length 2..max_sum with ``row``, on ``jobs`` worker
+    processes when there is more than one; rows merge in length order."""
+    if max_sum < 2:
+        raise DomainError(f"{identity} requires max_sum >= 2")
+    sums = range(2, max_sum + 1)
+    if jobs <= 1 or len(sums) <= 1:
+        return _merge(identity, {"max_sum": max_sum}, map(row, sums))
+    with ProcessPoolExecutor(max_workers=min(jobs, len(sums))) as pool:
+        rows = list(pool.map(row, sums))
+    return _merge(identity, {"max_sum": max_sum}, rows)
+
+
 def _theorem1_row(s: int) -> Row:
-    """All cells with m + n == s: tally even-level counts at every point of
-    every 2-Motzkin path of length s - 2 in one pass."""
-    k = s - 2
-    even = [0] * (k + 1)
-    total = 0
-    for path in enum_motzkin2(k):
-        total += 1
-        for x, lv in enumerate(path.levels):
-            if not lv & 1:
-                even[x] += 1
-    failures = []
-    for m in range(1, s):
-        n = s - m
-        diff = 2 * even[m - 1] - total
-        expected = super_catalan_t(m, n)
-        if diff != expected:
-            failures.append(Failure((m, n), diff, expected))
-    return failures, s - 1
+    """All cells with m + n == s, read off one even-level tally of the
+    2-Motzkin paths of length s - 2."""
+    even, total = bij._even_tally(enum_motzkin2(s - 2), s - 2)
+    return _checked(
+        ((m, s - m), 2 * even[m - 1] - total, super_catalan_t(m, s - m)) for m in range(1, s)
+    )
 
 
 def verify_theorem1(max_sum: int = 14, jobs: int = 1) -> VerificationReport:
     """P(m,n) - N(m,n) == T(m,n) for all m, n >= 1 with m + n <= max_sum,
     by exhausting the 2-Motzkin paths of each length."""
-    if max_sum < 2:
-        raise DomainError("verify_theorem1 requires max_sum >= 2")
-    rows = _map_rows(_theorem1_row, range(2, max_sum + 1), jobs)
-    return _merge("theorem1", {"max_sum": max_sum}, rows)
+    return _row_suite("theorem1", _theorem1_row, max_sum, jobs)
 
 
 def _theorem1_dyck_row(s: int) -> Row:
     failures = []
-    cases = 0
+
+    def mapped() -> Iterator[TwoMotzkinPath]:
+        # pathwise correspondence under the canonical bijection, checked on
+        # the pass that feeds the 2-Motzkin tally
+        for path in enum_motzkin2(s - 2):
+            image = bij.motzkin_to_dyck(path).levels
+            levels = path.levels
+            for m in range(1, s):
+                got = image[2 * m - 1]
+                want = 2 * levels[m - 1] + 1
+                if got != want:
+                    failures.append(Failure((m, s - m, path.steps), got, want))
+            yield path
+
+    even, total = bij._even_tally(mapped(), s - 2)
     # independent tally on the Dyck side: level mod 4 at each odd point
-    mod4_pos = [0] * s
-    total_dyck = 0
-    for path in enum_dyck(s - 1):
-        total_dyck += 1
-        levels = path.levels
-        for m in range(1, s):
-            if levels[2 * m - 1] % 4 == 1:
-                mod4_pos[m] += 1
-    even = [0] * (s - 1)
-    total = 0
-    for path in enum_motzkin2(s - 2):
-        total += 1
-        for x, lv in enumerate(path.levels):
-            if not lv & 1:
-                even[x] += 1
-        # pathwise correspondence under the canonical bijection
-        image = bij.motzkin_to_dyck(path)
-        for m in range(1, s):
-            cases += 1
-            got = image.levels[2 * m - 1]
-            want = 2 * path.levels[m - 1] + 1
-            if got != want:
-                failures.append(Failure((m, s - m, path.steps), got, want))
-    for m in range(1, s):
-        n = s - m
-        cases += 1
-        dyck_cell = (mod4_pos[m], total_dyck - mod4_pos[m])
-        motzkin_cell = (even[m - 1], total - even[m - 1])
-        if dyck_cell != motzkin_cell:
-            failures.append(Failure((m, n), dyck_cell, motzkin_cell))
-        elif dyck_cell[0] - dyck_cell[1] != super_catalan_t(m, n):
-            failures.append(
-                Failure((m, n), dyck_cell[0] - dyck_cell[1], super_catalan_t(m, n))
-            )
-    return failures, cases
+    ones, total_dyck = bij._mod4_tally(enum_dyck(s - 1), s)
+
+    def cell(m: int) -> tuple[tuple, object, object]:
+        dyck = (ones[m], total_dyck - ones[m])
+        motzkin = (even[m - 1], total - even[m - 1])
+        if dyck != motzkin:
+            return (m, s - m), dyck, motzkin
+        return (m, s - m), dyck[0] - dyck[1], super_catalan_t(m, s - m)
+
+    cell_failures, cells = _checked(cell(m) for m in range(1, s))
+    return failures + cell_failures, total * (s - 1) + cells
 
 
 def verify_theorem1_dyck(max_sum: int = 12, jobs: int = 1) -> VerificationReport:
     """The Dyck-path restatement: tallies by level mod 4 at the point after
     2m-1 steps agree componentwise with the 2-Motzkin tallies, and the
     level correspondence under the canonical bijection holds pathwise."""
-    if max_sum < 2:
-        raise DomainError("verify_theorem1_dyck requires max_sum >= 2")
-    rows = _map_rows(_theorem1_dyck_row, range(2, max_sum + 1), jobs)
-    return _merge("theorem1-dyck", {"max_sum": max_sum}, rows)
+    return _row_suite("theorem1-dyck", _theorem1_dyck_row, max_sum, jobs)
 
 
 def _reversal_row(s: int) -> Row:
@@ -134,12 +142,10 @@ def _reversal_row(s: int) -> Row:
     for path in enum_motzkin2(s - 2):
         mirrored = reverse(path)
         for m in range(1, s):
-            n = s - m
-            cases += 1
-            if bij.weight(path, m) != bij.weight(mirrored, n):
-                failures.append(
-                    Failure((m, n, path.steps), bij.weight(path, m), bij.weight(mirrored, n))
-                )
+            lhs, rhs = bij.weight(path, m), bij.weight(mirrored, s - m)
+            if lhs != rhs:
+                failures.append(Failure((m, s - m, path.steps), lhs, rhs))
+        cases += s - 1
     return failures, cases
 
 
@@ -147,161 +153,128 @@ def verify_reversal(max_sum: int = 12, jobs: int = 1) -> VerificationReport:
     """Reading a path right to left preserves its sign: the weight at m of
     every 2-Motzkin path of length m+n-2 equals the weight at n of its
     reverse.  This is the combinatorial symmetry T(m,n) = T(n,m)."""
-    if max_sum < 2:
-        raise DomainError("verify_reversal requires max_sum >= 2")
-    rows = _map_rows(_reversal_row, range(2, max_sum + 1), jobs)
-    return _merge("reversal", {"max_sum": max_sum}, rows)
+    return _row_suite("reversal", _reversal_row, max_sum, jobs)
 
 
 def verify_rubenstein(max_m: int = 50, max_n: int = 50) -> VerificationReport:
-    """4 T(m,n) = T(m+1,n) + T(m,n+1) over the full grid."""
-    return check_rubenstein(max_m, max_n)
+    """4 T(m,n) = T(m+1,n) + T(m,n+1) for all 1 <= m <= max_m,
+    1 <= n <= max_n."""
+    if max_m < 1 or max_n < 1:
+        raise DomainError("rubenstein requires bounds >= 1")
+    row = _checked(
+        ((m, n), 4 * super_catalan_t(m, n), super_catalan_t(m + 1, n) + super_catalan_t(m, n + 1))
+        for m, n in product(range(1, max_m + 1), range(1, max_n + 1))
+    )
+    return _merge("rubenstein", {"max_m": max_m, "max_n": max_n}, [row])
 
 
 def verify_ballot_sum(max_m: int = 30, max_n: int = 30) -> VerificationReport:
     """The alternating ballot-product sum equals T(m,n); termwise equality
     of its two printed forms is asserted inside the evaluation."""
     if max_m < 1 or max_n < 1:
-        raise DomainError("verify_ballot_sum requires bounds >= 1")
-    failures = []
-    cases = 0
-    for m in range(1, max_m + 1):
-        for n in range(1, max_n + 1):
-            cases += 1
-            lhs = ballot_sum_identity(m, n)
-            rhs = super_catalan_t(m, n)
-            if lhs != rhs:
-                failures.append(Failure((m, n), lhs, rhs))
-    return VerificationReport(
-        "ballot-sum", {"max_m": max_m, "max_n": max_n}, tuple(failures), cases
+        raise DomainError("ballot-sum requires bounds >= 1")
+    row = _checked(
+        ((m, n), ballot_sum_identity(m, n), super_catalan_t(m, n))
+        for m, n in product(range(1, max_m + 1), range(1, max_n + 1))
     )
+    return _merge("ballot-sum", {"max_m": max_m, "max_n": max_n}, [row])
 
 
 def verify_symmetry(max_sum: int = 100) -> VerificationReport:
     """Formula-level T(m,n) = T(n,m) for all m + n <= max_sum."""
     if max_sum < 1:
-        raise DomainError("verify_symmetry requires max_sum >= 1")
-    failures = []
-    cases = 0
-    for s in range(1, max_sum + 1):
-        for m in range(0, s // 2 + 1):
-            n = s - m
-            cases += 1
-            if super_catalan_t(m, n) != super_catalan_t(n, m):
-                failures.append(Failure((m, n), super_catalan_t(m, n), super_catalan_t(n, m)))
-    return VerificationReport("symmetry", {"max_sum": max_sum}, tuple(failures), cases)
+        raise DomainError("symmetry requires max_sum >= 1")
+    row = _checked(
+        ((m, s - m), super_catalan_t(m, s - m), super_catalan_t(s - m, m))
+        for s in range(1, max_sum + 1)
+        for m in range(0, s // 2 + 1)
+    )
+    return _merge("symmetry", {"max_sum": max_sum}, [row])
+
+
+def _census_suite(identity: str, census: Callable[[int], int], max_n: int) -> VerificationReport:
+    """census(n) == T(2,n) for every 1 <= n <= max_n."""
+    if max_n < 1:
+        raise DomainError(f"{identity} requires max_n >= 1")
+    row = _checked(((n,), census(n), super_catalan_t(2, n)) for n in range(1, max_n + 1))
+    return _merge(identity, {"max_n": max_n}, [row])
 
 
 def verify_theorem4(max_n: int = 10) -> VerificationReport:
     """The bounded-gap census over Dyck paths of length 2n (height-one path
     twice) equals T(2,n)."""
-    if max_n < 1:
-        raise DomainError("verify_theorem4 requires max_n >= 1")
-    failures = []
-    for n in range(1, max_n + 1):
-        census = bij.theorem4_census(n)
-        expected = super_catalan_t(2, n)
-        if census != expected:
-            failures.append(Failure((n,), census, expected))
-    return VerificationReport("theorem4", {"max_n": max_n}, tuple(failures), max_n)
+    return _census_suite("theorem4", bij.theorem4_census, max_n)
 
 
 def verify_pairs(max_n: int = 9) -> VerificationReport:
     """The number of ordered Dyck-path pairs of total length 2n with height
     difference at most 1 equals T(2,n)."""
-    if max_n < 1:
-        raise DomainError("verify_pairs requires max_n >= 1")
+    return _census_suite("pairs", bij.pair_census, max_n)
+
+
+def _injection_suite(identity: str, start: bij.StartClass, forward: Callable[[DyckPath], DyckPath],
+                     inverse: Callable[[DyckPath], DyckPath], in_image: Callable[[DyckPath], bool],
+                     max_n: int) -> VerificationReport:
+    """For 2 <= n <= max_n: ``forward`` maps the Dyck paths of length 2n+2
+    in class ``start`` one to one onto the Dyck paths of length 2n that
+    satisfy ``in_image``, and ``inverse`` undoes it on both sides."""
+    if max_n < 2:
+        raise DomainError(f"{identity} requires max_n >= 2")
+    name = identity.removeprefix("bijection-")
     failures = []
-    for n in range(1, max_n + 1):
-        census = bij.pair_census(n)
-        expected = super_catalan_t(2, n)
-        if census != expected:
-            failures.append(Failure((n,), census, expected))
-    return VerificationReport("pairs", {"max_n": max_n}, tuple(failures), max_n)
+    cases = 0
+    for n in range(2, max_n + 1):
+        images = []
+        for path in enum_dyck(n + 1):
+            if bij.classify_start(path) is not start:
+                continue
+            cases += 1
+            image = forward(path)
+            images.append(image.steps)
+            back = inverse(image)
+            if back != path:
+                failures.append(Failure((n, path.steps), back.steps, path.steps))
+        expected = [target.steps for target in enum_dyck(n) if in_image(target)]
+        distinct = set(images)
+        if len(distinct) != len(images):
+            failures.append(Failure((n, "injective"), len(distinct), len(images)))
+        if distinct != set(expected):
+            failures.append(Failure((n, "image census"), len(distinct), len(expected)))
+        for steps in expected:
+            cases += 1
+            target = parse_path(steps, "dyck")
+            if forward(inverse(target)) != target:
+                failures.append(Failure((n, steps), f"{name}({name}_inv) != id", steps))
+    return VerificationReport(identity, {"max_n": max_n}, tuple(failures), cases)
 
 
 def verify_bijection_f(max_n: int = 8) -> VerificationReport:
     """Round-trips and image census of the first injection: it is a
     bijection from the avoiding class onto the Dyck paths of height >= 2,
     missing exactly the height-one path."""
-    if max_n < 2:
-        raise DomainError("verify_bijection_f requires max_n >= 2")
-    failures = []
-    cases = 0
-    for n in range(2, max_n + 1):
-        images = []
-        for path in enum_dyck(n + 1):
-            if bij.classify_start(path) is not bij.StartClass.NSTAR:
-                continue
-            cases += 1
-            image = bij.injection_f(path)
-            images.append(image.steps)
-            back = bij.injection_f_inverse(image)
-            if back != path:
-                failures.append(Failure((n, path.steps), back.steps, path.steps))
-        expected = {p.steps for p in enum_dyck(n) if p.height >= 2}
-        if len(set(images)) != len(images):
-            failures.append(Failure((n, "injective"), len(set(images)), len(images)))
-        if set(images) != expected:
-            failures.append(Failure((n, "image census"), len(set(images)), len(expected)))
-        for target in enum_dyck(n):
-            if target.height < 2:
-                continue
-            cases += 1
-            if bij.injection_f(bij.injection_f_inverse(target)) != target:
-                failures.append(Failure((n, target.steps), "f(f_inv) != id", target.steps))
-    return VerificationReport("bijection-f", {"max_n": max_n}, tuple(failures), cases)
+    return _injection_suite(
+        "bijection-f", bij.StartClass.NSTAR, bij.injection_f, bij.injection_f_inverse,
+        lambda target: target.height >= 2, max_n,
+    )
 
 
 def verify_bijection_g(max_n: int = 8) -> VerificationReport:
     """Round-trips and image census of the two-stage injection: it is a
     bijection from the attaining class onto the Dyck paths whose post-split
-    maximum exceeds the pre-split maximum by at least 3, and its
-    even-terminal intermediate shows a gap of at least 4."""
-    if max_n < 2:
-        raise DomainError("verify_bijection_g requires max_n >= 2")
-    failures = []
-    cases = 0
-    for n in range(2, max_n + 1):
-        images = []
-        for path in enum_dyck(n + 1):
-            if bij.classify_start(path) is not bij.StartClass.NSTARSTAR:
-                continue
-            cases += 1
-            inter = bij.g_intermediate(path)
-            x = max(i for i, lv in enumerate(inter.levels) if lv == 1)
-            gap = max(inter.levels[x:]) - max(inter.levels[: x + 1])
-            if gap < 4:
-                failures.append(Failure((n, path.steps), gap, ">= 4"))
-            image = bij.injection_g(path)
-            images.append(image.steps)
-            back = bij.injection_g_inverse(image)
-            if back != path:
-                failures.append(Failure((n, path.steps), back.steps, path.steps))
-        expected = set()
-        for target in enum_dyck(n):
-            if len(target) == 0:
-                continue
-            mk = markers(target)
-            if mk.h_plus >= mk.h_minus + 3:
-                expected.add(target.steps)
-        if len(set(images)) != len(images):
-            failures.append(Failure((n, "injective"), len(set(images)), len(images)))
-        if set(images) != expected:
-            failures.append(Failure((n, "image census"), len(set(images)), len(expected)))
-        for steps in sorted(expected):
-            cases += 1
-            target = parse_path(steps, "dyck")
-            if bij.injection_g(bij.injection_g_inverse(target)) != target:
-                failures.append(Failure((n, steps), "g(g_inv) != id", steps))
-    return VerificationReport("bijection-g", {"max_n": max_n}, tuple(failures), cases)
+    maximum exceeds the pre-split maximum by at least 3.  Its even-terminal
+    intermediate's gap of at least 4 is asserted inside
+    :func:`~supercat.bijections.g_intermediate`."""
+    return _injection_suite(
+        "bijection-g", bij.StartClass.NSTARSTAR, bij.injection_g, bij.injection_g_inverse,
+        lambda target: (mk := markers(target)).h_plus >= mk.h_minus + 3, max_n,
+    )
 
 
 def verify_pair_map(max_n: int = 8) -> VerificationReport:
     """The pair split and its inverse are mutually inverse, split heights
     match the pre/post maxima, and the pair multiset is counted by T(2,n)."""
     if max_n < 1:
-        raise DomainError("verify_pair_map requires max_n >= 1")
+        raise DomainError("pair-map requires max_n >= 1")
     failures = []
     cases = 0
     for n in range(1, max_n + 1):
@@ -317,14 +290,9 @@ def verify_pair_map(max_n: int = 8) -> VerificationReport:
                     failures.append(Failure((n, path.steps), "from_pair(to_pair) != id", path.steps))
             if mk.height > 1:
                 pair = bij.to_pair(path)
-                if pair.first.height != mk.h_minus or pair.second.height != mk.h_plus - 1:
-                    failures.append(
-                        Failure(
-                            (n, path.steps),
-                            (pair.first.height, pair.second.height),
-                            (mk.h_minus, mk.h_plus - 1),
-                        )
-                    )
+                heights = (pair.first.height, pair.second.height)
+                if heights != (mk.h_minus, mk.h_plus - 1):
+                    failures.append(Failure((n, path.steps), heights, (mk.h_minus, mk.h_plus - 1)))
         expected = super_catalan_t(2, n)
         if total_pairs != expected:
             failures.append(Failure((n, "pair count"), total_pairs, expected))
@@ -349,7 +317,7 @@ def _rows_cost(max_sum: int, jobs: int) -> int:
 
 
 def _injection_cost(max_n: int) -> int:
-    return _catalan_sum(3, max_n + 1) + 2 * _catalan_sum(2, max_n)
+    return _catalan_sum(3, max_n + 1) + _catalan_sum(2, max_n)
 
 
 # Every identity, in the order verify_all runs them: its suite and the paths

@@ -17,7 +17,6 @@ from supercat.errors import DomainError
 from supercat.numbers import (
     ballot_number,
     catalan,
-    check_rubenstein,
     super_catalan_s,
     super_catalan_t,
 )
@@ -56,7 +55,7 @@ def test_c03_dyck_reformulation():
 
 def test_c04_rubenstein_recurrence():
     start = time.perf_counter()
-    report = check_rubenstein(50, 50)
+    report = verify.verify_rubenstein(50, 50)
     elapsed = time.perf_counter() - start
     assert report.passed
     assert report.cases == 2500

@@ -132,6 +132,39 @@ class TestVerify:
         assert "passed\ttrue" not in out
         assert "error:" in err
 
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (("theorem1", "--max-n", "5"), "theorem1 takes --max-sum, not --max-n"),
+            (("theorem4", "--max-sum", "3"), "theorem4 takes --max-n, not --max-sum"),
+            (("rubenstein", "--max-m", "3", "--max-sum", "4"), "takes --max-m and --max-n, not --max-sum"),
+        ],
+    )
+    def test_bound_the_identity_does_not_take_is_usage_error(self, capsys, monkeypatch, argv, message):
+        from supercat import verify
+
+        def never(*args, **kwargs):
+            raise AssertionError("suite ran with a bound it does not take")
+
+        monkeypatch.setattr(verify, "run_identity", never)
+        code, out, err = run(capsys, "verify", *argv)
+        assert code == 2
+        assert out == ""
+        assert message in err
+
+    @pytest.mark.parametrize("jobs", ["0", "-4"])
+    def test_jobs_below_one_is_usage_error(self, capsys, monkeypatch, jobs):
+        from supercat import verify
+
+        def never(*args, **kwargs):
+            raise AssertionError("suite ran with a worker count below 1")
+
+        monkeypatch.setattr(verify, "run_identity", never)
+        code, out, err = run(capsys, "verify", "theorem4", "--max-n", "3", "--jobs", jobs)
+        assert code == 2
+        assert out == ""
+        assert "--jobs" in err
+
     def test_force_flag_accepted(self, capsys):
         code, _, _ = run(capsys, "verify", "theorem4", "--max-n", "4", "--force")
         assert code == 0
@@ -297,3 +330,14 @@ class TestJobsEnvironment:
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         assert "SUPERCAT_JOBS='abc'" in err
+
+    @pytest.mark.parametrize("value", ["0", "-2"])
+    def test_env_below_one_warns_and_falls_back(self, monkeypatch, capsys, value):
+        from supercat.cli import build_parser
+
+        monkeypatch.setenv("SUPERCAT_JOBS", value)
+        args = build_parser().parse_args(["verify", "symmetry"])
+        assert args.jobs == (os.cpu_count() or 1)
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert f"SUPERCAT_JOBS={value!r}" in err

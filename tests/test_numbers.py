@@ -6,16 +6,14 @@ from conftest import ref_ballot, ref_catalan, ref_super_catalan_s
 from supercat.enumeration import enum_ballot, enum_dyck
 from supercat.errors import DomainError
 from supercat.numbers import (
-    Failure,
-    VerificationReport,
     ballot_number,
     ballot_sum_identity,
     ballot_sum_terms,
     catalan,
-    check_rubenstein,
     super_catalan_s,
     super_catalan_t,
 )
+from supercat.verify import verify_rubenstein
 
 
 class TestSuperCatalanS:
@@ -96,7 +94,7 @@ class TestRubenstein:
         assert 4 * super_catalan_t(2, 2) == super_catalan_t(3, 2) + super_catalan_t(2, 3)
 
     def test_full_grid(self):
-        report = check_rubenstein(50, 50)
+        report = verify_rubenstein(50, 50)
         assert report.passed
         assert report.cases == 2500
         assert report.identity == "rubenstein"
@@ -104,7 +102,7 @@ class TestRubenstein:
 
     def test_bounds_validated(self):
         with pytest.raises(DomainError):
-            check_rubenstein(0, 5)
+            verify_rubenstein(0, 5)
 
 
 class TestBallotSum:
@@ -159,11 +157,3 @@ class TestAlgebraicProperties:
         for n in range(1, 30):
             assert 2 * super_catalan_t(0, n) == math.comb(2 * n, n)
 
-
-class TestVerificationReport:
-    def test_passed_iff_no_failures(self):
-        clean = VerificationReport("x", {"max": 1}, (), 1)
-        assert clean.passed
-        broken = VerificationReport("x", {"max": 1}, (Failure((1,), 0, 1),), 1)
-        assert not broken.passed
-        assert broken.failures[0].params == (1,)

@@ -8,13 +8,10 @@ from supercat.paths import (
     is_dyck,
     is_even_terminal_ballot,
     is_motzkin2,
-    level_at,
     make_path,
     markers,
     parse_path,
-    render_path,
     reverse,
-    validate,
 )
 
 
@@ -56,7 +53,6 @@ class TestPathValue:
         path = make_path("UWD")
         assert str(path) == "UWD"
         assert repr(path) == "LatticePath('UWD')"
-        assert render_path(path) == "UWD"
 
     def test_equality_and_hash(self):
         assert make_path("UD") == parse_path("UD", "dyck")
@@ -70,40 +66,20 @@ class TestPathValue:
 
 class TestValidate:
     def test_dyck_true(self):
-        assert validate(parse_path("UDUD", "dyck"), "dyck")
+        assert is_dyck(parse_path("UDUD", "dyck"))
 
     def test_dyck_dips_below(self):
-        assert not validate(parse_path("UDDU", "dyck"), "dyck")
+        assert not is_dyck(parse_path("UDDU", "dyck"))
 
     def test_dyck_nonzero_end(self):
-        assert not validate(parse_path("UUD", "dyck"), "dyck")
+        assert not is_dyck(parse_path("UUD", "dyck"))
 
     def test_motzkin_level_steps(self):
-        assert validate(make_path("SUWD"), "motzkin2")
-        assert not validate(make_path("WDU"), "motzkin2")
+        assert is_motzkin2(make_path("SUWD"))
+        assert not is_motzkin2(make_path("WDU"))
 
     def test_dyck_rejects_level_steps(self):
-        assert not validate(make_path("SS"), "dyck")
-
-    def test_ballot_uuu(self):
-        # oracle: the only nonnegative 3-step path to level 3
-        assert brute_family(3, 3, "UD") == ["UUU"]
-        assert validate(parse_path("UUU", "dyck"), "ballot", n=2, r=2)
-
-    def test_ballot_wrong_terminal(self):
-        assert not validate(parse_path("UUD", "dyck"), "ballot", n=2, r=2)
-
-    def test_ballot_requires_params(self):
-        with pytest.raises(DomainError):
-            validate(parse_path("U", "dyck"), "ballot")
-
-    def test_ballot_impossible_family_is_false(self):
-        # family with r > n cannot be satisfied, but never raises
-        assert not validate(parse_path("UUU", "dyck"), "ballot", n=1, r=5)
-
-    def test_unknown_family(self):
-        with pytest.raises(DomainError):
-            validate(parse_path("UD", "dyck"), "schroeder")
+        assert not is_dyck(make_path("SS"))
 
     def test_even_terminal_ballot(self):
         assert is_even_terminal_ballot(make_path("UUUUUDDD"))
@@ -173,22 +149,9 @@ class TestReverse:
             assert is_motzkin2(reverse(make_path(steps)))
 
 
-class TestLevelAt:
-    @pytest.mark.parametrize("steps,x,expected", [("SUD", 1, 0), ("UUDD", 2, 2), ("UDUDUD", 6, 0)])
-    def test_frozen(self, steps, x, expected):
-        assert level_at(make_path(steps), x) == expected
-
-    def test_out_of_range(self):
-        path = make_path("UD")
-        with pytest.raises(IndexError):
-            level_at(path, 3)
-        with pytest.raises(IndexError):
-            level_at(path, -1)
-
-
 @given(motzkin_paths())
 def test_parse_render_roundtrip(path):
-    assert parse_path(render_path(path), "motzkin") == path
+    assert parse_path(path.steps, "motzkin") == path
 
 
 @given(dyck_paths())

@@ -71,3 +71,62 @@ def test_path_cost_counts_enumerated_paths():
     assert verify.path_cost("symmetry", max_sum=10**6) == 0
     # defaults come from the suite signatures
     assert verify.path_cost("theorem1") == verify.path_cost("theorem1", max_sum=14)
+
+
+class TestVerificationReport:
+    def test_passed_iff_no_failures(self):
+        clean = verify.VerificationReport("x", {"max": 1}, (), 1)
+        assert clean.passed
+        broken = verify.VerificationReport("x", {"max": 1}, (verify.Failure((1,), 0, 1),), 1)
+        assert not broken.passed
+        assert broken.failures[0].params == (1,)
+
+
+# Reports of a deliberately broken program: T(2,3) is off by one, so every
+# suite that compares against T fails exactly where that value is read.
+BROKEN_T_REPORTS = {
+    "theorem1": (15, [((2, 3), 6, 7)]),
+    "theorem1-dyck": (301, [((2, 3), 6, 7)]),
+    "rubenstein": (12, [((1, 3), 20, 21), ((2, 2), 12, 13), ((2, 3), 28, 24)]),
+    "ballot-sum": (12, [((2, 3), 6, 7)]),
+    "symmetry": (15, [((2, 3), 7, 6)]),
+    "theorem4": (4, [((3,), 6, 7)]),
+    "pairs": (4, [((3,), 6, 7)]),
+    "bijection-f": (36, []),
+    "bijection-g": (2, []),
+    "pair-map": (50, [((3, "pair count"), 6, 7)]),
+    "reversal": (286, []),
+}
+
+
+@pytest.mark.parametrize("name", verify.IDENTITIES)
+def test_failing_reports_are_pinned(monkeypatch, name):
+    from supercat import numbers
+
+    true_t = numbers.super_catalan_t
+
+    def broken_t(m, n):
+        return true_t(m, n) + ((m, n) == (2, 3))
+
+    monkeypatch.setattr(numbers, "super_catalan_t", broken_t)
+    monkeypatch.setattr(verify, "super_catalan_t", broken_t)
+    report = verify.run_identity(name, max_sum=6, max_m=3, max_n=4)
+    cases, failures = BROKEN_T_REPORTS[name]
+    assert report.cases == cases
+    assert report.failures == tuple(failures)
+    assert report.passed == (not failures)
+
+
+def test_failing_reversal_report_is_pinned(monkeypatch):
+    from supercat import bijections
+
+    true_weight = bijections.weight
+
+    def broken_weight(path, m):
+        sign = true_weight(path, m)
+        return -sign if (path.steps, m) == ("UD", 1) else sign
+
+    monkeypatch.setattr(bijections, "weight", broken_weight)
+    report = verify.run_identity("reversal", max_sum=5)
+    assert report.cases == 76
+    assert report.failures == (((1, 3, "UD"), -1, 1), ((3, 1, "UD"), 1, -1))
