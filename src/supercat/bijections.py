@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
-from .enumeration import enum_dyck, enum_motzkin2
+from .enumeration import _dyck_walks, _motzkin2_walks, _Walk, enum_dyck
 from .errors import DomainError
 from .numbers import catalan
 from .paths import (
@@ -87,13 +87,15 @@ def _check(cond: bool, message: str) -> None:
 
 
 def _flip(steps: str, i: int, expect: str, to: str) -> str:
-    _check(steps[i] == expect, f"step at index {i} is {steps[i]!r}, expected {expect!r}")
+    if steps[i] != expect:
+        raise AssertionError(f"internal: step at index {i} is {steps[i]!r}, expected {expect!r}")
     return steps[:i] + to + steps[i + 1 :]
 
 
 def _dyck(steps: str) -> LatticePath:
     path = parse_path(steps, "dyck")
-    _check(is_dyck(path), f"constructed path {steps!r} is not a valid Dyck path")
+    if not is_dyck(path):
+        raise AssertionError(f"internal: constructed path {steps!r} is not a valid Dyck path")
     return path
 
 
@@ -119,7 +121,8 @@ def dyck_to_motzkin(path: DyckPath) -> TwoMotzkinPath:
     inner = steps[1:-1]
     out = "".join(_PAIR_TO_STEP[inner[i : i + 2]] for i in range(0, len(inner), 2))
     result = parse_path(out, "motzkin")
-    _check(is_motzkin2(result), f"pair decoding of {steps!r} is not a 2-Motzkin path")
+    if not is_motzkin2(result):
+        raise AssertionError(f"internal: pair decoding of {steps!r} is not a 2-Motzkin path")
     return result
 
 
@@ -129,39 +132,43 @@ def weight(path: TwoMotzkinPath, m: int) -> int:
     Formalized on the point after m-1 steps, so it is defined even when the
     path has exactly m-1 steps and the m-th step itself does not exist.
     """
-    _require(m >= 1, "weight requires m >= 1")
-    _require(len(path) >= m - 1, f"path of length {len(path)} has no point at x={m - 1}")
-    return 1 if path.levels[m - 1] % 2 == 0 else -1
+    levels = path.levels
+    if m < 1:
+        raise DomainError("weight requires m >= 1")
+    if len(levels) < m:
+        raise DomainError(f"path of length {len(path)} has no point at x={m - 1}")
+    return 1 if levels[m - 1] % 2 == 0 else -1
 
 
-def _even_tally(paths: Iterable[TwoMotzkinPath], length: int) -> tuple[list[int], int]:
-    """For 2-Motzkin paths of the given length: how many sit on an even
-    level at each point, and how many paths there are."""
+def _even_tally(walks: Iterable[_Walk], length: int) -> tuple[list[int], int]:
+    """For the ``(steps, levels)`` walks of the 2-Motzkin paths of the given
+    length: how many sit on an even level at each point, and how many paths
+    there are."""
     even = [0] * (length + 1)
     total = 0
-    for path in paths:
+    for _, levels in walks:
         total += 1
-        for x, lv in enumerate(path.levels):
+        for x, lv in enumerate(levels):
             if not lv & 1:
                 even[x] += 1
     return even, total
 
 
-def _mod4_tally(paths: Iterable[DyckPath], s: int) -> tuple[list[int], int]:
-    """For Dyck paths of length 2s-2: how many sit at level 1 (mod 4) at the
-    point after 2m-1 steps, for each 1 <= m < s (index m), and how many paths
-    there are.  Every other path sits at level 3 (mod 4) there."""
+def _mod4_tally(walks: Iterable[_Walk], s: int) -> tuple[list[int], int]:
+    """For the ``(steps, levels)`` walks of the Dyck paths of length 2s-2: how
+    many sit at level 1 (mod 4) at the point after 2m-1 steps, for each
+    1 <= m < s (index m), and how many paths there are.  Every other path
+    sits at level 3 (mod 4) there."""
     ones = [0] * s
     total = 0
-    for path in paths:
+    for steps, levels in walks:
         total += 1
-        levels = path.levels
-        for m in range(1, s):
-            residue = levels[2 * m - 1] % 4
+        for m, lv in enumerate(levels[1::2], 1):
+            residue = lv & 3
             if residue == 1:
                 ones[m] += 1
             elif residue != 3:
-                raise AssertionError(f"internal: odd point at even level in {path.steps!r}")
+                raise AssertionError(f"internal: odd point at even level in {steps!r}")
     return ones, total
 
 
@@ -169,7 +176,7 @@ def signed_count(m: int, n: int) -> SignedCount:
     """Exhaustively tally 2-Motzkin paths of length m+n-2 by sign; the
     difference equals the super Catalan number T(m,n)."""
     _require(m >= 1 and n >= 1, "signed_count requires m, n >= 1")
-    even, total = _even_tally(enum_motzkin2(m + n - 2), m + n - 2)
+    even, total = _even_tally(_motzkin2_walks(m + n - 2), m + n - 2)
     return SignedCount(even[m - 1], total - even[m - 1])
 
 
@@ -178,7 +185,7 @@ def signed_count_dyck(m: int, n: int) -> SignedCount:
     2m-1 steps sits at level 1 (mod 4) for positive paths and 3 (mod 4) for
     negative ones."""
     _require(m >= 1 and n >= 1, "signed_count_dyck requires m, n >= 1")
-    ones, total = _mod4_tally(enum_dyck(m + n - 1), m + n)
+    ones, total = _mod4_tally(_dyck_walks(m + n - 1), m + n)
     return SignedCount(ones[m], total - ones[m])
 
 
@@ -265,7 +272,8 @@ def g_intermediate(path: DyckPath) -> LatticePath:
     _check(is_even_terminal_ballot(result), "stage one did not produce an even-terminal ballot path")
     x = _rightmost(result.levels, 1)
     gap = max(result.levels[x:]) - max(result.levels[: x + 1])
-    _check(gap >= 4, f"stage one of {path.steps!r} left a maximum gap of {gap}, below 4")
+    if gap < 4:
+        raise AssertionError(f"internal: stage one of {path.steps!r} left a maximum gap of {gap}, below 4")
     return result
 
 

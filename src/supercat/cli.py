@@ -13,14 +13,15 @@ import argparse
 import json
 import os
 import sys
+from operator import itemgetter
 
 from . import bijections as bij
 from . import verify as verify_mod
 from .enumeration import (
-    enum_ballot,
-    enum_ballot_even,
-    enum_dyck,
-    enum_motzkin2,
+    _ballot_even_walks,
+    _ballot_walks,
+    _dyck_walks,
+    _motzkin2_walks,
     enum_pairs_total,
 )
 from .errors import SupercatError
@@ -201,16 +202,16 @@ def _cmd_enumerate(args) -> int:
     if len(params) != arity:
         print(f"enumerate {family} takes {arity} integer parameter(s)", file=sys.stderr)
         return 2
-    if family == "dyck":
-        stream = (p.steps for p in enum_dyck(params[0]))
-    elif family == "motzkin2":
-        stream = (p.steps for p in enum_motzkin2(params[0]))
-    elif family == "ballot":
-        stream = (p.steps for p in enum_ballot(params[0], params[1]))
-    elif family == "ballot-even":
-        stream = (p.steps for p in enum_ballot_even(params[0]))
-    else:
+    if family == "pairs":
         stream = (f"{a.steps}\t{b.steps}" for a, b in enum_pairs_total(params[0]))
+    else:
+        walks = {
+            "dyck": _dyck_walks,
+            "motzkin2": _motzkin2_walks,
+            "ballot": _ballot_walks,
+            "ballot-even": _ballot_even_walks,
+        }[family]
+        stream = map(itemgetter(0), walks(*params))
     if args.count:
         print(sum(1 for _ in stream))
     else:

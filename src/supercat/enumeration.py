@@ -1,21 +1,56 @@
 """Exhaustive, deterministic generation of path families.
 
-All streams are lazy generators produced by backtracking over prefixes,
-pruned by nonnegativity and by whether the terminal level is still
-reachable, so work stays linear in the output size.  Order is
-lexicographic in the canonical step order U < D < S < W; two runs emit
+One engine, :func:`_walks`, hands out every nonnegative path of a family
+as a ``(steps, levels)`` pair, lazily and without recursion.  It runs an
+explicit-stack backtrack (after Knuth, TAOCP 4A §7.2.1.6, Algorithm P)
+over all but the last few steps, pruned by nonnegativity and by
+whether the terminal level is still reachable, so work stays linear in
+the output size.  Each prefix is joined to every tail of the remaining
+steps from its end level, read from a table built once per call.  Order
+is lexicographic in the canonical step order U < D < S < W; two runs emit
 identical sequences.
+
+The public ``enum_*`` streams wrap each pair in a :class:`LatticePath`.
+Callers that read only levels or steps (the row tallies, ``supercat
+enumerate``) take the private ``_*_walks`` streams and build no path.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
+from itertools import starmap
 
 from .errors import DomainError
 from .paths import DYCK_ALPHABET, MOTZKIN_ALPHABET, RISE, LatticePath
 
+_Walk = tuple[str, tuple[int, ...]]
 
-def _iter_family(length: int, terminal: int, alphabet: tuple[str, ...]) -> Iterator[LatticePath]:
+# Steps left to the tail table, by alphabet size: long enough that the
+# per-prefix backtrack is a small share of the work, short enough that
+# the table stays small (at most 2**10 = 4**5 tails per start level, a few
+# tens of KB; longer tails ran no faster and cost peak memory).
+_TAIL = {2: 10, 4: 5}
+
+
+def _tails(length: int, terminal: int, rises: list[tuple[str, int]]) -> dict[int, list[_Walk]]:
+    """Every nonnegative walk of ``length`` steps that ends at ``terminal``,
+    keyed by start level, in canonical order; levels leave out the start."""
+    table: dict[int, list[_Walk]] = {terminal: [("", ())]}
+    for _ in range(length):
+        grown: dict[int, list[_Walk]] = {}
+        for start in range(max(min(table) - 1, 0), max(table) + 2):
+            walks = [
+                (ch + steps, (start + rise,) + levels)
+                for ch, rise in rises
+                for steps, levels in table.get(start + rise, ())
+            ]
+            if walks:
+                grown[start] = walks
+        table = grown
+    return table
+
+
+def _walks(length: int, terminal: int, alphabet: tuple[str, ...]) -> Iterator[_Walk]:
     """All nonnegative paths of ``length`` steps from 0 to ``terminal``."""
     if terminal < 0 or terminal > length:
         return
@@ -23,52 +58,80 @@ def _iter_family(length: int, terminal: int, alphabet: tuple[str, ...]) -> Itera
         # pure up/down steps cannot change the parity of length - terminal
         return
     rises = [(c, RISE[c]) for c in alphabet]
-    steps = [""] * length
-    levels = [0] * (length + 1)
-
-    def rec(pos: int, level: int) -> Iterator[LatticePath]:
-        if pos == length:
-            yield LatticePath("".join(steps), tuple(levels))
-            return
+    cut = max(length - _TAIL[len(rises)], 0)
+    tails = _tails(length - cut, terminal, rises)
+    steps = [""] * cut
+    levels = [0] * (cut + 1)
+    # choice[pos]: index into rises of the next step to try at pos
+    choice = [0] * cut
+    pos = 0
+    while pos >= 0:
+        if pos == cut:
+            head, lead = "".join(steps), tuple(levels)
+            for tail_steps, tail_levels in tails[levels[cut]]:
+                yield head + tail_steps, lead + tail_levels
+            pos -= 1
+            continue
+        level = levels[pos]
         rem = length - pos - 1
-        for ch, rise in rises:
+        for i in range(choice[pos], len(rises)):
+            ch, rise = rises[i]
             nl = level + rise
             if nl >= 0 and abs(nl - terminal) <= rem:
+                choice[pos] = i + 1
                 steps[pos] = ch
                 levels[pos + 1] = nl
-                yield from rec(pos + 1, nl)
+                pos += 1
+                break
+        else:
+            choice[pos] = 0
+            pos -= 1
 
-    yield from rec(0, 0)
+
+def _dyck_walks(n: int) -> Iterator[_Walk]:
+    if n < 0:
+        raise DomainError("enum_dyck requires n >= 0")
+    return _walks(2 * n, 0, DYCK_ALPHABET)
+
+
+def _motzkin2_walks(length: int) -> Iterator[_Walk]:
+    if length < 0:
+        raise DomainError("enum_motzkin2 requires length >= 0")
+    return _walks(length, 0, MOTZKIN_ALPHABET)
+
+
+def _ballot_walks(n: int, r: int) -> Iterator[_Walk]:
+    if not 1 <= r <= n:
+        raise DomainError(f"enum_ballot requires 1 <= r <= n, got n={n}, r={r}")
+    return _walks(2 * n - 1, 2 * r - 1, DYCK_ALPHABET)
+
+
+def _ballot_even_walks(length: int) -> Iterator[_Walk]:
+    if length < 0:
+        raise DomainError("enum_ballot_even requires length >= 0")
+    return _walks(length, 2, DYCK_ALPHABET)
 
 
 def enum_dyck(n: int) -> Iterator[LatticePath]:
     """Every Dyck path of length 2n exactly once; count is catalan(n)."""
-    if n < 0:
-        raise DomainError("enum_dyck requires n >= 0")
-    return _iter_family(2 * n, 0, DYCK_ALPHABET)
+    return starmap(LatticePath, _dyck_walks(n))
 
 
 def enum_motzkin2(length: int) -> Iterator[LatticePath]:
     """Every 2-Motzkin path of the given length; count is catalan(length+1)."""
-    if length < 0:
-        raise DomainError("enum_motzkin2 requires length >= 0")
-    return _iter_family(length, 0, MOTZKIN_ALPHABET)
+    return starmap(LatticePath, _motzkin2_walks(length))
 
 
 def enum_ballot(n: int, r: int) -> Iterator[LatticePath]:
     """Every nonnegative up/down path of length 2n-1 ending at level 2r-1;
     count is ballot_number(n, r)."""
-    if not 1 <= r <= n:
-        raise DomainError(f"enum_ballot requires 1 <= r <= n, got n={n}, r={r}")
-    return _iter_family(2 * n - 1, 2 * r - 1, DYCK_ALPHABET)
+    return starmap(LatticePath, _ballot_walks(n, r))
 
 
 def enum_ballot_even(length: int) -> Iterator[LatticePath]:
     """Every nonnegative up/down path of the given even length ending at
     level 2 (the intermediate family of the two-stage injection)."""
-    if length < 0:
-        raise DomainError("enum_ballot_even requires length >= 0")
-    return _iter_family(length, 2, DYCK_ALPHABET)
+    return starmap(LatticePath, _ballot_even_walks(length))
 
 
 def enum_pairs_total(n: int) -> Iterator[tuple[LatticePath, LatticePath]]:

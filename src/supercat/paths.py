@@ -18,6 +18,7 @@ the empty string is the empty path.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .errors import DomainError, ParseError
 
@@ -86,14 +87,12 @@ def parse_path(text: str, alphabet: str) -> LatticePath:
         allowed = _ALPHABETS[alphabet]
     except KeyError:
         raise DomainError(f"unknown alphabet {alphabet!r}; expected 'dyck' or 'motzkin'") from None
-    levels = [0] * (len(text) + 1)
-    level = 0
-    for i, ch in enumerate(text):
-        if ch not in allowed:
-            raise ParseError(f"unknown step {ch!r} at index {i}", index=i)
-        level += RISE[ch]
-        levels[i + 1] = level
-    return LatticePath(text, tuple(levels))
+    if not allowed.issuperset(text):
+        i, ch = next((i, ch) for i, ch in enumerate(text) if ch not in allowed)
+        raise ParseError(f"unknown step {ch!r} at index {i}", index=i)
+    # a tuple built straight from an iterator is over-allocated; one built
+    # from a list is exact-size
+    return LatticePath(text, tuple(list(accumulate(map(RISE.__getitem__, text), initial=0))))
 
 
 def make_path(text: str) -> LatticePath:
@@ -174,7 +173,5 @@ def reverse(path: TwoMotzkinPath) -> TwoMotzkinPath:
     """
     if not is_motzkin2(path):
         raise DomainError("reverse requires a valid 2-Motzkin path")
-    steps = path.steps[::-1].translate(_MIRROR)
-    end = path.levels[-1]
-    levels = tuple(lv - end for lv in reversed(path.levels))
-    return LatticePath(steps, levels)
+    # both ends sit on the axis, so the reversed profile needs no shift
+    return LatticePath(path.steps[::-1].translate(_MIRROR), path.levels[::-1])

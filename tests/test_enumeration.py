@@ -1,4 +1,5 @@
-from itertools import islice
+import hashlib
+from itertools import chain, islice
 
 import pytest
 
@@ -11,7 +12,7 @@ from supercat.enumeration import (
     enum_pairs_total,
 )
 from supercat.errors import DomainError
-from supercat.paths import is_dyck, is_motzkin2
+from supercat.paths import is_dyck, is_motzkin2, parse_path
 
 
 def test_dyck_empty_case():
@@ -170,3 +171,48 @@ def test_streams_are_lazy():
 def test_emitted_paths_are_valid():
     assert all(is_dyck(p) for p in enum_dyck(6))
     assert all(is_motzkin2(p) for p in enum_motzkin2(6))
+
+
+# sha256 of steps + "\n" over each stream, in order; recorded from the
+# recursive backtracker this engine replaced.
+ORDER_DIGESTS = [
+    pytest.param(
+        "motzkin", lambda: chain.from_iterable(enum_motzkin2(length) for length in range(11)),
+        82499, "4127cdcdd38a5ca11999b22d07d266b2ec945d39ca0b2d9eebcf35c306dac983",
+        id="motzkin2",
+    ),
+    pytest.param(
+        "dyck", lambda: chain.from_iterable(enum_dyck(n) for n in range(12)),
+        82500, "a25dbc712e1d0b430683efd1fe8feb810f74cae6a922a5a664fa94553cb37361",
+        id="dyck",
+    ),
+    pytest.param(
+        "dyck", lambda: chain.from_iterable(
+            enum_ballot(n, r) for n in range(1, 9) for r in range(1, n + 1)
+        ),
+        8788, "bb3a54b18b52e8a4d8f01c973cf087fe21c6b453d25377c6de4f5c53c002a7e6",
+        id="ballot",
+    ),
+    pytest.param(
+        "dyck", lambda: chain.from_iterable(enum_ballot_even(length) for length in range(15)),
+        1429, "1f01110630c72b43edbfa9adb0c7baf060fc8ba80c73fc4ba468cf7c77922d1e",
+        id="ballot-even",
+    ),
+]
+
+
+@pytest.mark.parametrize("alphabet, stream, count, digest", ORDER_DIGESTS)
+def test_order_digests(alphabet, stream, count, digest):
+    sha = hashlib.sha256()
+    seen = 0
+    for path in stream():
+        seen += 1
+        sha.update(path.steps.encode() + b"\n")
+        assert path.levels == parse_path(path.steps, alphabet).levels
+    assert seen == count
+    assert sha.hexdigest() == digest
+
+
+def test_deep_streams_do_not_recurse():
+    assert next(enum_dyck(600)).steps == "U" * 600 + "D" * 600
+    assert next(enum_motzkin2(2000)).steps == "U" * 1000 + "D" * 1000

@@ -61,6 +61,11 @@ def test_bounds_validated():
         verify.run_identity("theorem1", max_sum=0)
     with pytest.raises(DomainError):
         verify.run_identity("rubenstein", max_m=0)
+    # a worker count below one is refused, not run serially
+    with pytest.raises(DomainError, match="theorem1"):
+        verify.verify_theorem1(5, jobs=0)
+    with pytest.raises(DomainError, match="reversal"):
+        verify.run_identity("reversal", max_sum=5, jobs=-3)
 
 
 def test_path_cost_counts_enumerated_paths():
@@ -130,3 +135,48 @@ def test_failing_reversal_report_is_pinned(monkeypatch):
     report = verify.run_identity("reversal", max_sum=5)
     assert report.cases == 76
     assert report.failures == (((1, 3, "UD"), -1, 1), ((3, 1, "UD"), 1, -1))
+
+
+def test_non_injective_map_fails(monkeypatch):
+    from supercat import bijections
+    from supercat.enumeration import enum_dyck
+
+    true_f = bijections.injection_f
+    first, second = [
+        p for p in enum_dyck(4) if bijections.classify_start(p) is bijections.StartClass.NSTAR
+    ][:2]
+
+    def collapsed(path):
+        # send the second input to the first one's image
+        return true_f(first if path == second else path)
+
+    monkeypatch.setattr(bijections, "injection_f", collapsed)
+    report = verify.verify_bijection_f(3)
+    image = true_f(second).steps
+    assert report.failures == (
+        ((3, second.steps), first.steps, second.steps),
+        ((3, image), "f(f_inv) != id", image),
+    )
+    assert not report.passed
+
+
+def test_image_outside_the_target_family_fails(monkeypatch):
+    from supercat import bijections
+    from supercat.enumeration import enum_dyck
+    from supercat.paths import parse_path
+
+    true_f, true_inverse = bijections.injection_f, bijections.injection_f_inverse
+    first = next(
+        p for p in enum_dyck(4) if bijections.classify_start(p) is bijections.StartClass.NSTAR
+    )
+    flat = parse_path("UDUDUD", "dyck")  # height one, so outside the image of f
+    monkeypatch.setattr(bijections, "injection_f", lambda p: flat if p == first else true_f(p))
+    monkeypatch.setattr(
+        bijections, "injection_f_inverse", lambda p: first if p == flat else true_inverse(p)
+    )
+    report = verify.verify_bijection_f(3)
+    image = true_f(first).steps
+    assert report.failures == (
+        ((3, first.steps), "UDUDUD", "outside the expected image"),
+        ((3, image), "f(f_inv) != id", image),
+    )
