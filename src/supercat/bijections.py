@@ -29,6 +29,7 @@ from .paths import (
     EMPTY_PATH,
     DyckPath,
     LatticePath,
+    PathMarkers,
     TwoMotzkinPath,
     _rightmost,
     is_dyck,
@@ -38,8 +39,9 @@ from .paths import (
     parse_path,
 )
 
-_M2D = str.maketrans({"U": "UU", "D": "DD", "S": "UD", "W": "DU"})
-_PAIR_TO_STEP = {"UU": "U", "DD": "D", "UD": "S", "DU": "W"}
+_DOUBLE = {"U": "UU", "D": "DD", "S": "UD", "W": "DU"}
+_M2D = str.maketrans(_DOUBLE)
+_PAIR_TO_STEP = {pair: step for step, pair in _DOUBLE.items()}
 
 
 @dataclass(frozen=True)
@@ -86,6 +88,18 @@ def _check(cond: bool, message: str) -> None:
         raise AssertionError(f"internal: {message}")
 
 
+def _bounded_gap(mk: PathMarkers) -> bool:
+    """The post-split maximum exceeds the pre-split maximum by at most 2:
+    the family theorem 4 counts and the pair split reads.  The image of
+    :func:`injection_g` is exactly its complement."""
+    return mk.h_plus <= mk.h_minus + 2
+
+
+def _close(a: int, b: int) -> bool:
+    """Two heights differing by at most 1, as in a counted pair."""
+    return abs(a - b) <= 1
+
+
 def _flip(steps: str, i: int, expect: str, to: str) -> str:
     if steps[i] != expect:
         raise AssertionError(f"internal: step at index {i} is {steps[i]!r}, expected {expect!r}")
@@ -116,8 +130,6 @@ def dyck_to_motzkin(path: DyckPath) -> TwoMotzkinPath:
     the interior two steps at a time."""
     _require(is_dyck(path) and len(path) >= 2, "dyck_to_motzkin requires a nonempty valid Dyck path")
     steps = path.steps
-    if steps[0] != "U" or steps[-1] != "D" or len(steps) % 2:
-        raise DomainError("malformed input: expected U ... D with even interior")
     inner = steps[1:-1]
     out = "".join(_PAIR_TO_STEP[inner[i : i + 2]] for i in range(0, len(inner), 2))
     result = parse_path(out, "motzkin")
@@ -204,8 +216,7 @@ def classify_start(path: DyckPath) -> StartClass:
         return StartClass.B
     # a Dyck path of length >= 6 opening with neither of those opens UUU
     levels = path.levels
-    rightmost = _rightmost(levels, path.height)
-    if any(levels[x] == 1 for x in range(4, rightmost)):
+    if 1 in levels[4 : _rightmost(levels, path.height)]:
         return StartClass.NSTARSTAR
     return StartClass.NSTAR
 
@@ -260,9 +271,8 @@ def g_intermediate(path: DyckPath) -> LatticePath:
         classify_start(path) is StartClass.NSTARSTAR,
         "injection_g requires an up-up-up start attaining level one before the rightmost maximum",
     )
-    levels = path.levels
-    rightmost = _rightmost(levels, path.height)
-    y = next(x for x in range(4, rightmost) if levels[x] == 1)
+    # the attaining class puts this point before the rightmost maximum
+    y = path.levels.index(1, 4)
     # the two steps entering y descend from level 3; after dropping string
     # indices 1 and 2 they sit at y-4 and y-3
     shrunk = path.steps[0] + path.steps[3:]
@@ -289,8 +299,7 @@ def injection_g(path: DyckPath) -> DyckPath:
     leftmost = inter.levels.index(inter.height)
     out = _flip(inter.steps, leftmost - 1, "U", "D")
     result = _dyck(out)
-    mk = markers(result)
-    _check(mk.h_plus >= mk.h_minus + 3, "image lost the height-gap guarantee")
+    _check(not _bounded_gap(markers(result)), "image lost the height-gap guarantee")
     return result
 
 
@@ -305,7 +314,7 @@ def injection_g_inverse(path: DyckPath) -> DyckPath:
     _require(is_dyck(path) and len(path) >= 2, "injection_g_inverse requires a nonempty valid Dyck path")
     mk = markers(path)
     _require(
-        mk.h_plus >= mk.h_minus + 3,
+        not _bounded_gap(mk),
         "injection_g_inverse requires the post-split maximum to exceed the pre-split maximum by at least 3",
     )
     ballot = _flip(path.steps, mk.rightmost_max, "D", "U")
@@ -336,7 +345,7 @@ def theorem4_paths(n: int) -> Iterator[DyckPath]:
     def gen() -> Iterator[DyckPath]:
         for path in enum_dyck(n):
             mk = markers(path)
-            if mk.h_plus <= mk.h_minus + 2:
+            if _bounded_gap(mk):
                 yield path
                 if mk.height == 1:
                     yield path
@@ -356,7 +365,7 @@ def to_pair(path: DyckPath) -> DyckPair:
     _require(is_dyck(path) and len(path) >= 2, "to_pair requires a nonempty valid Dyck path")
     mk = markers(path)
     _require(
-        mk.h_plus <= mk.h_minus + 2,
+        _bounded_gap(mk),
         "to_pair requires the post-split maximum to exceed the pre-split maximum by at most 2",
     )
     _require(
@@ -369,7 +378,7 @@ def to_pair(path: DyckPath) -> DyckPair:
     first = _dyck(out[: x + 1])
     second = _dyck(out[x + 1 :])
     _check(
-        abs(first.height - second.height) <= 1,
+        _close(first.height, second.height),
         "pair heights drifted by more than one",
     )
     return DyckPair(first, second)
@@ -400,7 +409,7 @@ def from_pair(pair: DyckPair) -> DyckPath:
     )
     _require(len(first) > 0 or len(second) > 0, "from_pair requires a nonempty pair")
     _require(
-        abs(first.height - second.height) <= 1,
+        _close(first.height, second.height),
         "from_pair requires the pair heights to differ by at most 1",
     )
     if len(first) == 0 or len(second) == 0:
@@ -416,7 +425,7 @@ def from_pair(pair: DyckPair) -> DyckPath:
     result = _dyck(out)
     mk = markers(result)
     _check(
-        mk.height > 1 and mk.h_plus <= mk.h_minus + 2,
+        mk.height > 1 and _bounded_gap(mk),
         "joined path left the bounded-gap family",
     )
     return result
@@ -432,7 +441,7 @@ def pair_census(n: int) -> int:
         left_heights = [p.height for p in enum_dyck(k)]
         right_heights = [p.height for p in enum_dyck(n - k)]
         count += sum(
-            1 for a in left_heights for b in right_heights if abs(a - b) <= 1
+            1 for a in left_heights for b in right_heights if _close(a, b)
         )
     return count
 

@@ -125,8 +125,9 @@ def _flag(bound: str) -> str:
 
 
 def _cmd_verify(args) -> int:
-    if args.jobs < 1:
-        print(f"--jobs must be at least 1, got {args.jobs}", file=sys.stderr)
+    jobs = _default_jobs() if args.jobs is None else args.jobs
+    if jobs < 1:
+        print(f"--jobs must be at least 1, got {jobs}", file=sys.stderr)
         return 2
     names = list(verify_mod.IDENTITIES) if args.identity == "all" else [args.identity]
     explicit = {"max_sum": args.max_sum, "max_m": args.max_m, "max_n": args.max_n}
@@ -148,7 +149,7 @@ def _cmd_verify(args) -> int:
                 file=sys.stderr,
             )
             return 2
-    reports = [verify_mod.run_identity(name, **bounds, jobs=args.jobs) for name in names]
+    reports = [verify_mod.run_identity(name, **bounds, jobs=jobs) for name in names]
     if args.format == "json":
         payload = [_report_json(r) for r in reports]
         print(_dumps(payload[0] if args.identity != "all" else payload))
@@ -160,39 +161,33 @@ def _cmd_verify(args) -> int:
     return 0 if all(r.passed for r in reports) else 1
 
 
+# Each map kind: the alphabet of each path it reads, and the map.  A map
+# that returns a pair prints one component per line.
+_MAPS = {
+    "m2d": (("motzkin",), bij.motzkin_to_dyck),
+    "d2m": (("dyck",), bij.dyck_to_motzkin),
+    "f": (("dyck",), bij.injection_f),
+    "f-inv": (("dyck",), bij.injection_f_inverse),
+    "g": (("dyck",), bij.injection_g),
+    "g-inv": (("dyck",), bij.injection_g_inverse),
+    "pair": (("dyck",), bij.to_pair),
+    "unpair": (("dyck", "dyck"), lambda first, second: bij.from_pair(bij.DyckPair(first, second))),
+    "reverse": (("motzkin",), reverse),
+}
+
+
 def _cmd_map(args) -> int:
-    kind = args.kind
-    needed = 2 if kind == "unpair" else 1
+    alphabets, fn = _MAPS[args.kind]
+    needed = len(alphabets)
     texts = args.paths
     if not texts:
         texts = [sys.stdin.readline().rstrip("\n") for _ in range(needed)]
     if len(texts) != needed:
-        print(f"map {kind} takes exactly {needed} path argument(s)", file=sys.stderr)
+        print(f"map {args.kind} takes exactly {needed} path argument(s)", file=sys.stderr)
         return 2
-    if kind == "unpair":
-        first = parse_path(texts[0], "dyck")
-        second = parse_path(texts[1], "dyck")
-        print(bij.from_pair(bij.DyckPair(first, second)).steps)
-        return 0
-    text = texts[0]
-    if kind == "m2d":
-        print(bij.motzkin_to_dyck(parse_path(text, "motzkin")).steps)
-    elif kind == "d2m":
-        print(bij.dyck_to_motzkin(parse_path(text, "dyck")).steps)
-    elif kind == "f":
-        print(bij.injection_f(parse_path(text, "dyck")).steps)
-    elif kind == "f-inv":
-        print(bij.injection_f_inverse(parse_path(text, "dyck")).steps)
-    elif kind == "g":
-        print(bij.injection_g(parse_path(text, "dyck")).steps)
-    elif kind == "g-inv":
-        print(bij.injection_g_inverse(parse_path(text, "dyck")).steps)
-    elif kind == "pair":
-        pair = bij.to_pair(parse_path(text, "dyck"))
-        print(pair.first.steps)
-        print(pair.second.steps)
-    elif kind == "reverse":
-        print(reverse(parse_path(text, "motzkin")).steps)
+    out = fn(*map(parse_path, texts, alphabets))
+    for path in out if isinstance(out, bij.DyckPair) else (out,):
+        print(path.steps)
     return 0
 
 
@@ -255,15 +250,12 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--max-m", type=int, default=None)
     verify.add_argument("--max-n", type=int, default=None)
     verify.add_argument("--force", action="store_true", help="allow sweeps beyond the desk-scale cap")
-    verify.add_argument("--jobs", type=int, default=_default_jobs())
+    verify.add_argument("--jobs", type=int, default=None)
     verify.add_argument("--format", choices=("tsv", "json"), default="tsv")
     verify.set_defaults(func=_cmd_verify)
 
     map_cmd = sub.add_parser("map", help="apply a bijection to path(s)")
-    map_cmd.add_argument(
-        "kind",
-        choices=("m2d", "d2m", "f", "f-inv", "g", "g-inv", "pair", "unpair", "reverse"),
-    )
+    map_cmd.add_argument("kind", choices=tuple(_MAPS))
     map_cmd.add_argument("paths", nargs="*", metavar="PATH", help="path text; read from stdin when omitted")
     map_cmd.set_defaults(func=_cmd_map)
 

@@ -153,17 +153,17 @@ def markers(path: DyckPath) -> PathMarkers:
     levels = path.levels
     h = max(levels)
     rightmost = _rightmost(levels, h)
-    leftmost = levels.index(h)
     # a nonempty Dyck path starts with U, so x=1 is always a level-one
     # candidate and the search below cannot fail
-    x = next(i for i in range(rightmost, -1, -1) if levels[i] == 1)
+    x = _rightmost(levels[: rightmost + 1], 1)
+    # the suffix from x holds the rightmost maximum, so its maximum is h
     return PathMarkers(
         height=h,
-        leftmost_max=leftmost,
+        leftmost_max=levels.index(h),
         rightmost_max=rightmost,
         last_level_one=x,
         h_minus=max(levels[: x + 1]),
-        h_plus=max(levels[x:]),
+        h_plus=h,
     )
 
 

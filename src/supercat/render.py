@@ -15,8 +15,11 @@ from .paths import LatticePath, markers
 
 _STEP_CLASS = {"U": "step-up", "D": "step-down", "S": "step-straight", "W": "step-wavy"}
 
+_UNIT = 40  # pixels per step and per level
+_PAD = 30  # margin around the grid, in pixels
 
-def render_svg(path: LatticePath, *, show_markers: bool = False, unit: int = 40, pad: int = 30) -> str:
+
+def render_svg(path: LatticePath, *, show_markers: bool = False) -> str:
     """Render a path (any parsed path, valid or not) as a standalone SVG
     document string.
 
@@ -28,14 +31,14 @@ def render_svg(path: LatticePath, *, show_markers: bool = False, unit: int = 40,
     n = max(len(path), 1)
     lo = min(path.levels)
     hi = max(max(path.levels), lo + 1)
-    width = 2 * pad + n * unit
-    height = 2 * pad + (hi - lo) * unit
+    width = 2 * _PAD + n * _UNIT
+    height = 2 * _PAD + (hi - lo) * _UNIT
 
     def px(x: int | float) -> float:
-        return pad + x * unit
+        return _PAD + x * _UNIT
 
     def py(level: int | float) -> float:
-        return pad + (hi - level) * unit
+        return _PAD + (hi - level) * _UNIT
 
     out = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
@@ -52,14 +55,14 @@ def render_svg(path: LatticePath, *, show_markers: bool = False, unit: int = 40,
     out.append("</g>")
 
     out.append('<g class="path" stroke="#1a4f8a" stroke-width="3" fill="none">')
-    amp = unit * 0.22
+    amp = _UNIT * 0.22
     for i, ch in enumerate(path.steps):
         x1, y1 = px(i), py(path.levels[i])
         x2, y2 = px(i + 1), py(path.levels[i + 1])
         cls = f"step {_STEP_CLASS[ch]}"
         if ch == "W":
-            half = unit / 2
-            quarter = unit / 4
+            half = _UNIT / 2
+            quarter = _UNIT / 4
             d = (
                 f"M{x1},{y1} "
                 f"q{quarter},{-amp} {half},0 "
@@ -71,7 +74,7 @@ def render_svg(path: LatticePath, *, show_markers: bool = False, unit: int = 40,
     out.append("</g>")
 
     if marks is not None:
-        r = unit * 0.12
+        r = _UNIT * 0.12
         for cls, x, label in (
             ("marker-anchor", marks.last_level_one, "anchor"),
             ("marker-rightmost", marks.rightmost_max, "rmax"),
@@ -80,7 +83,7 @@ def render_svg(path: LatticePath, *, show_markers: bool = False, unit: int = 40,
             out.append(f'<g class="marker {cls}" data-x="{x}">')
             out.append(f'<circle cx="{cx}" cy="{cy}" r="{r}" fill="#c23b22"/>')
             out.append(
-                f'<text x="{cx}" y="{cy - unit * 0.25}" font-size="{unit * 0.3}" '
+                f'<text x="{cx}" y="{cy - _UNIT * 0.25}" font-size="{_UNIT * 0.3}" '
                 f'text-anchor="middle" fill="#c23b22">{label}</text>'
             )
             out.append("</g>")

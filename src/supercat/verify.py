@@ -12,7 +12,7 @@ every worker count.
 from __future__ import annotations
 
 import inspect
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Callable, Iterable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import product
@@ -22,14 +22,13 @@ from . import bijections as bij
 from .enumeration import (
     _dyck_walks,
     _motzkin2_walks,
-    _Walk,
     enum_dyck,
     enum_motzkin2,
     enum_pairs_total,
 )
 from .errors import DomainError
 from .numbers import ballot_sum_identity, catalan, super_catalan_t
-from .paths import DyckPath, LatticePath, markers, reverse
+from .paths import DyckPath, markers, reverse
 
 
 class Failure(NamedTuple):
@@ -110,21 +109,15 @@ def verify_theorem1(max_sum: int = 14, jobs: int = 1) -> VerificationReport:
 
 def _theorem1_dyck_row(s: int) -> Row:
     failures = []
-
-    def mapped() -> Iterator[_Walk]:
-        # pathwise correspondence under the canonical bijection, checked on
-        # the pass that feeds the 2-Motzkin tally
-        for walk in _motzkin2_walks(s - 2):
-            steps, levels = walk
-            image = bij.motzkin_to_dyck(LatticePath(steps, levels)).levels
-            for m in range(1, s):
-                got = image[2 * m - 1]
-                want = 2 * levels[m - 1] + 1
-                if got != want:
-                    failures.append(Failure((m, s - m, steps), got, want))
-            yield walk
-
-    even, total = bij._even_tally(mapped(), s - 2)
+    # pathwise correspondence under the canonical bijection
+    for path in enum_motzkin2(s - 2):
+        image = bij.motzkin_to_dyck(path).levels
+        for m in range(1, s):
+            got = image[2 * m - 1]
+            want = 2 * path.levels[m - 1] + 1
+            if got != want:
+                failures.append(Failure((m, s - m, path.steps), got, want))
+    even, total = bij._even_tally(_motzkin2_walks(s - 2), s - 2)
     # independent tally on the Dyck side: level mod 4 at each odd point
     ones, total_dyck = bij._mod4_tally(_dyck_walks(s - 1), s)
 
@@ -275,7 +268,7 @@ def verify_bijection_g(max_n: int = 8) -> VerificationReport:
     :func:`~supercat.bijections.g_intermediate`."""
     return _injection_suite(
         "bijection-g", bij.StartClass.NSTARSTAR, bij.injection_g, bij.injection_g_inverse,
-        lambda target: (mk := markers(target)).h_plus >= mk.h_minus + 3, max_n,
+        lambda target: not bij._bounded_gap(markers(target)), max_n,
     )
 
 
@@ -290,23 +283,23 @@ def verify_pair_map(max_n: int = 8) -> VerificationReport:
         total_pairs = 0
         for path in enum_dyck(n):
             mk = markers(path)
-            if mk.h_plus > mk.h_minus + 2:
+            if not bij._bounded_gap(mk):
                 continue
-            for pair in bij.to_pair_all(path):
+            pairs = bij.to_pair_all(path)
+            for pair in pairs:
                 cases += 1
                 total_pairs += 1
                 if bij.from_pair(pair) != path:
                     failures.append(Failure((n, path.steps), "from_pair(to_pair) != id", path.steps))
             if mk.height > 1:
-                pair = bij.to_pair(path)
-                heights = (pair.first.height, pair.second.height)
+                heights = (pairs[0].first.height, pairs[0].second.height)
                 if heights != (mk.h_minus, mk.h_plus - 1):
                     failures.append(Failure((n, path.steps), heights, (mk.h_minus, mk.h_plus - 1)))
         expected = super_catalan_t(2, n)
         if total_pairs != expected:
             failures.append(Failure((n, "pair count"), total_pairs, expected))
         for first, second in enum_pairs_total(n):
-            if abs(first.height - second.height) > 1:
+            if not bij._close(first.height, second.height):
                 continue
             cases += 1
             joined = bij.from_pair(bij.DyckPair(first, second))

@@ -307,37 +307,50 @@ class TestRender:
 
 
 class TestJobsEnvironment:
-    def test_env_var_sets_default(self, monkeypatch):
-        from supercat.cli import build_parser
+    @pytest.fixture
+    def seen_jobs(self, monkeypatch):
+        """Patch the suite runner to record the worker count it is given."""
+        from supercat import verify
 
+        seen = []
+
+        def record(name, *, jobs, **bounds):
+            seen.append(jobs)
+            return verify.VerificationReport(name, {}, (), 1)
+
+        monkeypatch.setattr(verify, "run_identity", record)
+        return seen
+
+    def test_env_var_sets_default(self, monkeypatch, capsys, seen_jobs):
         monkeypatch.setenv("SUPERCAT_JOBS", "3")
-        args = build_parser().parse_args(["verify", "symmetry"])
-        assert args.jobs == 3
+        assert main(["verify", "symmetry"]) == 0
+        assert seen_jobs == [3]
 
-    def test_flag_overrides_env(self, monkeypatch):
-        from supercat.cli import build_parser
-
+    def test_flag_overrides_env(self, monkeypatch, capsys, seen_jobs):
         monkeypatch.setenv("SUPERCAT_JOBS", "3")
-        args = build_parser().parse_args(["verify", "symmetry", "--jobs", "5"])
-        assert args.jobs == 5
+        assert main(["verify", "symmetry", "--jobs", "5"]) == 0
+        assert seen_jobs == [5]
 
-    def test_unparsable_env_warns_and_falls_back(self, monkeypatch, capsys):
-        from supercat.cli import build_parser
-
+    def test_unparsable_env_warns_and_falls_back(self, monkeypatch, capsys, seen_jobs):
         monkeypatch.setenv("SUPERCAT_JOBS", "abc")
-        args = build_parser().parse_args(["verify", "symmetry"])
-        assert args.jobs == (os.cpu_count() or 1)
+        assert main(["verify", "symmetry"]) == 0
+        assert seen_jobs == [os.cpu_count() or 1]
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         assert "SUPERCAT_JOBS='abc'" in err
 
     @pytest.mark.parametrize("value", ["0", "-2"])
-    def test_env_below_one_warns_and_falls_back(self, monkeypatch, capsys, value):
-        from supercat.cli import build_parser
-
+    def test_env_below_one_warns_and_falls_back(self, monkeypatch, capsys, seen_jobs, value):
         monkeypatch.setenv("SUPERCAT_JOBS", value)
-        args = build_parser().parse_args(["verify", "symmetry"])
-        assert args.jobs == (os.cpu_count() or 1)
+        assert main(["verify", "symmetry"]) == 0
+        assert seen_jobs == [os.cpu_count() or 1]
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         assert f"SUPERCAT_JOBS={value!r}" in err
+
+    def test_env_is_read_only_by_verify(self, monkeypatch, capsys):
+        monkeypatch.setenv("SUPERCAT_JOBS", "abc")
+        code, out, err = run(capsys, "table", "C", "0", "2")
+        assert code == 0
+        assert out == "1\t1\t2\n"
+        assert err == ""

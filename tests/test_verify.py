@@ -180,3 +180,41 @@ def test_image_outside_the_target_family_fails(monkeypatch):
         ((3, first.steps), "UDUDUD", "outside the expected image"),
         ((3, image), "f(f_inv) != id", image),
     )
+
+
+def test_failing_pair_map_report_is_pinned(monkeypatch):
+    from supercat import bijections
+
+    true_to_pair = bijections.to_pair
+
+    def swapped(path):
+        pair = true_to_pair(path)
+        return bijections.DyckPair(pair.second, pair.first) if path.steps == "UUDUDD" else pair
+
+    monkeypatch.setattr(bijections, "to_pair", swapped)
+    report = verify.verify_pair_map(3)
+    assert report.cases == 22
+    assert report.failures == (
+        ((3, "UUDUDD"), "from_pair(to_pair) != id", "UUDUDD"),
+        ((3, "UUDUDD"), (1, 2), (2, 1)),
+        ((3, "UUDD", "UD"), "UUDUDD", "pair not recovered"),
+    )
+
+
+def test_failing_bijection_g_report_is_pinned(monkeypatch):
+    from supercat import bijections
+    from supercat.paths import parse_path
+
+    true_g, true_inverse = bijections.injection_g, bijections.injection_g_inverse
+    source = parse_path("UUUDDUUDDD", "dyck")
+    flat = parse_path("UDUDUDUD", "dyck")  # height one, so no gap of 3
+    monkeypatch.setattr(bijections, "injection_g", lambda p: flat if p == source else true_g(p))
+    monkeypatch.setattr(
+        bijections, "injection_g_inverse", lambda p: source if p == flat else true_inverse(p)
+    )
+    report = verify.verify_bijection_g(4)
+    assert report.cases == 2
+    assert report.failures == (
+        ((4, "UUUDDUUDDD"), "UDUDUDUD", "outside the expected image"),
+        ((4, "UUUUDDDD"), "g(g_inv) != id", "UUUUDDDD"),
+    )
