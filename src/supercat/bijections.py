@@ -9,10 +9,12 @@ Index conventions, used throughout this module:
 * prose like "the 2nd and 3rd steps" is 1-based and corresponds to string
   indices 1 and 2.
 
-Every map validates its input's precondition (raising
-:class:`~supercat.errors.DomainError`) and its output's family invariants
-(an invalid output raises AssertionError: it means the implementation is
-wrong, never the caller).
+Every public map validates its input's precondition (raising
+:class:`~supercat.errors.DomainError`) and then runs its private ``_`` core,
+which trusts input the enumeration engine or another map has already
+checked.  Public maps and cores alike check their output's family
+invariants (an invalid output raises AssertionError: it means the
+implementation is wrong, never the caller).
 """
 
 from __future__ import annotations
@@ -20,9 +22,10 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from enum import Enum
+from itertools import starmap
 from typing import NamedTuple
 
-from .enumeration import _dyck_walks, _motzkin2_walks, _Walk, enum_dyck
+from .enumeration import _dyck_walks, _motzkin2_walks, _Walk
 from .errors import DomainError
 from .numbers import catalan
 from .paths import (
@@ -31,17 +34,19 @@ from .paths import (
     LatticePath,
     PathMarkers,
     TwoMotzkinPath,
+    _markers,
     _rightmost,
     is_dyck,
     is_even_terminal_ballot,
     is_motzkin2,
-    markers,
     parse_path,
 )
 
 _DOUBLE = {"U": "UU", "D": "DD", "S": "UD", "W": "DU"}
 _M2D = str.maketrans(_DOUBLE)
 _PAIR_TO_STEP = {pair: step for step, pair in _DOUBLE.items()}
+_AVOIDING = "injection_f requires an up-up-up start avoiding level one before the rightmost maximum"
+_ATTAINING = "injection_g requires an up-up-up start attaining level one before the rightmost maximum"
 
 
 @dataclass(frozen=True)
@@ -122,7 +127,11 @@ def motzkin_to_dyck(path: TwoMotzkinPath) -> DyckPath:
     level -1 that wavy steps introduce.
     """
     _require(is_motzkin2(path), "motzkin_to_dyck requires a valid 2-Motzkin path")
-    return _dyck("U" + path.steps.translate(_M2D) + "D")
+    return _motzkin_to_dyck(path.steps)
+
+
+def _motzkin_to_dyck(steps: str) -> DyckPath:
+    return _dyck("U" + steps.translate(_M2D) + "D")
 
 
 def dyck_to_motzkin(path: DyckPath) -> TwoMotzkinPath:
@@ -209,14 +218,17 @@ def classify_start(path: DyckPath) -> StartClass:
     """
     _require(is_dyck(path), "classify_start requires a valid Dyck path")
     _require(len(path) >= 6, "classify_start requires length >= 6")
-    prefix = path.steps[:3]
+    return _start_class(path.steps, path.levels)
+
+
+def _start_class(steps: str, levels: tuple[int, ...]) -> StartClass:
+    prefix = steps[:3]
     if prefix == "UDU":
         return StartClass.A
     if prefix == "UUD":
         return StartClass.B
     # a Dyck path of length >= 6 opening with neither of those opens UUU
-    levels = path.levels
-    if 1 in levels[4 : _rightmost(levels, path.height)]:
+    if 1 in levels[4 : _rightmost(levels, max(levels))]:
         return StartClass.NSTARSTAR
     return StartClass.NSTAR
 
@@ -229,10 +241,11 @@ def injection_f(path: DyckPath) -> DyckPath:
     Length drops by 2; the image is every Dyck path of height >= 2 (the
     height-one path is never produced).
     """
-    _require(
-        classify_start(path) is StartClass.NSTAR,
-        "injection_f requires an up-up-up start avoiding level one before the rightmost maximum",
-    )
+    _require(classify_start(path) is StartClass.NSTAR, _AVOIDING)
+    return _injection_f(path)
+
+
+def _injection_f(path: DyckPath) -> DyckPath:
     rightmost = _rightmost(path.levels, path.height)
     shrunk = path.steps[0] + path.steps[3:]
     # dropping string indices 1 and 2 shifts the flip target left by 2
@@ -248,13 +261,17 @@ def injection_f_inverse(path: DyckPath) -> DyckPath:
     step."""
     _require(is_dyck(path) and len(path) >= 2, "injection_f_inverse requires a nonempty valid Dyck path")
     _require(path.height >= 2, "height-one path is outside the image of injection_f")
+    return _injection_f_inverse(path)
+
+
+def _injection_f_inverse(path: DyckPath) -> DyckPath:
     leftmost = path.levels.index(path.height)
     grown = path.steps[0] + "UU" + path.steps[1:]
     # the step entering the leftmost maximum was at index leftmost-1; the
     # two inserted steps shift it to leftmost+1
     out = _flip(grown, leftmost + 1, "U", "D")
     result = _dyck(out)
-    _check(classify_start(result) is StartClass.NSTAR, "inverse image left the avoiding class")
+    _check(_start_class(out, result.levels) is StartClass.NSTAR, "inverse image left the avoiding class")
     return result
 
 
@@ -267,10 +284,11 @@ def g_intermediate(path: DyckPath) -> LatticePath:
     level 2, and the maximum before its last level-one point trails the
     maximum after it by at least 4.
     """
-    _require(
-        classify_start(path) is StartClass.NSTARSTAR,
-        "injection_g requires an up-up-up start attaining level one before the rightmost maximum",
-    )
+    _require(classify_start(path) is StartClass.NSTARSTAR, _ATTAINING)
+    return _g_intermediate(path)
+
+
+def _g_intermediate(path: DyckPath) -> LatticePath:
     # the attaining class puts this point before the rightmost maximum
     y = path.levels.index(1, 4)
     # the two steps entering y descend from level 3; after dropping string
@@ -295,11 +313,16 @@ def injection_g(path: DyckPath) -> DyckPath:
     The image is exactly the Dyck paths whose post-split maximum exceeds
     the pre-split maximum by at least 3.
     """
-    inter = g_intermediate(path)
+    _require(classify_start(path) is StartClass.NSTARSTAR, _ATTAINING)
+    return _injection_g(path)
+
+
+def _injection_g(path: DyckPath) -> DyckPath:
+    inter = _g_intermediate(path)
     leftmost = inter.levels.index(inter.height)
     out = _flip(inter.steps, leftmost - 1, "U", "D")
     result = _dyck(out)
-    _check(not _bounded_gap(markers(result)), "image lost the height-gap guarantee")
+    _check(not _bounded_gap(_markers(result.levels)), "image lost the height-gap guarantee")
     return result
 
 
@@ -312,12 +335,15 @@ def injection_g_inverse(path: DyckPath) -> DyckPath:
     level-one point into down steps.
     """
     _require(is_dyck(path) and len(path) >= 2, "injection_g_inverse requires a nonempty valid Dyck path")
-    mk = markers(path)
     _require(
-        not _bounded_gap(mk),
+        not _bounded_gap(_markers(path.levels)),
         "injection_g_inverse requires the post-split maximum to exceed the pre-split maximum by at least 3",
     )
-    ballot = _flip(path.steps, mk.rightmost_max, "D", "U")
+    return _injection_g_inverse(path)
+
+
+def _injection_g_inverse(path: DyckPath) -> DyckPath:
+    ballot = _flip(path.steps, _rightmost(path.levels, path.height), "D", "U")
     levels = parse_path(ballot, "dyck").levels
     x = _rightmost(levels, 1)
     grown = ballot[0] + "UU" + ballot[1:]
@@ -326,7 +352,7 @@ def injection_g_inverse(path: DyckPath) -> DyckPath:
     grown = _flip(grown, x + 2, "U", "D")
     grown = _flip(grown, x + 3, "U", "D")
     result = _dyck(grown)
-    _check(classify_start(result) is StartClass.NSTARSTAR, "inverse image left the attaining class")
+    _check(_start_class(grown, result.levels) is StartClass.NSTARSTAR, "inverse image left the attaining class")
     return result
 
 
@@ -334,23 +360,35 @@ def theorem4_census(n: int) -> int:
     """Count Dyck paths of length 2n whose post-split maximum exceeds the
     pre-split maximum by at most 2, with the height-one path counted twice;
     equals the super Catalan number T(2,n)."""
-    return sum(1 for _ in theorem4_paths(n))
+    return sum(1 for _ in _theorem4_walks(n))
 
 
 def theorem4_paths(n: int) -> Iterator[DyckPath]:
     """The paths behind :func:`theorem4_census`, with the height-one path
     yielded twice."""
+    return starmap(LatticePath, _theorem4_walks(n))
+
+
+def _theorem4_walks(n: int) -> Iterator[_Walk]:
     _require(n >= 1, "theorem4_paths requires n >= 1")
 
-    def gen() -> Iterator[DyckPath]:
-        for path in enum_dyck(n):
-            mk = markers(path)
+    def gen() -> Iterator[_Walk]:
+        for walk in _dyck_walks(n):
+            mk = _markers(walk[1])
             if _bounded_gap(mk):
-                yield path
+                yield walk
                 if mk.height == 1:
-                    yield path
+                    yield walk
 
     return gen()
+
+
+def _split_markers(path: DyckPath, name: str) -> PathMarkers:
+    _require(is_dyck(path) and len(path) >= 2, f"{name} requires a nonempty valid Dyck path")
+    mk = _markers(path.levels)
+    _require(_bounded_gap(mk),
+             "to_pair requires the post-split maximum to exceed the pre-split maximum by at most 2")
+    return mk
 
 
 def to_pair(path: DyckPath) -> DyckPair:
@@ -362,36 +400,29 @@ def to_pair(path: DyckPath) -> DyckPair:
     The pair heights are the input's pre-split maximum and post-split
     maximum minus one, so they differ by at most 1.
     """
-    _require(is_dyck(path) and len(path) >= 2, "to_pair requires a nonempty valid Dyck path")
-    mk = markers(path)
-    _require(
-        _bounded_gap(mk),
-        "to_pair requires the post-split maximum to exceed the pre-split maximum by at most 2",
-    )
-    _require(
-        mk.height > 1,
-        "height-one path maps to two pairs (path, empty) and (empty, path); see to_pair_all",
-    )
-    x = mk.last_level_one
-    out = _flip(path.steps, x, "U", "D")
-    out = _flip(out, mk.rightmost_max, "D", "U")
-    first = _dyck(out[: x + 1])
-    second = _dyck(out[x + 1 :])
-    _check(
-        _close(first.height, second.height),
-        "pair heights drifted by more than one",
-    )
-    return DyckPair(first, second)
+    mk = _split_markers(path, "to_pair")
+    _require(mk.height > 1,
+             "height-one path maps to two pairs (path, empty) and (empty, path); see to_pair_all")
+    return _to_pair_all(path, mk)[0]
 
 
 def to_pair_all(path: DyckPath) -> tuple[DyckPair, ...]:
     """All pairs a bounded-gap Dyck path accounts for: one for height > 1,
     and for the height-one path the two tagged pairs (path, empty) and
     (empty, path), in that order."""
-    _require(is_dyck(path) and len(path) >= 2, "to_pair_all requires a nonempty valid Dyck path")
-    if path.height == 1:
+    return _to_pair_all(path, _split_markers(path, "to_pair_all"))
+
+
+def _to_pair_all(path: DyckPath, mk: PathMarkers) -> tuple[DyckPair, ...]:
+    if mk.height == 1:
         return (DyckPair(path, EMPTY_PATH), DyckPair(EMPTY_PATH, path))
-    return (to_pair(path),)
+    x = mk.last_level_one
+    out = _flip(path.steps, x, "U", "D")
+    out = _flip(out, mk.rightmost_max, "D", "U")
+    first = _dyck(out[: x + 1])
+    second = _dyck(out[x + 1 :])
+    _check(_close(first.height, second.height), "pair heights drifted by more than one")
+    return (DyckPair(first, second),)
 
 
 def from_pair(pair: DyckPair) -> DyckPath:
@@ -403,15 +434,13 @@ def from_pair(pair: DyckPair) -> DyckPath:
     component's leftmost maximum becomes a down step.
     """
     first, second = pair
-    _require(
-        is_dyck(first) and is_dyck(second),
-        "from_pair requires two valid (possibly empty) Dyck paths",
-    )
+    _require(is_dyck(first) and is_dyck(second), "from_pair requires two valid (possibly empty) Dyck paths")
     _require(len(first) > 0 or len(second) > 0, "from_pair requires a nonempty pair")
-    _require(
-        _close(first.height, second.height),
-        "from_pair requires the pair heights to differ by at most 1",
-    )
+    _require(_close(first.height, second.height), "from_pair requires the pair heights to differ by at most 1")
+    return _from_pair(first, second)
+
+
+def _from_pair(first: DyckPath, second: DyckPath) -> DyckPath:
     if len(first) == 0 or len(second) == 0:
         survivor = first if len(second) == 0 else second
         # the empty partner forces height one on the other component
@@ -423,11 +452,8 @@ def from_pair(pair: DyckPair) -> DyckPath:
     out = _flip(joined, junction - 1, "D", "U")
     out = _flip(out, junction + leftmost - 1, "U", "D")
     result = _dyck(out)
-    mk = markers(result)
-    _check(
-        mk.height > 1 and _bounded_gap(mk),
-        "joined path left the bounded-gap family",
-    )
+    mk = _markers(result.levels)
+    _check(mk.height > 1 and _bounded_gap(mk), "joined path left the bounded-gap family")
     return result
 
 
@@ -438,11 +464,9 @@ def pair_census(n: int) -> int:
     _require(n >= 1, "pair_census requires n >= 1")
     count = 0
     for k in range(n + 1):
-        left_heights = [p.height for p in enum_dyck(k)]
-        right_heights = [p.height for p in enum_dyck(n - k)]
-        count += sum(
-            1 for a in left_heights for b in right_heights if _close(a, b)
-        )
+        left_heights = [max(levels) for _, levels in _dyck_walks(k)]
+        right_heights = [max(levels) for _, levels in _dyck_walks(n - k)]
+        count += sum(1 for a in left_heights for b in right_heights if _close(a, b))
     return count
 
 
@@ -451,7 +475,7 @@ def start_class_sizes(n_plus_1: int) -> dict[StartClass, int]:
     2*n_plus_1 (length >= 6)."""
     _require(n_plus_1 >= 3, "start_class_sizes requires paths of length >= 6")
     sizes = dict.fromkeys(StartClass, 0)
-    for path in enum_dyck(n_plus_1):
-        sizes[classify_start(path)] += 1
+    for steps, levels in _dyck_walks(n_plus_1):
+        sizes[_start_class(steps, levels)] += 1
     _check(sum(sizes.values()) == catalan(n_plus_1), "class sizes do not add up")
     return sizes

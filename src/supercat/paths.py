@@ -144,18 +144,13 @@ class PathMarkers:
     h_plus: int
 
 
-def markers(path: DyckPath) -> PathMarkers:
-    """Compute :class:`PathMarkers` for a valid, nonempty Dyck path."""
-    if len(path) == 0:
-        raise DomainError("markers undefined for empty path")
-    if not is_dyck(path):
-        raise DomainError("markers require a valid Dyck path")
-    levels = path.levels
+def _markers(levels: tuple[int, ...]) -> PathMarkers:
+    """:class:`PathMarkers` from the levels of a checked nonempty Dyck path."""
     h = max(levels)
     rightmost = _rightmost(levels, h)
     # a nonempty Dyck path starts with U, so x=1 is always a level-one
     # candidate and the search below cannot fail
-    x = _rightmost(levels[: rightmost + 1], 1)
+    x = rightmost - levels[rightmost::-1].index(1)
     # the suffix from x holds the rightmost maximum, so its maximum is h
     return PathMarkers(
         height=h,
@@ -165,6 +160,15 @@ def markers(path: DyckPath) -> PathMarkers:
         h_minus=max(levels[: x + 1]),
         h_plus=h,
     )
+
+
+def markers(path: DyckPath) -> PathMarkers:
+    """Compute :class:`PathMarkers` for a valid, nonempty Dyck path."""
+    if len(path) == 0:
+        raise DomainError("markers undefined for empty path")
+    if not is_dyck(path):
+        raise DomainError("markers require a valid Dyck path")
+    return _markers(path.levels)
 
 
 def reverse(path: TwoMotzkinPath) -> TwoMotzkinPath:

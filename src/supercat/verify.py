@@ -19,16 +19,10 @@ from itertools import product
 from typing import NamedTuple
 
 from . import bijections as bij
-from .enumeration import (
-    _dyck_walks,
-    _motzkin2_walks,
-    enum_dyck,
-    enum_motzkin2,
-    enum_pairs_total,
-)
+from .enumeration import _dyck_walks, _motzkin2_walks, enum_motzkin2, enum_pairs_total
 from .errors import DomainError
 from .numbers import ballot_sum_identity, catalan, super_catalan_t
-from .paths import DyckPath, markers, reverse
+from .paths import DyckPath, LatticePath, _markers, reverse
 
 
 class Failure(NamedTuple):
@@ -110,13 +104,13 @@ def verify_theorem1(max_sum: int = 14, jobs: int = 1) -> VerificationReport:
 def _theorem1_dyck_row(s: int) -> Row:
     failures = []
     # pathwise correspondence under the canonical bijection
-    for path in enum_motzkin2(s - 2):
-        image = bij.motzkin_to_dyck(path).levels
+    for steps, levels in _motzkin2_walks(s - 2):
+        image = bij._motzkin_to_dyck(steps).levels
         for m in range(1, s):
             got = image[2 * m - 1]
-            want = 2 * path.levels[m - 1] + 1
+            want = 2 * levels[m - 1] + 1
             if got != want:
-                failures.append(Failure((m, s - m, path.steps), got, want))
+                failures.append(Failure((m, s - m, steps), got, want))
     even, total = bij._even_tally(_motzkin2_walks(s - 2), s - 2)
     # independent tally on the Dyck side: level mod 4 at each odd point
     ones, total_dyck = bij._mod4_tally(_dyck_walks(s - 1), s)
@@ -216,11 +210,12 @@ def verify_pairs(max_n: int = 9) -> VerificationReport:
 
 
 def _injection_suite(identity: str, start: bij.StartClass, forward: Callable[[DyckPath], DyckPath],
-                     inverse: Callable[[DyckPath], DyckPath], in_image: Callable[[DyckPath], bool],
+                     inverse: Callable[[DyckPath], DyckPath], in_image: Callable[[tuple[int, ...]], bool],
                      max_n: int) -> VerificationReport:
     """For 2 <= n <= max_n: ``forward`` maps the Dyck paths of length 2n+2
-    in class ``start`` one to one onto the Dyck paths of length 2n that
-    satisfy ``in_image``, and ``inverse`` undoes it on both sides.
+    in class ``start`` one to one onto the Dyck paths of length 2n whose
+    levels satisfy ``in_image``, and ``inverse`` undoes it on both sides.
+    The maps are unchecked cores, each of which checks its own output.
 
     Each input's round trip makes ``forward`` one to one, each image is
     checked to satisfy ``in_image``, and each target's round trip puts it in
@@ -231,22 +226,22 @@ def _injection_suite(identity: str, start: bij.StartClass, forward: Callable[[Dy
     failures = []
     cases = 0
     for n in range(2, max_n + 1):
-        for path in enum_dyck(n + 1):
-            if bij.classify_start(path) is not start:
+        for steps, levels in _dyck_walks(n + 1):
+            if bij._start_class(steps, levels) is not start:
                 continue
             cases += 1
-            image = forward(path)
-            if not in_image(image):
-                failures.append(Failure((n, path.steps), image.steps, "outside the expected image"))
-            back = inverse(image)
-            if back != path:
-                failures.append(Failure((n, path.steps), back.steps, path.steps))
-        for target in enum_dyck(n):
-            if not in_image(target):
+            image = forward(LatticePath(steps, levels))
+            if not in_image(image.levels):
+                failures.append(Failure((n, steps), image.steps, "outside the expected image"))
+            back = inverse(image).steps
+            if back != steps:
+                failures.append(Failure((n, steps), back, steps))
+        for steps, levels in _dyck_walks(n):
+            if not in_image(levels):
                 continue
             cases += 1
-            if forward(inverse(target)) != target:
-                failures.append(Failure((n, target.steps), f"{name}({name}_inv) != id", target.steps))
+            if forward(inverse(LatticePath(steps, levels))).steps != steps:
+                failures.append(Failure((n, steps), f"{name}({name}_inv) != id", steps))
     return VerificationReport(identity, {"max_n": max_n}, tuple(failures), cases)
 
 
@@ -255,8 +250,8 @@ def verify_bijection_f(max_n: int = 8) -> VerificationReport:
     bijection from the avoiding class onto the Dyck paths of height >= 2,
     missing exactly the height-one path."""
     return _injection_suite(
-        "bijection-f", bij.StartClass.NSTAR, bij.injection_f, bij.injection_f_inverse,
-        lambda target: target.height >= 2, max_n,
+        "bijection-f", bij.StartClass.NSTAR, bij._injection_f, bij._injection_f_inverse,
+        lambda levels: max(levels) >= 2, max_n,
     )
 
 
@@ -267,8 +262,8 @@ def verify_bijection_g(max_n: int = 8) -> VerificationReport:
     intermediate's gap of at least 4 is asserted inside
     :func:`~supercat.bijections.g_intermediate`."""
     return _injection_suite(
-        "bijection-g", bij.StartClass.NSTARSTAR, bij.injection_g, bij.injection_g_inverse,
-        lambda target: not bij._bounded_gap(markers(target)), max_n,
+        "bijection-g", bij.StartClass.NSTARSTAR, bij._injection_g, bij._injection_g_inverse,
+        lambda levels: not bij._bounded_gap(_markers(levels)), max_n,
     )
 
 
@@ -281,15 +276,16 @@ def verify_pair_map(max_n: int = 8) -> VerificationReport:
     cases = 0
     for n in range(1, max_n + 1):
         total_pairs = 0
-        for path in enum_dyck(n):
-            mk = markers(path)
+        for steps, levels in _dyck_walks(n):
+            mk = _markers(levels)
             if not bij._bounded_gap(mk):
                 continue
-            pairs = bij.to_pair_all(path)
+            path = LatticePath(steps, levels)
+            pairs = bij._to_pair_all(path, mk)
             for pair in pairs:
                 cases += 1
                 total_pairs += 1
-                if bij.from_pair(pair) != path:
+                if bij._from_pair(*pair) != path:
                     failures.append(Failure((n, path.steps), "from_pair(to_pair) != id", path.steps))
             if mk.height > 1:
                 heights = (pairs[0].first.height, pairs[0].second.height)
@@ -302,11 +298,9 @@ def verify_pair_map(max_n: int = 8) -> VerificationReport:
             if not bij._close(first.height, second.height):
                 continue
             cases += 1
-            joined = bij.from_pair(bij.DyckPair(first, second))
-            if (first, second) not in bij.to_pair_all(joined):
-                failures.append(
-                    Failure((n, first.steps, second.steps), joined.steps, "pair not recovered")
-                )
+            joined = bij._from_pair(first, second)
+            if (first, second) not in bij._to_pair_all(joined, _markers(joined.levels)):
+                failures.append(Failure((n, first.steps, second.steps), joined.steps, "pair not recovered"))
     return VerificationReport("pair-map", {"max_n": max_n}, tuple(failures), cases)
 
 

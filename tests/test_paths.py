@@ -2,9 +2,13 @@ import pytest
 from hypothesis import given
 
 from conftest import brute_family, dyck_paths, motzkin_paths
+from supercat.enumeration import enum_dyck
 from supercat.errors import DomainError, ParseError
 from supercat.paths import (
     EMPTY_PATH,
+    RISE,
+    PathMarkers,
+    _markers,
     is_dyck,
     is_even_terminal_ballot,
     is_motzkin2,
@@ -117,12 +121,47 @@ class TestMarkers:
         with pytest.raises(DomainError):
             markers(parse_path("DU", "dyck"))
 
+    def test_core_matches_the_definition(self):
+        # _markers, which markers and the m = 2 suites share, against a
+        # plain-loop reading of the PathMarkers docstring
+        for n in range(1, 10):
+            for path in enum_dyck(n):
+                assert _markers(path.levels) == reference_markers(path.steps)
+
     def test_split_invariant_exhaustive(self):
         # h_minus <= h_plus == height over every Dyck path of length <= 16
         for n in range(1, 9):
             for steps in brute_family(2 * n, 0, "UD"):
                 mk = markers(parse_path(steps, "dyck"))
                 assert mk.h_minus <= mk.h_plus == mk.height
+
+
+def reference_markers(steps: str) -> PathMarkers:
+    levels = [0]
+    for ch in steps:
+        levels.append(levels[-1] + RISE[ch])
+    height = 0
+    for level in levels:
+        height = max(height, level)
+    leftmost = rightmost = None
+    for x, level in enumerate(levels):
+        if level == height:
+            if leftmost is None:
+                leftmost = x
+            rightmost = x
+    # the last point at level one up to and including the rightmost maximum
+    anchor = None
+    for x in range(rightmost + 1):
+        if levels[x] == 1:
+            anchor = x
+    # maxima over the prefix up to the anchor and the suffix from it
+    h_minus = h_plus = 0
+    for x, level in enumerate(levels):
+        if x <= anchor:
+            h_minus = max(h_minus, level)
+        if x >= anchor:
+            h_plus = max(h_plus, level)
+    return PathMarkers(height, leftmost, rightmost, anchor, h_minus, h_plus)
 
 
 class TestReverse:

@@ -141,7 +141,7 @@ def test_non_injective_map_fails(monkeypatch):
     from supercat import bijections
     from supercat.enumeration import enum_dyck
 
-    true_f = bijections.injection_f
+    true_f = bijections._injection_f
     first, second = [
         p for p in enum_dyck(4) if bijections.classify_start(p) is bijections.StartClass.NSTAR
     ][:2]
@@ -150,7 +150,7 @@ def test_non_injective_map_fails(monkeypatch):
         # send the second input to the first one's image
         return true_f(first if path == second else path)
 
-    monkeypatch.setattr(bijections, "injection_f", collapsed)
+    monkeypatch.setattr(bijections, "_injection_f", collapsed)
     report = verify.verify_bijection_f(3)
     image = true_f(second).steps
     assert report.failures == (
@@ -165,14 +165,14 @@ def test_image_outside_the_target_family_fails(monkeypatch):
     from supercat.enumeration import enum_dyck
     from supercat.paths import parse_path
 
-    true_f, true_inverse = bijections.injection_f, bijections.injection_f_inverse
+    true_f, true_inverse = bijections._injection_f, bijections._injection_f_inverse
     first = next(
         p for p in enum_dyck(4) if bijections.classify_start(p) is bijections.StartClass.NSTAR
     )
     flat = parse_path("UDUDUD", "dyck")  # height one, so outside the image of f
-    monkeypatch.setattr(bijections, "injection_f", lambda p: flat if p == first else true_f(p))
+    monkeypatch.setattr(bijections, "_injection_f", lambda p: flat if p == first else true_f(p))
     monkeypatch.setattr(
-        bijections, "injection_f_inverse", lambda p: first if p == flat else true_inverse(p)
+        bijections, "_injection_f_inverse", lambda p: first if p == flat else true_inverse(p)
     )
     report = verify.verify_bijection_f(3)
     image = true_f(first).steps
@@ -182,16 +182,40 @@ def test_image_outside_the_target_family_fails(monkeypatch):
     )
 
 
+def test_suites_do_not_revalidate_their_paths(monkeypatch):
+    # the m = 2 suites hand engine paths to the unchecked cores, so is_dyck
+    # runs only in the cores' output checks: one per map applied
+    from supercat import bijections, paths
+
+    calls = []
+
+    def counted(is_dyck):
+        def wrapper(path):
+            calls.append(None)
+            return is_dyck(path)
+
+        return wrapper
+
+    monkeypatch.setattr(paths, "is_dyck", counted(paths.is_dyck))
+    monkeypatch.setattr(bijections, "is_dyck", counted(bijections.is_dyck))
+    report = verify.verify_bijection_f(6)
+    assert report.passed and report.cases == 380
+    assert len(calls) <= 2 * report.cases
+    calls.clear()
+    assert verify.verify_theorem4(8).passed
+    assert calls == []
+
+
 def test_failing_pair_map_report_is_pinned(monkeypatch):
     from supercat import bijections
 
-    true_to_pair = bijections.to_pair
+    true_to_pair_all = bijections._to_pair_all
 
-    def swapped(path):
-        pair = true_to_pair(path)
-        return bijections.DyckPair(pair.second, pair.first) if path.steps == "UUDUDD" else pair
+    def swapped(path, mk):
+        pairs = true_to_pair_all(path, mk)
+        return (bijections.DyckPair(pairs[0].second, pairs[0].first),) if path.steps == "UUDUDD" else pairs
 
-    monkeypatch.setattr(bijections, "to_pair", swapped)
+    monkeypatch.setattr(bijections, "_to_pair_all", swapped)
     report = verify.verify_pair_map(3)
     assert report.cases == 22
     assert report.failures == (
@@ -205,12 +229,12 @@ def test_failing_bijection_g_report_is_pinned(monkeypatch):
     from supercat import bijections
     from supercat.paths import parse_path
 
-    true_g, true_inverse = bijections.injection_g, bijections.injection_g_inverse
+    true_g, true_inverse = bijections._injection_g, bijections._injection_g_inverse
     source = parse_path("UUUDDUUDDD", "dyck")
     flat = parse_path("UDUDUDUD", "dyck")  # height one, so no gap of 3
-    monkeypatch.setattr(bijections, "injection_g", lambda p: flat if p == source else true_g(p))
+    monkeypatch.setattr(bijections, "_injection_g", lambda p: flat if p == source else true_g(p))
     monkeypatch.setattr(
-        bijections, "injection_g_inverse", lambda p: source if p == flat else true_inverse(p)
+        bijections, "_injection_g_inverse", lambda p: source if p == flat else true_inverse(p)
     )
     report = verify.verify_bijection_g(4)
     assert report.cases == 2
