@@ -3,7 +3,10 @@ parameter range and returns a :class:`VerificationReport`.
 
 The enumeration-backed suites tally a whole path family once per total
 length and read every (m, n) cell of that length off the same pass, so
-the sweep stays exhaustive without re-enumerating per cell.  Suites that
+the sweep stays exhaustive without re-enumerating per cell.  The theorem1
+rows read a level histogram, built from each row's distinct level profiles,
+and check every level of every cell against the ballot product
+B(m, l+1) B(n, l+1) as well as the signed sum against T(m, n).  Suites that
 partition cleanly by total length take a ``jobs`` argument and fan rows
 out to a process pool; rows merge in order, so reports are identical for
 every worker count.
@@ -21,7 +24,7 @@ from typing import NamedTuple
 from . import bijections as bij
 from .enumeration import _dyck_walks, _motzkin2_walks, enum_pairs_total
 from .errors import DomainError
-from .numbers import ballot_sum_identity, catalan, super_catalan_t
+from .numbers import ballot_number, ballot_sum_identity, catalan, super_catalan_t
 from .paths import DyckPath, LatticePath, _markers, _reverse
 
 
@@ -87,12 +90,29 @@ def _row_suite(identity: str, row: Callable[[int], Row], max_sum: int, jobs: int
 
 
 def _theorem1_row(s: int) -> Row:
-    """All cells with m + n == s, read off one even-level tally of the
-    2-Motzkin paths of length s - 2."""
-    even, total = bij._even_tally(_motzkin2_walks(s - 2), s - 2)
-    return _checked(
-        ((m, s - m), 2 * even[m - 1] - total, super_catalan_t(m, s - m)) for m in range(1, s)
-    )
+    """All cells with m + n == s, read off one level histogram of the
+    2-Motzkin paths of length s - 2.
+
+    At the point after m - 1 steps a path joins a walk from 0 to some level
+    l and a reversed walk from l back to 0, so B(m, l+1) B(n, l+1) paths sit
+    at level l.  Each cell checks its levels against those ballot products,
+    reporting both sides as ``(level, count)`` pairs, and then its signed sum
+    against T(m, n); a cell counts as one case."""
+    hist = bij._level_histogram(_motzkin2_walks(s - 2), s - 2)
+    failures = []
+    for m in range(1, s):
+        n = s - m
+        counts = hist[m - 1]
+        observed = tuple((level, count) for level, count in enumerate(counts) if count)
+        expected = tuple((level, ballot_number(m, level + 1) * ballot_number(n, level + 1))
+                         for level in range(min(m, n)))
+        if observed != expected:
+            failures.append(Failure((m, n), observed, expected))
+        even, odd = bij._parity_split(counts)
+        t = super_catalan_t(m, n)
+        if even - odd != t:
+            failures.append(Failure((m, n), even - odd, t))
+    return failures, s - 1
 
 
 def verify_theorem1(max_sum: int = 14, jobs: int = 1) -> VerificationReport:
@@ -103,27 +123,29 @@ def verify_theorem1(max_sum: int = 14, jobs: int = 1) -> VerificationReport:
 
 def _theorem1_dyck_row(s: int) -> Row:
     failures = []
+    paths = 0
     # pathwise correspondence under the canonical bijection
     for steps, levels in _motzkin2_walks(s - 2):
+        paths += 1
         image = bij._motzkin_to_dyck(steps).levels
         for m in range(1, s):
             got = image[2 * m - 1]
             want = 2 * levels[m - 1] + 1
             if got != want:
                 failures.append(Failure((m, s - m, steps), got, want))
-    even, total = bij._even_tally(_motzkin2_walks(s - 2), s - 2)
+    hist = bij._level_histogram(_motzkin2_walks(s - 2), s - 2)
     # independent tally on the Dyck side: level mod 4 at each odd point
     ones, total_dyck = bij._mod4_tally(_dyck_walks(s - 1), s)
 
     def cell(m: int) -> tuple[tuple, object, object]:
         dyck = (ones[m], total_dyck - ones[m])
-        motzkin = (even[m - 1], total - even[m - 1])
+        motzkin = bij._parity_split(hist[m - 1])
         if dyck != motzkin:
             return (m, s - m), dyck, motzkin
         return (m, s - m), dyck[0] - dyck[1], super_catalan_t(m, s - m)
 
     cell_failures, cells = _checked(cell(m) for m in range(1, s))
-    return failures + cell_failures, total * (s - 1) + cells
+    return failures + cell_failures, paths * (s - 1) + cells
 
 
 def verify_theorem1_dyck(max_sum: int = 12, jobs: int = 1) -> VerificationReport:

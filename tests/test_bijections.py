@@ -1,7 +1,10 @@
+from collections import Counter
+
 import pytest
 from hypothesis import given
 
 from conftest import dyck_paths, motzkin_paths, ref_catalan
+from supercat import bijections
 from supercat.bijections import (
     DyckPair,
     StartClass,
@@ -24,7 +27,7 @@ from supercat.bijections import (
     to_pair_all,
     weight,
 )
-from supercat.enumeration import enum_dyck, enum_motzkin2
+from supercat.enumeration import _motzkin2_walks, enum_dyck, enum_motzkin2
 from supercat.errors import DomainError
 from supercat.numbers import super_catalan_t
 from supercat.paths import EMPTY_PATH, is_even_terminal_ballot, make_path, markers, parse_path
@@ -106,6 +109,20 @@ class TestSignedCount:
         for m in range(1, 6):
             for n in range(1, 6):
                 assert signed_count(m, n).difference == super_catalan_t(m, n)
+
+    @pytest.mark.parametrize("batch", [None, 7])
+    def test_level_histogram_matches_a_plain_count(self, monkeypatch, batch):
+        # None keeps the real batch size; 7 puts batch boundaries inside the
+        # stream of every length from 3 on
+        if batch is not None:
+            monkeypatch.setattr(bijections, "_BATCH", batch)
+        for length in range(11):
+            plain = [Counter() for _ in range(length + 1)]
+            for _, levels in _motzkin2_walks(length):
+                for x, level in enumerate(levels):
+                    plain[x][level] += 1
+            hist = bijections._level_histogram(_motzkin2_walks(length), length)
+            assert [Counter({lv: c for lv, c in enumerate(row) if c}) for row in hist] == plain
 
 
 class TestSignedCountDyck:

@@ -151,6 +151,24 @@ def test_failing_reports_are_pinned(monkeypatch, name):
     assert report.passed == (not failures)
 
 
+def test_failing_level_report_is_pinned(monkeypatch):
+    true_b = verify.ballot_number
+
+    def broken_b(n, r):
+        return true_b(n, r) + ((n, r) == (3, 2))
+
+    # B(3, 2) = 4 is the level-1 factor of (2, 3), (3, 2) and (3, 3) only;
+    # their levels fail and their signed sums still match T
+    monkeypatch.setattr(verify, "ballot_number", broken_b)
+    report = verify.run_identity("theorem1", max_sum=6)
+    assert report.cases == 15
+    assert report.failures == (
+        ((2, 3), ((0, 10), (1, 4)), ((0, 10), (1, 5))),
+        ((3, 2), ((0, 10), (1, 4)), ((0, 10), (1, 5))),
+        ((3, 3), ((0, 25), (1, 16), (2, 1)), ((0, 25), (1, 25), (2, 1))),
+    )
+
+
 def test_failing_reversal_report_is_pinned(monkeypatch):
     from supercat import bijections
 
