@@ -106,9 +106,18 @@ def _check(cond: bool, message: str) -> None:
 
 def _bounded_gap(mk: PathMarkers) -> bool:
     """The post-split maximum exceeds the pre-split maximum by at most 2:
-    the family theorem 4 counts and the pair split reads.  The image of
-    :func:`injection_g` is exactly its complement."""
+    the family theorem 4 counts and the pair split reads."""
     return mk.h_plus <= mk.h_minus + 2
+
+
+def _in_f_image(levels: tuple[int, ...]) -> bool:
+    """The image of :func:`injection_f`: Dyck paths of height >= 2."""
+    return max(levels) >= 2
+
+
+def _in_g_image(levels: tuple[int, ...]) -> bool:
+    """The image of :func:`injection_g`: the complement of :func:`_bounded_gap`."""
+    return not _bounded_gap(_markers(levels))
 
 
 def _close(a: int, b: int) -> bool:
@@ -270,7 +279,7 @@ def _injection_f(path: DyckPath) -> DyckPath:
     # dropping string indices 1 and 2 shifts the flip target left by 2
     out = _flip(shrunk, rightmost - 2, "D", "U")
     result = _dyck(out)
-    _check(result.height >= 2, "shrunk path lost its height-two guarantee")
+    _check(_in_f_image(result.levels), "shrunk path lost its height-two guarantee")
     return result
 
 
@@ -279,7 +288,7 @@ def injection_f_inverse(path: DyckPath) -> DyckPath:
     step, then turn the up step entering the leftmost maximum into a down
     step."""
     _require(is_dyck(path) and len(path) >= 2, "injection_f_inverse requires a nonempty valid Dyck path")
-    _require(path.height >= 2, "height-one path is outside the image of injection_f")
+    _require(_in_f_image(path.levels), "height-one path is outside the image of injection_f")
     return _injection_f_inverse(path)
 
 
@@ -341,7 +350,7 @@ def _injection_g(path: DyckPath) -> DyckPath:
     leftmost = inter.levels.index(inter.height)
     out = _flip(inter.steps, leftmost - 1, "U", "D")
     result = _dyck(out)
-    _check(not _bounded_gap(_markers(result.levels)), "image lost the height-gap guarantee")
+    _check(_in_g_image(result.levels), "image lost the height-gap guarantee")
     return result
 
 
@@ -355,7 +364,7 @@ def injection_g_inverse(path: DyckPath) -> DyckPath:
     """
     _require(is_dyck(path) and len(path) >= 2, "injection_g_inverse requires a nonempty valid Dyck path")
     _require(
-        not _bounded_gap(_markers(path.levels)),
+        _in_g_image(path.levels),
         "injection_g_inverse requires the post-split maximum to exceed the pre-split maximum by at least 3",
     )
     return _injection_g_inverse(path)

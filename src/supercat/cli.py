@@ -191,22 +191,22 @@ def _cmd_map(args) -> int:
     return 0
 
 
+# Each family to enumerate: its parameter count and walks whose first items print.
+_FAMILIES = {
+    "dyck": (1, _dyck_walks),
+    "motzkin2": (1, _motzkin2_walks),
+    "ballot": (2, _ballot_walks),
+    "ballot-even": (1, _ballot_even_walks),
+    "pairs": (1, lambda n: ((f"{a.steps}\t{b.steps}",) for a, b in enum_pairs_total(n))),
+}
+
+
 def _cmd_enumerate(args) -> int:
-    family, params = args.family, args.params
-    arity = {"dyck": 1, "motzkin2": 1, "ballot": 2, "ballot-even": 1, "pairs": 1}[family]
-    if len(params) != arity:
-        print(f"enumerate {family} takes {arity} integer parameter(s)", file=sys.stderr)
+    arity, walks = _FAMILIES[args.family]
+    if len(args.params) != arity:
+        print(f"enumerate {args.family} takes {arity} integer parameter(s)", file=sys.stderr)
         return 2
-    if family == "pairs":
-        stream = (f"{a.steps}\t{b.steps}" for a, b in enum_pairs_total(params[0]))
-    else:
-        walks = {
-            "dyck": _dyck_walks,
-            "motzkin2": _motzkin2_walks,
-            "ballot": _ballot_walks,
-            "ballot-even": _ballot_even_walks,
-        }[family]
-        stream = map(itemgetter(0), walks(*params))
+    stream = map(itemgetter(0), walks(*args.params))
     if args.count:
         print(sum(1 for _ in stream))
     else:
@@ -260,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
     map_cmd.set_defaults(func=_cmd_map)
 
     enum_cmd = sub.add_parser("enumerate", help="stream a path family")
-    enum_cmd.add_argument("family", choices=("dyck", "motzkin2", "ballot", "ballot-even", "pairs"))
+    enum_cmd.add_argument("family", choices=tuple(_FAMILIES))
     enum_cmd.add_argument("params", nargs="+", type=int)
     enum_cmd.add_argument("--count", action="store_true", help="print only the number of paths")
     enum_cmd.set_defaults(func=_cmd_enumerate)

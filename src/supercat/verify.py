@@ -1,23 +1,20 @@
 """Verification suites: each checks one identity exhaustively over a
 parameter range and returns a :class:`VerificationReport`.
 
-The enumeration-backed suites tally a whole path family once per total
-length and read every (m, n) cell of that length off the same pass, so
-the sweep stays exhaustive without re-enumerating per cell.  The theorem1
-rows read a level histogram, built from each row's distinct level profiles,
-and check every level of every cell against the ballot product
-B(m, l+1) B(n, l+1) as well as the signed sum against T(m, n).  Suites that
-partition cleanly by total length take a ``jobs`` argument and fan rows
-out to a process pool; rows merge in order, so reports are identical for
-every worker count.
+Every suite that enumerates paths checks one row (a total length m + n, or
+one n of the m = 2 suites) at a time through :func:`_row_suite`, which takes
+a ``jobs`` argument and fans rows out to a process pool; rows merge in order,
+so reports are identical for every worker count.  A 2-Motzkin row tallies
+its path family once and reads every (m, n) cell of its length off that pass.
 """
 
 from __future__ import annotations
 
 import inspect
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Iterable, Iterator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from itertools import product
 from typing import NamedTuple
 
@@ -73,20 +70,22 @@ def _merge(identity: str, bounds: dict[str, int], rows: Iterable[Row]) -> Verifi
     return VerificationReport(identity, bounds, tuple(failures), cases)
 
 
-def _row_suite(identity: str, row: Callable[[int], Row], max_sum: int, jobs: int) -> VerificationReport:
-    """Check each total length 2..max_sum with ``row``, on ``jobs`` worker
-    processes when there is more than one; rows merge in length order."""
-    if max_sum < 2:
-        raise DomainError(f"{identity} requires max_sum >= 2")
+def _row_suite(identity: str, row: Callable[[int], Row], bound: str, lo: int, hi: int,
+               jobs: int) -> VerificationReport:
+    """Check rows lo..hi of ``bound`` with ``row``, on ``jobs`` worker processes
+    when there is more than one; rows merge in order.  Workers receive ``row``
+    pickled: a module-level function or a partial of module-level functions."""
+    if hi < lo:
+        raise DomainError(f"{identity} requires {bound} >= {lo}")
     if jobs < 1:
         raise DomainError(f"{identity} requires jobs >= 1")
-    sums = range(2, max_sum + 1)
-    if jobs <= 1 or len(sums) <= 1:
-        return _merge(identity, {"max_sum": max_sum}, map(row, sums))
-    with ProcessPoolExecutor(max_workers=min(jobs, len(sums))) as pool:
+    rows = range(lo, hi + 1)
+    if jobs == 1 or len(rows) == 1:
+        return _merge(identity, {bound: hi}, map(row, rows))
+    with ProcessPoolExecutor(max_workers=min(jobs, len(rows))) as pool:
         # longest rows first, so the longest does not start last
-        rows = list(pool.map(row, sums[::-1]))[::-1]
-    return _merge(identity, {"max_sum": max_sum}, rows)
+        results = list(pool.map(row, rows[::-1]))[::-1]
+    return _merge(identity, {bound: hi}, results)
 
 
 def _theorem1_row(s: int) -> Row:
@@ -118,22 +117,25 @@ def _theorem1_row(s: int) -> Row:
 def verify_theorem1(max_sum: int = 14, jobs: int = 1) -> VerificationReport:
     """P(m,n) - N(m,n) == T(m,n) for all m, n >= 1 with m + n <= max_sum,
     by exhausting the 2-Motzkin paths of each length."""
-    return _row_suite("theorem1", _theorem1_row, max_sum, jobs)
+    return _row_suite("theorem1", _theorem1_row, "max_sum", 2, max_sum, jobs)
 
 
 def _theorem1_dyck_row(s: int) -> Row:
     failures = []
-    paths = 0
-    # pathwise correspondence under the canonical bijection
-    for steps, levels in _motzkin2_walks(s - 2):
-        paths += 1
-        image = bij._motzkin_to_dyck(steps).levels
-        for m in range(1, s):
-            got = image[2 * m - 1]
-            want = 2 * levels[m - 1] + 1
-            if got != want:
-                failures.append(Failure((m, s - m, steps), got, want))
-    hist = bij._level_histogram(_motzkin2_walks(s - 2), s - 2)
+
+    def pathwise() -> Iterator[tuple[str, tuple[int, ...]]]:
+        # pathwise correspondence under the canonical bijection, on the histogram's stream
+        for steps, levels in _motzkin2_walks(s - 2):
+            image = bij._motzkin_to_dyck(steps).levels
+            for m in range(1, s):
+                got = image[2 * m - 1]
+                want = 2 * levels[m - 1] + 1
+                if got != want:
+                    failures.append(Failure((m, s - m, steps), got, want))
+            yield steps, levels
+
+    hist = bij._level_histogram(pathwise(), s - 2)
+    paths = hist[0][0]  # every path starts at level 0
     # independent tally on the Dyck side: level mod 4 at each odd point
     ones, total_dyck = bij._mod4_tally(_dyck_walks(s - 1), s)
 
@@ -152,7 +154,7 @@ def verify_theorem1_dyck(max_sum: int = 12, jobs: int = 1) -> VerificationReport
     """The Dyck-path restatement: tallies by level mod 4 at the point after
     2m-1 steps agree componentwise with the 2-Motzkin tallies, and the
     level correspondence under the canonical bijection holds pathwise."""
-    return _row_suite("theorem1-dyck", _theorem1_dyck_row, max_sum, jobs)
+    return _row_suite("theorem1-dyck", _theorem1_dyck_row, "max_sum", 2, max_sum, jobs)
 
 
 def _reversal_row(s: int) -> Row:
@@ -172,7 +174,7 @@ def verify_reversal(max_sum: int = 12, jobs: int = 1) -> VerificationReport:
     """Reading a path right to left preserves its sign: the weight at m of
     every 2-Motzkin path of length m+n-2 equals the weight at n of its reverse,
     whose levels are read from its mirrored steps; so T(m,n) = T(n,m)."""
-    return _row_suite("reversal", _reversal_row, max_sum, jobs)
+    return _row_suite("reversal", _reversal_row, "max_sum", 2, max_sum, jobs)
 
 
 def verify_rubenstein(max_m: int = 50, max_n: int = 50) -> VerificationReport:
@@ -211,126 +213,114 @@ def verify_symmetry(max_sum: int = 100) -> VerificationReport:
     return _merge("symmetry", {"max_sum": max_sum}, [row])
 
 
-def _census_suite(identity: str, census: Callable[[int], int], max_n: int) -> VerificationReport:
-    """census(n) == T(2,n) for every 1 <= n <= max_n."""
-    if max_n < 1:
-        raise DomainError(f"{identity} requires max_n >= 1")
-    row = _checked(((n,), census(n), super_catalan_t(2, n)) for n in range(1, max_n + 1))
-    return _merge(identity, {"max_n": max_n}, [row])
+def _census_row(census: Callable[[int], int], n: int) -> Row:
+    return _checked([((n,), census(n), super_catalan_t(2, n))])
 
 
-def verify_theorem4(max_n: int = 10) -> VerificationReport:
+def verify_theorem4(max_n: int = 10, jobs: int = 1) -> VerificationReport:
     """The bounded-gap census over Dyck paths of length 2n (height-one path
-    twice) equals T(2,n)."""
-    return _census_suite("theorem4", bij.theorem4_census, max_n)
+    twice) equals T(2,n) for every 1 <= n <= max_n."""
+    return _row_suite("theorem4", partial(_census_row, bij.theorem4_census), "max_n", 1, max_n, jobs)
 
 
-def verify_pairs(max_n: int = 9) -> VerificationReport:
+def verify_pairs(max_n: int = 9, jobs: int = 1) -> VerificationReport:
     """The number of ordered Dyck-path pairs of total length 2n with height
-    difference at most 1 equals T(2,n)."""
-    return _census_suite("pairs", bij.pair_census, max_n)
+    difference at most 1 equals T(2,n) for every 1 <= n <= max_n."""
+    return _row_suite("pairs", partial(_census_row, bij.pair_census), "max_n", 1, max_n, jobs)
 
 
-def _injection_suite(identity: str, start: bij.StartClass, forward: Callable[[DyckPath], DyckPath],
-                     inverse: Callable[[DyckPath], DyckPath], in_image: Callable[[tuple[int, ...]], bool],
-                     max_n: int) -> VerificationReport:
-    """For 2 <= n <= max_n: ``forward`` maps the Dyck paths of length 2n+2
-    in class ``start`` one to one onto the Dyck paths of length 2n whose
-    levels satisfy ``in_image``, and ``inverse`` undoes it on both sides.
-    The maps are unchecked cores, each of which checks its own output.
-
-    Each input's round trip makes ``forward`` one to one, each image is
-    checked to satisfy ``in_image``, and each target's round trip puts it in
-    the image, so the image is exactly the targets; no image is kept."""
-    if max_n < 2:
-        raise DomainError(f"{identity} requires max_n >= 2")
-    name = identity.removeprefix("bijection-")
+def _injection_row(name: str, start: bij.StartClass, forward: Callable[[DyckPath], DyckPath],
+                   inverse: Callable[[DyckPath], DyckPath], in_image: Callable[[tuple[int, ...]], bool],
+                   n: int) -> Row:
+    """``forward`` maps the Dyck paths of length 2n+2 in class ``start`` one
+    to one onto the Dyck paths of length 2n whose levels satisfy ``in_image``,
+    and ``inverse`` undoes it on both sides.  Both are unchecked cores, each
+    checking its own output.  Each input's round trip makes ``forward`` one
+    to one, each image is checked to satisfy ``in_image``, and each target's
+    round trip puts it in the image, so the image is exactly the targets; no
+    image is kept."""
     failures = []
     cases = 0
-    for n in range(2, max_n + 1):
-        for steps, levels in _dyck_walks(n + 1):
-            if bij._start_class(steps, levels) is not start:
-                continue
-            cases += 1
-            image = forward(LatticePath(steps, levels))
-            if not in_image(image.levels):
-                failures.append(Failure((n, steps), image.steps, "outside the expected image"))
-            back = inverse(image).steps
-            if back != steps:
-                failures.append(Failure((n, steps), back, steps))
-        for steps, levels in _dyck_walks(n):
-            if not in_image(levels):
-                continue
-            cases += 1
-            if forward(inverse(LatticePath(steps, levels))).steps != steps:
-                failures.append(Failure((n, steps), f"{name}({name}_inv) != id", steps))
-    return VerificationReport(identity, {"max_n": max_n}, tuple(failures), cases)
+    for steps, levels in _dyck_walks(n + 1):
+        if bij._start_class(steps, levels) is not start:
+            continue
+        cases += 1
+        image = forward(LatticePath(steps, levels))
+        if not in_image(image.levels):
+            failures.append(Failure((n, steps), image.steps, "outside the expected image"))
+        back = inverse(image).steps
+        if back != steps:
+            failures.append(Failure((n, steps), back, steps))
+    for steps, levels in _dyck_walks(n):
+        if not in_image(levels):
+            continue
+        cases += 1
+        if forward(inverse(LatticePath(steps, levels))).steps != steps:
+            failures.append(Failure((n, steps), f"{name}({name}_inv) != id", steps))
+    return failures, cases
 
 
-def verify_bijection_f(max_n: int = 8) -> VerificationReport:
-    """Round-trips and image census of the first injection: it is a
-    bijection from the avoiding class onto the Dyck paths of height >= 2,
-    missing exactly the height-one path."""
-    return _injection_suite(
-        "bijection-f", bij.StartClass.NSTAR, bij._injection_f, bij._injection_f_inverse,
-        lambda levels: max(levels) >= 2, max_n,
-    )
+def verify_bijection_f(max_n: int = 8, jobs: int = 1) -> VerificationReport:
+    """Round-trips and image census of the first injection, for every
+    2 <= n <= max_n: it is a bijection from the avoiding class onto the Dyck
+    paths of height >= 2, missing exactly the height-one path."""
+    row = partial(_injection_row, "f", bij.StartClass.NSTAR, bij._injection_f, bij._injection_f_inverse,
+                  bij._in_f_image)
+    return _row_suite("bijection-f", row, "max_n", 2, max_n, jobs)
 
 
-def verify_bijection_g(max_n: int = 8) -> VerificationReport:
-    """Round-trips and image census of the two-stage injection: it is a
-    bijection from the attaining class onto the Dyck paths whose post-split
-    maximum exceeds the pre-split maximum by at least 3.  Its even-terminal
-    intermediate's gap of at least 4 is asserted inside
+def verify_bijection_g(max_n: int = 8, jobs: int = 1) -> VerificationReport:
+    """Round-trips and image census of the two-stage injection, for every
+    2 <= n <= max_n: it is a bijection from the attaining class onto the Dyck
+    paths whose post-split maximum exceeds the pre-split maximum by at least
+    3.  Its even-terminal intermediate's gap of at least 4 is asserted inside
     :func:`~supercat.bijections.g_intermediate`."""
-    return _injection_suite(
-        "bijection-g", bij.StartClass.NSTARSTAR, bij._injection_g, bij._injection_g_inverse,
-        lambda levels: not bij._bounded_gap(_markers(levels)), max_n,
-    )
+    row = partial(_injection_row, "g", bij.StartClass.NSTARSTAR, bij._injection_g, bij._injection_g_inverse,
+                  bij._in_g_image)
+    return _row_suite("bijection-g", row, "max_n", 2, max_n, jobs)
 
 
-def verify_pair_map(max_n: int = 8) -> VerificationReport:
+def _pair_map_row(n: int) -> Row:
+    failures = []
+    cases = 0
+    for steps, levels in _dyck_walks(n):
+        mk = _markers(levels)
+        if not bij._bounded_gap(mk):
+            continue
+        path = LatticePath(steps, levels)
+        pairs = bij._to_pair_all(path, mk)
+        for pair in pairs:
+            cases += 1
+            if bij._from_pair(*pair) != path:
+                failures.append(Failure((n, path.steps), "from_pair(to_pair) != id", path.steps))
+        if mk.height > 1:
+            heights = (pairs[0].first.height, pairs[0].second.height)
+            if heights != (mk.h_minus, mk.h_plus - 1):
+                failures.append(Failure((n, path.steps), heights, (mk.h_minus, mk.h_plus - 1)))
+    expected = super_catalan_t(2, n)
+    if cases != expected:  # so far one case per pair
+        failures.append(Failure((n, "pair count"), cases, expected))
+    for first, second in enum_pairs_total(n):
+        if not bij._close(first.height, second.height):
+            continue
+        cases += 1
+        joined = bij._from_pair(first, second)
+        if (first, second) not in bij._to_pair_all(joined, _markers(joined.levels)):
+            failures.append(Failure((n, first.steps, second.steps), joined.steps, "pair not recovered"))
+    return failures, cases
+
+
+def verify_pair_map(max_n: int = 8, jobs: int = 1) -> VerificationReport:
     """The pair split and its inverse are mutually inverse, split heights
     match the pre/post maxima, and the pair multiset is counted by T(2,n)."""
-    if max_n < 1:
-        raise DomainError("pair-map requires max_n >= 1")
-    failures = []
-    cases = 0
-    for n in range(1, max_n + 1):
-        total_pairs = 0
-        for steps, levels in _dyck_walks(n):
-            mk = _markers(levels)
-            if not bij._bounded_gap(mk):
-                continue
-            path = LatticePath(steps, levels)
-            pairs = bij._to_pair_all(path, mk)
-            for pair in pairs:
-                cases += 1
-                total_pairs += 1
-                if bij._from_pair(*pair) != path:
-                    failures.append(Failure((n, path.steps), "from_pair(to_pair) != id", path.steps))
-            if mk.height > 1:
-                heights = (pairs[0].first.height, pairs[0].second.height)
-                if heights != (mk.h_minus, mk.h_plus - 1):
-                    failures.append(Failure((n, path.steps), heights, (mk.h_minus, mk.h_plus - 1)))
-        expected = super_catalan_t(2, n)
-        if total_pairs != expected:
-            failures.append(Failure((n, "pair count"), total_pairs, expected))
-        for first, second in enum_pairs_total(n):
-            if not bij._close(first.height, second.height):
-                continue
-            cases += 1
-            joined = bij._from_pair(first, second)
-            if (first, second) not in bij._to_pair_all(joined, _markers(joined.levels)):
-                failures.append(Failure((n, first.steps, second.steps), joined.steps, "pair not recovered"))
-    return VerificationReport("pair-map", {"max_n": max_n}, tuple(failures), cases)
+    return _row_suite("pair-map", _pair_map_row, "max_n", 1, max_n, jobs)
 
 
 def _catalan_sum(lo: int, hi: int) -> int:
     return sum(catalan(n) for n in range(lo, hi + 1))
 
 
-def _rows_cost(max_sum: int, jobs: int) -> int:
+def _rows_cost(max_sum: int) -> int:
     return _catalan_sum(1, max_sum - 1)  # row s: the C(s-1) 2-Motzkin paths of length s-2
 
 
@@ -343,7 +333,7 @@ def _injection_cost(max_n: int) -> int:
 # in the suite signatures.
 _REGISTRY: dict[str, tuple[Callable[..., VerificationReport], Callable[..., int]]] = {
     "theorem1": (verify_theorem1, _rows_cost),
-    "theorem1-dyck": (verify_theorem1_dyck, lambda **b: 3 * _rows_cost(**b)),
+    "theorem1-dyck": (verify_theorem1_dyck, lambda max_sum: 2 * _rows_cost(max_sum)),
     "rubenstein": (verify_rubenstein, lambda **_: 0),
     "ballot-sum": (verify_ballot_sum, lambda **_: 0),
     "symmetry": (verify_symmetry, lambda **_: 0),
@@ -379,4 +369,5 @@ def path_cost(name: str, *, max_sum: int | None = None, max_m: int | None = None
               max_n: int | None = None) -> int:
     """Paths :func:`run_identity` would enumerate with the same overrides."""
     _, cost, bounds = _resolve(name, max_sum=max_sum, max_m=max_m, max_n=max_n)
+    bounds.pop("jobs", None)
     return cost(**bounds)

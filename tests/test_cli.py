@@ -108,6 +108,9 @@ class TestVerify:
 
         assert verify.path_cost("theorem1", max_sum=18) <= cli.ENUMERATION_CAP
         assert verify.path_cost("theorem1", max_sum=19) > cli.ENUMERATION_CAP
+        # theorem1-dyck walks two families, so its largest bound is one less
+        assert verify.path_cost("theorem1-dyck", max_sum=17) <= cli.ENUMERATION_CAP
+        assert verify.path_cost("theorem1-dyck", max_sum=18) > cli.ENUMERATION_CAP
         # every suite runs at its defaults without --force
         assert all(verify.path_cost(name) <= cli.ENUMERATION_CAP for name in verify.IDENTITIES)
 

@@ -3,6 +3,11 @@ import pytest
 from supercat import verify
 from supercat.errors import DomainError
 
+# The suites that enumerate paths; the rest evaluate formulas only.
+PATH_SUITES = (
+    "theorem1", "theorem1-dyck", "theorem4", "pairs", "bijection-f", "bijection-g", "pair-map", "reversal",
+)
+
 
 @pytest.mark.parametrize("name", verify.IDENTITIES)
 def test_every_identity_passes_at_small_bounds(name):
@@ -42,6 +47,36 @@ def test_parallel_rows_merge_deterministically():
     assert serial == parallel
 
 
+@pytest.mark.parametrize("name", PATH_SUITES)
+def test_path_suites_refuse_jobs_below_one(name):
+    with pytest.raises(DomainError, match=f"{name} requires jobs >= 1"):
+        verify.run_identity(name, jobs=0)
+
+
+@pytest.mark.parametrize("name", verify.IDENTITIES)
+def test_path_suites_fan_rows_out_to_a_pool(monkeypatch, name):
+    opened = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            opened.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return None
+
+        def map(self, fn, rows):
+            return map(fn, rows)
+
+    bounds = {"max_sum": 5, "max_m": 3, "max_n": 3}
+    monkeypatch.setattr(verify, "ProcessPoolExecutor", SerialPool)
+    pooled = verify.run_identity(name, **bounds, jobs=2)
+    assert opened == ([2] if name in PATH_SUITES else [])
+    assert pooled == verify.run_identity(name, **bounds, jobs=1)
+
+
 def test_reports_carry_bounds():
     report = verify.verify_theorem4(5)
     assert report.bounds == {"max_n": 5}
@@ -71,8 +106,8 @@ def test_bounds_validated():
 def test_path_cost_counts_enumerated_paths():
     # theorem1 exhausts the 2-Motzkin paths of lengths 0..max_sum-2
     assert verify.path_cost("theorem1", max_sum=5) == 1 + 2 + 5 + 14
-    # theorem1-dyck walks each 2-Motzkin length twice and one Dyck length
-    assert verify.path_cost("theorem1-dyck", max_sum=5) == 3 * (1 + 2 + 5 + 14)
+    # theorem1-dyck walks each 2-Motzkin length once and one Dyck length
+    assert verify.path_cost("theorem1-dyck", max_sum=5) == 2 * (1 + 2 + 5 + 14)
     assert verify.path_cost("theorem4", max_n=3) == 1 + 2 + 5
     assert verify.path_cost("symmetry", max_sum=10**6) == 0
     # defaults come from the suite signatures
@@ -133,8 +168,7 @@ BROKEN_T_REPORTS = {
 }
 
 
-@pytest.mark.parametrize("name", verify.IDENTITIES)
-def test_failing_reports_are_pinned(monkeypatch, name):
+def check_broken_t_report(monkeypatch, name, jobs):
     from supercat import numbers
 
     true_t = numbers.super_catalan_t
@@ -144,11 +178,22 @@ def test_failing_reports_are_pinned(monkeypatch, name):
 
     monkeypatch.setattr(numbers, "super_catalan_t", broken_t)
     monkeypatch.setattr(verify, "super_catalan_t", broken_t)
-    report = verify.run_identity(name, max_sum=6, max_m=3, max_n=4)
+    report = verify.run_identity(name, max_sum=6, max_m=3, max_n=4, jobs=jobs)
     cases, failures = BROKEN_T_REPORTS[name]
     assert report.cases == cases
     assert report.failures == tuple(failures)
     assert report.passed == (not failures)
+
+
+@pytest.mark.parametrize("name", verify.IDENTITIES)
+def test_failing_reports_are_pinned(monkeypatch, name):
+    check_broken_t_report(monkeypatch, name, jobs=1)
+
+
+@pytest.mark.parametrize("name", verify.IDENTITIES)
+def test_failing_reports_are_pinned_at_two_jobs(monkeypatch, name):
+    # forked workers inherit the patch (fork is Linux's default start method before Python 3.14)
+    check_broken_t_report(monkeypatch, name, jobs=2)
 
 
 def test_failing_level_report_is_pinned(monkeypatch):
