@@ -184,13 +184,16 @@ def _sign(levels: tuple[int, ...], m: int) -> int:
     return 1 if levels[m - 1] % 2 == 0 else -1
 
 
-def _level_histogram(walks: Iterable[_Walk], length: int) -> list[list[int]]:
-    """For the ``(steps, levels)`` walks of the 2-Motzkin paths of the given
-    length: entry ``[x][l]`` counts the paths at level ``l`` at point ``x``.
-    Every walk is consumed; each batch's distinct level profiles are folded
-    in once, with their multiplicities."""
-    hist = [[0] * (length // 2 + 1) for _ in range(length + 1)]
+def _level_histogram(walks: Iterable[_Walk], length: int, points: slice = slice(None)) -> list[list[int]]:
+    """For the ``(steps, levels)`` walks of paths of the given length below
+    level ``length // 2 + 1``: entry ``[i][l]`` counts the paths at level
+    ``l`` at the ``i``-th of ``points`` (every point by default).  Each
+    batch's distinct profiles at those points are counted, then folded in
+    once with their multiplicities; every walk is consumed."""
+    hist = [[0] * (length // 2 + 1) for _ in range(length + 1)][points]
     profiles = map(itemgetter(1), walks)
+    if points != slice(None):  # a second map layer costs theorem1 about a sixth of its fold
+        profiles = map(itemgetter(points), profiles)
     while batch := Counter(islice(profiles, _BATCH)):
         for levels, count in batch.items():
             for point, level in zip(hist, levels):
@@ -203,22 +206,10 @@ def _parity_split(counts: list[int]) -> tuple[int, int]:
     return sum(counts[0::2]), sum(counts[1::2])
 
 
-def _mod4_tally(walks: Iterable[_Walk], s: int) -> tuple[list[int], int]:
-    """For the ``(steps, levels)`` walks of the Dyck paths of length 2s-2: how
-    many sit at level 1 (mod 4) at the point after 2m-1 steps, for each
-    1 <= m < s (index m), and how many paths there are.  Every other path
-    sits at level 3 (mod 4) there."""
-    ones = [0] * s
-    total = 0
-    for steps, levels in walks:
-        total += 1
-        for m, lv in enumerate(levels[1::2], 1):
-            residue = lv & 3
-            if residue == 1:
-                ones[m] += 1
-            elif residue != 3:
-                raise AssertionError(f"internal: odd point at even level in {steps!r}")
-    return ones, total
+def _mod4_split(counts: list[int]) -> tuple[int, int]:
+    """Paths at level 1 and at level 3 (mod 4), from one odd point's level counts."""
+    _check(not any(counts[0::2]), "odd point at even level")
+    return sum(counts[1::4]), sum(counts[3::4])
 
 
 def signed_count(m: int, n: int) -> SignedCount:
@@ -234,8 +225,8 @@ def signed_count_dyck(m: int, n: int) -> SignedCount:
     2m-1 steps sits at level 1 (mod 4) for positive paths and 3 (mod 4) for
     negative ones."""
     _require(m >= 1 and n >= 1, "signed_count_dyck requires m, n >= 1")
-    ones, total = _mod4_tally(_dyck_walks(m + n - 1), m + n)
-    return SignedCount(ones[m], total - ones[m])
+    hist = _level_histogram(_dyck_walks(m + n - 1), 2 * (m + n - 1), slice(1, None, 2))
+    return SignedCount(*_mod4_split(hist[m - 1]))
 
 
 def classify_start(path: DyckPath) -> StartClass:
@@ -487,23 +478,19 @@ def _from_pair(first: DyckPath, second: DyckPath) -> DyckPath:
 
 def pair_census(n: int) -> int:
     """Number of ordered pairs of (possibly empty) Dyck paths of total
-    length 2n with heights differing by at most 1, by direct convolution of
-    the enumerated families; equals the super Catalan number T(2,n)."""
+    length 2n with heights differing by at most 1, by convolving one height
+    tally per Dyck size 0..n; equals the super Catalan number T(2,n)."""
     _require(n >= 1, "pair_census requires n >= 1")
-    count = 0
-    for k in range(n + 1):
-        left_heights = [max(levels) for _, levels in _dyck_walks(k)]
-        right_heights = [max(levels) for _, levels in _dyck_walks(n - k)]
-        count += sum(1 for a in left_heights for b in right_heights if _close(a, b))
-    return count
+    heights = [Counter(map(max, map(itemgetter(1), _dyck_walks(k)))) for k in range(n + 1)]
+    return sum(left[a] * right[b]
+               for left, right in zip(heights, reversed(heights))
+               for a in left for b in right if _close(a, b))
 
 
 def start_class_sizes(n_plus_1: int) -> dict[StartClass, int]:
     """Sizes of the four start classes over Dyck paths of length
     2*n_plus_1 (length >= 6)."""
     _require(n_plus_1 >= 3, "start_class_sizes requires paths of length >= 6")
-    sizes = dict.fromkeys(StartClass, 0)
-    for steps, levels in _dyck_walks(n_plus_1):
-        sizes[_start_class(steps, levels)] += 1
-    _check(sum(sizes.values()) == catalan(n_plus_1), "class sizes do not add up")
-    return sizes
+    sizes = Counter(starmap(_start_class, _dyck_walks(n_plus_1)))
+    _check(sizes.total() == catalan(n_plus_1), "class sizes do not add up")
+    return {cls: sizes[cls] for cls in StartClass}

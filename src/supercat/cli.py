@@ -13,6 +13,7 @@ import argparse
 import json
 import os
 import sys
+from itertools import islice
 from operator import itemgetter
 
 from . import bijections as bij
@@ -49,6 +50,8 @@ def _default_jobs() -> int:
         if jobs >= 1:
             return jobs
         print(f"warning: ignoring SUPERCAT_JOBS={env!r}, not a positive integer", file=sys.stderr)
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))  # the CPUs this process may run on
     return os.cpu_count() or 1
 
 
@@ -181,7 +184,7 @@ def _cmd_map(args) -> int:
     needed = len(alphabets)
     texts = args.paths
     if not texts:
-        texts = [sys.stdin.readline().rstrip("\n") for _ in range(needed)]
+        texts = [line.rstrip("\n") for line in islice(sys.stdin, needed)]
     if len(texts) != needed:
         print(f"map {args.kind} takes exactly {needed} path argument(s)", file=sys.stderr)
         return 2

@@ -136,11 +136,11 @@ def _theorem1_dyck_row(s: int) -> Row:
 
     hist = bij._level_histogram(pathwise(), s - 2)
     paths = hist[0][0]  # every path starts at level 0
-    # independent tally on the Dyck side: level mod 4 at each odd point
-    ones, total_dyck = bij._mod4_tally(_dyck_walks(s - 1), s)
+    # independent tally on the Dyck side: levels at each odd point, read mod 4
+    dyck_hist = bij._level_histogram(_dyck_walks(s - 1), 2 * s - 2, slice(1, None, 2))
 
     def cell(m: int) -> tuple[tuple, object, object]:
-        dyck = (ones[m], total_dyck - ones[m])
+        dyck = bij._mod4_split(dyck_hist[m - 1])
         motzkin = bij._parity_split(hist[m - 1])
         if dyck != motzkin:
             return (m, s - m), dyck, motzkin
@@ -338,7 +338,7 @@ _REGISTRY: dict[str, tuple[Callable[..., VerificationReport], Callable[..., int]
     "ballot-sum": (verify_ballot_sum, lambda **_: 0),
     "symmetry": (verify_symmetry, lambda **_: 0),
     "theorem4": (verify_theorem4, lambda max_n: _catalan_sum(1, max_n)),
-    "pairs": (verify_pairs, lambda max_n: _catalan_sum(2, max_n + 1)),
+    "pairs": (verify_pairs, lambda max_n: sum(_catalan_sum(0, n) for n in range(1, max_n + 1))),
     "bijection-f": (verify_bijection_f, _injection_cost),
     "bijection-g": (verify_bijection_g, _injection_cost),
     "pair-map": (verify_pair_map, lambda max_n: _catalan_sum(1, max_n) + _catalan_sum(2, max_n + 1)),

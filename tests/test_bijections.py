@@ -27,7 +27,7 @@ from supercat.bijections import (
     to_pair_all,
     weight,
 )
-from supercat.enumeration import _motzkin2_walks, enum_dyck, enum_motzkin2
+from supercat.enumeration import _dyck_walks, _motzkin2_walks, enum_dyck, enum_motzkin2
 from supercat.errors import DomainError
 from supercat.numbers import super_catalan_t
 from supercat.paths import EMPTY_PATH, is_even_terminal_ballot, make_path, markers, parse_path
@@ -116,13 +116,24 @@ class TestSignedCount:
         # stream of every length from 3 on
         if batch is not None:
             monkeypatch.setattr(bijections, "_BATCH", batch)
-        for length in range(11):
-            plain = [Counter() for _ in range(length + 1)]
-            for _, levels in _motzkin2_walks(length):
-                for x, level in enumerate(levels):
+        # each 2-Motzkin length at every point, and each Dyck length at its odd points
+        families = [(_motzkin2_walks, length, length, slice(None)) for length in range(11)]
+        families += [(_dyck_walks, n, 2 * n, slice(1, None, 2)) for n in range(8)]
+        for walks, param, length, points in families:
+            plain = [Counter() for _ in range(length + 1)][points]
+            for _, levels in walks(param):
+                for x, level in enumerate(levels[points]):
                     plain[x][level] += 1
-            hist = bijections._level_histogram(_motzkin2_walks(length), length)
+            if points == slice(None):
+                hist = bijections._level_histogram(walks(param), length)
+            else:
+                hist = bijections._level_histogram(walks(param), length, points)
             assert [Counter({lv: c for lv, c in enumerate(row) if c}) for row in hist] == plain
+
+    def test_mod4_split_refuses_an_even_level(self):
+        assert bijections._mod4_split([0, 3, 0, 2, 0, 5]) == (8, 2)
+        with pytest.raises(AssertionError, match="odd point at even level"):
+            bijections._mod4_split([0, 3, 1, 2])
 
 
 class TestSignedCountDyck:

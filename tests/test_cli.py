@@ -111,6 +111,9 @@ class TestVerify:
         # theorem1-dyck walks two families, so its largest bound is one less
         assert verify.path_cost("theorem1-dyck", max_sum=17) <= cli.ENUMERATION_CAP
         assert verify.path_cost("theorem1-dyck", max_sum=18) > cli.ENUMERATION_CAP
+        # pairs walks every Dyck size up to n for each row n
+        assert verify.path_cost("pairs", max_n=16) <= cli.ENUMERATION_CAP
+        assert verify.path_cost("pairs", max_n=17) > cli.ENUMERATION_CAP
         # every suite runs at its defaults without --force
         assert all(verify.path_cost(name) <= cli.ENUMERATION_CAP for name in verify.IDENTITIES)
 
@@ -221,6 +224,20 @@ class TestMap:
         assert code == 0
         assert out.strip() == "UUDUDD"
 
+    @pytest.mark.parametrize("kind,text", [("m2d", ""), ("unpair", "UUDD\n")])
+    def test_stdin_short_of_paths_is_usage_error(self, capsys, monkeypatch, kind, text):
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        code, out, err = run(capsys, "map", kind)
+        assert code == 2
+        assert out == ""
+        assert "takes exactly" in err
+
+    def test_blank_stdin_line_is_the_empty_path(self, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO("\n"))
+        code, out, _ = run(capsys, "map", "m2d")
+        assert code == 0
+        assert out.strip() == "UD"
+
     def test_unpair_with_empty_component(self, capsys):
         code, out, _ = run(capsys, "map", "unpair", "", "UD")
         assert code == 0
@@ -324,6 +341,20 @@ class TestJobsEnvironment:
         monkeypatch.setattr(verify, "run_identity", record)
         return seen
 
+    @pytest.fixture
+    def pinned(self, monkeypatch):
+        """Two of the machine's four CPUs are usable by this process."""
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2}, raising=False)
+
+    def test_default_counts_only_usable_cpus(self, monkeypatch, capsys, seen_jobs, pinned):
+        monkeypatch.delenv("SUPERCAT_JOBS", raising=False)
+        assert main(["verify", "symmetry"]) == 0
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert main(["verify", "symmetry"]) == 0
+        # the core count only where the platform cannot say which CPUs are usable
+        assert seen_jobs == [2, 4]
+
     def test_env_var_sets_default(self, monkeypatch, capsys, seen_jobs):
         monkeypatch.setenv("SUPERCAT_JOBS", "3")
         assert main(["verify", "symmetry"]) == 0
@@ -334,19 +365,19 @@ class TestJobsEnvironment:
         assert main(["verify", "symmetry", "--jobs", "5"]) == 0
         assert seen_jobs == [5]
 
-    def test_unparsable_env_warns_and_falls_back(self, monkeypatch, capsys, seen_jobs):
+    def test_unparsable_env_warns_and_falls_back(self, monkeypatch, capsys, seen_jobs, pinned):
         monkeypatch.setenv("SUPERCAT_JOBS", "abc")
         assert main(["verify", "symmetry"]) == 0
-        assert seen_jobs == [os.cpu_count() or 1]
+        assert seen_jobs == [2]
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         assert "SUPERCAT_JOBS='abc'" in err
 
     @pytest.mark.parametrize("value", ["0", "-2"])
-    def test_env_below_one_warns_and_falls_back(self, monkeypatch, capsys, seen_jobs, value):
+    def test_env_below_one_warns_and_falls_back(self, monkeypatch, capsys, seen_jobs, pinned, value):
         monkeypatch.setenv("SUPERCAT_JOBS", value)
         assert main(["verify", "symmetry"]) == 0
-        assert seen_jobs == [os.cpu_count() or 1]
+        assert seen_jobs == [2]
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         assert f"SUPERCAT_JOBS={value!r}" in err

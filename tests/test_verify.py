@@ -123,10 +123,11 @@ def test_path_cost_counts_enumerated_paths():
         ("bijection-f", {"max_n": 5}),
         ("bijection-g", {"max_n": 5}),
         ("reversal", {"max_sum": 7}),
+        ("pairs", {"max_n": 6}),
     ],
 )
 def test_path_cost_matches_the_paths_enumerated(monkeypatch, name, bounds):
-    # pairs and pair-map are priced in pair comparisons, not in paths
+    # pair-map is priced in paths plus the pairs it compares
     from supercat import enumeration
 
     walks = enumeration._walks
