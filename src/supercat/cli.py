@@ -152,7 +152,7 @@ def _cmd_verify(args) -> int:
                 file=sys.stderr,
             )
             return 2
-    reports = [verify_mod.run_identity(name, **bounds, jobs=jobs) for name in names]
+    reports = verify_mod.run_identities(names, **bounds, jobs=jobs)
     if args.format == "json":
         payload = [_report_json(r) for r in reports]
         print(_dumps(payload[0] if args.identity != "all" else payload))

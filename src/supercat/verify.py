@@ -1,11 +1,12 @@
 """Verification suites: each checks one identity exhaustively over a
 parameter range and returns a :class:`VerificationReport`.
 
-Every suite that enumerates paths checks one row (a total length m + n, or
-one n of the m = 2 suites) at a time through :func:`_row_suite`, which takes
-a ``jobs`` argument and fans rows out to a process pool; rows merge in order,
-so reports are identical for every worker count.  A 2-Motzkin row tallies
-its path family once and reads every (m, n) cell of its length off that pass.
+A suite is planned (bounds checked, rows listed: each length m + n, or each n
+of the m = 2 suites), then run; :func:`run_identities` plans every named suite,
+then runs all their rows on one process pool, priciest first.  Rows merge per
+suite in order, so reports are identical for every worker count.  A 2-Motzkin
+row tallies its path family once and reads every (m, n) cell of its length off
+that pass.
 """
 
 from __future__ import annotations
@@ -14,8 +15,8 @@ import inspect
 from collections.abc import Callable, Iterable, Iterator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import partial
-from itertools import product
+from functools import partial, wraps
+from itertools import islice, product
 from typing import NamedTuple
 
 from . import bijections as bij
@@ -61,31 +62,60 @@ def _checked(cases: Iterable[tuple[tuple, object, object]]) -> Row:
     return failures, count
 
 
-def _merge(identity: str, bounds: dict[str, int], rows: Iterable[Row]) -> VerificationReport:
-    failures: list[Failure] = []
-    cases = 0
-    for row_failures, row_cases in rows:
-        failures.extend(row_failures)
-        cases += row_cases
-    return VerificationReport(identity, bounds, tuple(failures), cases)
+class _Plan(NamedTuple):
+    """A planned suite: ``row(b)`` for each b in ``rows``, merged in order."""
+
+    identity: str
+    bounds: dict[str, int]
+    row: Callable[[int], Row]
+    rows: range
 
 
-def _row_suite(identity: str, row: Callable[[int], Row], bound: str, lo: int, hi: int,
-               jobs: int) -> VerificationReport:
-    """Check rows lo..hi of ``bound`` with ``row``, on ``jobs`` worker processes
-    when there is more than one; rows merge in order.  Workers receive ``row``
-    pickled: a module-level function or a partial of module-level functions."""
+def _rows(identity: str, row: Callable[..., Row], lo: int, **bounds: int) -> _Plan:
+    """Rows lo..hi of the last bound, hi its value, checked by a partial of
+    ``row`` and the other bounds; it reaches workers pickled."""
+    *fixed, (bound, hi) = bounds.items()
     if hi < lo:
         raise DomainError(f"{identity} requires {bound} >= {lo}")
+    return _Plan(identity, bounds, partial(row, *dict(fixed).values()), range(lo, hi + 1))
+
+
+def _row_cost(plan: _Plan, b: int) -> int:
+    """Row b's share of its suite's registry cost: cost(b) - cost(b - 1)."""
+    cost, bound = _REGISTRY[plan.identity][1], [*plan.bounds][-1]
+    return cost(**{**plan.bounds, bound: b}) - cost(**{**plan.bounds, bound: b - 1})
+
+
+def _execute(plans: list[_Plan], jobs: int) -> list[VerificationReport]:
+    """Every plan's report.  At one job, or for one row, rows run in order in
+    this process; else on one pool, priciest row first.  Results are read in
+    plan order, so a raising row raises what one job would, and cancels the
+    rows still queued."""
     if jobs < 1:
-        raise DomainError(f"{identity} requires jobs >= 1")
-    rows = range(lo, hi + 1)
-    if jobs == 1 or len(rows) == 1:
-        return _merge(identity, {bound: hi}, map(row, rows))
-    with ProcessPoolExecutor(max_workers=min(jobs, len(rows))) as pool:
-        # longest rows first, so the longest does not start last
-        results = list(pool.map(row, rows[::-1]))[::-1]
-    return _merge(identity, {bound: hi}, results)
+        raise DomainError(f"{plans[0].identity} requires jobs >= 1")
+    tasks = [(plan, b) for plan in plans for b in plan.rows]
+    if jobs == 1 or len(tasks) < 2:
+        results = [plan.row(b) for plan, b in tasks]
+    else:
+        order = sorted(range(len(tasks)), key=lambda i: _row_cost(*tasks[i]), reverse=True)
+        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
+            futures = {i: pool.submit(tasks[i][0].row, tasks[i][1]) for i in order}
+            try:
+                results = [futures[i].result() for i in range(len(tasks))]
+            except BaseException:
+                pool.shutdown(cancel_futures=True)
+                raise
+    reports, merged = [], iter(results)
+    for plan in plans:
+        rows = list(islice(merged, len(plan.rows)))
+        failures = tuple(failure for row_failures, _ in rows for failure in row_failures)
+        reports.append(VerificationReport(plan.identity, plan.bounds, failures, sum(cases for _, cases in rows)))
+    return reports
+
+
+def _suite(plan: Callable[..., _Plan]) -> Callable[..., VerificationReport]:
+    """The suite that runs ``plan`` on ``jobs`` workers; ``__wrapped__`` is the plan."""
+    return wraps(plan)(lambda *args, jobs=1, **bounds: _execute([plan(*args, **bounds)], jobs)[0])
 
 
 def _theorem1_row(s: int) -> Row:
@@ -114,10 +144,11 @@ def _theorem1_row(s: int) -> Row:
     return failures, s - 1
 
 
-def verify_theorem1(max_sum: int = 14, jobs: int = 1) -> VerificationReport:
+@_suite
+def verify_theorem1(max_sum: int = 14) -> _Plan:
     """P(m,n) - N(m,n) == T(m,n) for all m, n >= 1 with m + n <= max_sum,
     by exhausting the 2-Motzkin paths of each length."""
-    return _row_suite("theorem1", _theorem1_row, "max_sum", 2, max_sum, jobs)
+    return _rows("theorem1", _theorem1_row, 2, max_sum=max_sum)
 
 
 def _theorem1_dyck_row(s: int) -> Row:
@@ -150,11 +181,12 @@ def _theorem1_dyck_row(s: int) -> Row:
     return failures + cell_failures, paths * (s - 1) + cells
 
 
-def verify_theorem1_dyck(max_sum: int = 12, jobs: int = 1) -> VerificationReport:
+@_suite
+def verify_theorem1_dyck(max_sum: int = 12) -> _Plan:
     """The Dyck-path restatement: tallies by level mod 4 at the point after
     2m-1 steps agree componentwise with the 2-Motzkin tallies, and the
     level correspondence under the canonical bijection holds pathwise."""
-    return _row_suite("theorem1-dyck", _theorem1_dyck_row, "max_sum", 2, max_sum, jobs)
+    return _rows("theorem1-dyck", _theorem1_dyck_row, 2, max_sum=max_sum)
 
 
 def _reversal_row(s: int) -> Row:
@@ -170,63 +202,78 @@ def _reversal_row(s: int) -> Row:
     return failures, cases
 
 
-def verify_reversal(max_sum: int = 12, jobs: int = 1) -> VerificationReport:
+@_suite
+def verify_reversal(max_sum: int = 12) -> _Plan:
     """Reading a path right to left preserves its sign: the weight at m of
     every 2-Motzkin path of length m+n-2 equals the weight at n of its reverse,
     whose levels are read from its mirrored steps; so T(m,n) = T(n,m)."""
-    return _row_suite("reversal", _reversal_row, "max_sum", 2, max_sum, jobs)
+    return _rows("reversal", _reversal_row, 2, max_sum=max_sum)
 
 
-def verify_rubenstein(max_m: int = 50, max_n: int = 50) -> VerificationReport:
+def _rubenstein_row(max_m: int, max_n: int) -> Row:
+    return _checked(
+        ((m, n), 4 * super_catalan_t(m, n), super_catalan_t(m + 1, n) + super_catalan_t(m, n + 1))
+        for m, n in product(range(1, max_m + 1), range(1, max_n + 1))
+    )
+
+
+@_suite
+def verify_rubenstein(max_m: int = 50, max_n: int = 50) -> _Plan:
     """4 T(m,n) = T(m+1,n) + T(m,n+1) for all 1 <= m <= max_m,
     1 <= n <= max_n."""
     if max_m < 1 or max_n < 1:
         raise DomainError("rubenstein requires bounds >= 1")
-    row = _checked(
-        ((m, n), 4 * super_catalan_t(m, n), super_catalan_t(m + 1, n) + super_catalan_t(m, n + 1))
+    return _rows("rubenstein", _rubenstein_row, max_n, max_m=max_m, max_n=max_n)
+
+
+def _ballot_sum_row(max_m: int, max_n: int) -> Row:
+    return _checked(
+        ((m, n), ballot_sum_identity(m, n), super_catalan_t(m, n))
         for m, n in product(range(1, max_m + 1), range(1, max_n + 1))
     )
-    return _merge("rubenstein", {"max_m": max_m, "max_n": max_n}, [row])
 
 
-def verify_ballot_sum(max_m: int = 30, max_n: int = 30) -> VerificationReport:
+@_suite
+def verify_ballot_sum(max_m: int = 30, max_n: int = 30) -> _Plan:
     """The alternating ballot-product sum equals T(m,n); termwise equality
     of its two printed forms is asserted inside the evaluation."""
     if max_m < 1 or max_n < 1:
         raise DomainError("ballot-sum requires bounds >= 1")
-    row = _checked(
-        ((m, n), ballot_sum_identity(m, n), super_catalan_t(m, n))
-        for m, n in product(range(1, max_m + 1), range(1, max_n + 1))
-    )
-    return _merge("ballot-sum", {"max_m": max_m, "max_n": max_n}, [row])
+    return _rows("ballot-sum", _ballot_sum_row, max_n, max_m=max_m, max_n=max_n)
 
 
-def verify_symmetry(max_sum: int = 100) -> VerificationReport:
-    """Formula-level T(m,n) = T(n,m) for all m + n <= max_sum."""
-    if max_sum < 1:
-        raise DomainError("symmetry requires max_sum >= 1")
-    row = _checked(
+def _symmetry_row(max_sum: int) -> Row:
+    return _checked(
         ((m, s - m), super_catalan_t(m, s - m), super_catalan_t(s - m, m))
         for s in range(1, max_sum + 1)
         for m in range(0, s // 2 + 1)
     )
-    return _merge("symmetry", {"max_sum": max_sum}, [row])
+
+
+@_suite
+def verify_symmetry(max_sum: int = 100) -> _Plan:
+    """Formula-level T(m,n) = T(n,m) for all m + n <= max_sum."""
+    if max_sum < 1:
+        raise DomainError("symmetry requires max_sum >= 1")
+    return _rows("symmetry", _symmetry_row, max_sum, max_sum=max_sum)
 
 
 def _census_row(census: Callable[[int], int], n: int) -> Row:
     return _checked([((n,), census(n), super_catalan_t(2, n))])
 
 
-def verify_theorem4(max_n: int = 10, jobs: int = 1) -> VerificationReport:
+@_suite
+def verify_theorem4(max_n: int = 10) -> _Plan:
     """The bounded-gap census over Dyck paths of length 2n (height-one path
     twice) equals T(2,n) for every 1 <= n <= max_n."""
-    return _row_suite("theorem4", partial(_census_row, bij.theorem4_census), "max_n", 1, max_n, jobs)
+    return _rows("theorem4", partial(_census_row, bij.theorem4_census), 1, max_n=max_n)
 
 
-def verify_pairs(max_n: int = 9, jobs: int = 1) -> VerificationReport:
+@_suite
+def verify_pairs(max_n: int = 9) -> _Plan:
     """The number of ordered Dyck-path pairs of total length 2n with height
     difference at most 1 equals T(2,n) for every 1 <= n <= max_n."""
-    return _row_suite("pairs", partial(_census_row, bij.pair_census), "max_n", 1, max_n, jobs)
+    return _rows("pairs", partial(_census_row, bij.pair_census), 1, max_n=max_n)
 
 
 def _injection_row(name: str, start: bij.StartClass, forward: Callable[[DyckPath], DyckPath],
@@ -260,16 +307,18 @@ def _injection_row(name: str, start: bij.StartClass, forward: Callable[[DyckPath
     return failures, cases
 
 
-def verify_bijection_f(max_n: int = 8, jobs: int = 1) -> VerificationReport:
+@_suite
+def verify_bijection_f(max_n: int = 8) -> _Plan:
     """Round-trips and image census of the first injection, for every
     2 <= n <= max_n: it is a bijection from the avoiding class onto the Dyck
     paths of height >= 2, missing exactly the height-one path."""
     row = partial(_injection_row, "f", bij.StartClass.NSTAR, bij._injection_f, bij._injection_f_inverse,
                   bij._in_f_image)
-    return _row_suite("bijection-f", row, "max_n", 2, max_n, jobs)
+    return _rows("bijection-f", row, 2, max_n=max_n)
 
 
-def verify_bijection_g(max_n: int = 8, jobs: int = 1) -> VerificationReport:
+@_suite
+def verify_bijection_g(max_n: int = 8) -> _Plan:
     """Round-trips and image census of the two-stage injection, for every
     2 <= n <= max_n: it is a bijection from the attaining class onto the Dyck
     paths whose post-split maximum exceeds the pre-split maximum by at least
@@ -277,7 +326,7 @@ def verify_bijection_g(max_n: int = 8, jobs: int = 1) -> VerificationReport:
     :func:`~supercat.bijections.g_intermediate`."""
     row = partial(_injection_row, "g", bij.StartClass.NSTARSTAR, bij._injection_g, bij._injection_g_inverse,
                   bij._in_g_image)
-    return _row_suite("bijection-g", row, "max_n", 2, max_n, jobs)
+    return _rows("bijection-g", row, 2, max_n=max_n)
 
 
 def _pair_map_row(n: int) -> Row:
@@ -310,10 +359,11 @@ def _pair_map_row(n: int) -> Row:
     return failures, cases
 
 
-def verify_pair_map(max_n: int = 8, jobs: int = 1) -> VerificationReport:
+@_suite
+def verify_pair_map(max_n: int = 8) -> _Plan:
     """The pair split and its inverse are mutually inverse, split heights
     match the pre/post maxima, and the pair multiset is counted by T(2,n)."""
-    return _row_suite("pair-map", _pair_map_row, "max_n", 1, max_n, jobs)
+    return _rows("pair-map", _pair_map_row, 1, max_n=max_n)
 
 
 def _catalan_sum(lo: int, hi: int) -> int:
@@ -348,26 +398,31 @@ IDENTITIES = tuple(_REGISTRY)
 
 
 def _resolve(name: str, **overrides: int | None):
-    """The named suite, its cost and its signature's default bounds, replaced by
-    each override it takes that is not None (an explicit 0 reaches the suite)."""
+    """The named suite's plan, its cost and its signature's default bounds, replaced
+    by each override it takes that is not None (an explicit 0 reaches the plan)."""
     if name not in _REGISTRY:
         raise DomainError(f"unknown identity {name!r}")
     suite, cost = _REGISTRY[name]
     params = inspect.signature(suite).parameters
     bounds = {k: p.default if overrides.get(k) is None else overrides[k] for k, p in params.items()}
-    return suite, cost, bounds
+    return suite.__wrapped__, cost, bounds
 
 
-def run_identity(name: str, *, max_sum: int | None = None, max_m: int | None = None,
-                 max_n: int | None = None, jobs: int | None = None) -> VerificationReport:
+def run_identities(names: Iterable[str], *, max_sum: int | None = None, max_m: int | None = None,
+                   max_n: int | None = None, jobs: int = 1) -> list[VerificationReport]:
+    """Plan each named suite, with its default bounds unless overridden, and
+    only then run every row of them all on ``jobs`` worker processes."""
+    resolved = [_resolve(name, max_sum=max_sum, max_m=max_m, max_n=max_n) for name in names]
+    return _execute([plan(**bounds) for plan, _, bounds in resolved], jobs)
+
+
+def run_identity(name: str, *, jobs: int = 1, **overrides: int | None) -> VerificationReport:
     """Run one named suite with its default bounds unless overridden."""
-    suite, _, bounds = _resolve(name, max_sum=max_sum, max_m=max_m, max_n=max_n, jobs=jobs)
-    return suite(**bounds)
+    return run_identities([name], jobs=jobs, **overrides)[0]
 
 
 def path_cost(name: str, *, max_sum: int | None = None, max_m: int | None = None,
               max_n: int | None = None) -> int:
     """Paths :func:`run_identity` would enumerate with the same overrides."""
     _, cost, bounds = _resolve(name, max_sum=max_sum, max_m=max_m, max_n=max_n)
-    bounds.pop("jobs", None)
     return cost(**bounds)

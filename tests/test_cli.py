@@ -123,7 +123,7 @@ class TestVerify:
         def never(*args, **kwargs):
             raise AssertionError("sweep ran past the cap")
 
-        monkeypatch.setattr(verify, "run_identity", never)
+        monkeypatch.setattr(verify, "run_identities", never)
         code, out, err = run(capsys, "verify", "bijection-f", "--max-n", "16")
         assert code == 2
         assert out == ""
@@ -152,7 +152,7 @@ class TestVerify:
         def never(*args, **kwargs):
             raise AssertionError("suite ran with a bound it does not take")
 
-        monkeypatch.setattr(verify, "run_identity", never)
+        monkeypatch.setattr(verify, "run_identities", never)
         code, out, err = run(capsys, "verify", *argv)
         assert code == 2
         assert out == ""
@@ -165,11 +165,33 @@ class TestVerify:
         def never(*args, **kwargs):
             raise AssertionError("suite ran with a worker count below 1")
 
-        monkeypatch.setattr(verify, "run_identity", never)
+        monkeypatch.setattr(verify, "run_identities", never)
         code, out, err = run(capsys, "verify", "theorem4", "--max-n", "3", "--jobs", jobs)
         assert code == 2
         assert out == ""
         assert "--jobs" in err
+
+    @pytest.mark.parametrize("bound", ["0", "1"])
+    def test_bound_errors_come_before_any_worker(self, capsys, monkeypatch, bound):
+        from supercat import verify
+
+        def never(*args, **kwargs):
+            raise AssertionError("a pool opened before every suite was planned")
+
+        # theorem1 is planned first, and every later suite takes the bound too
+        monkeypatch.setattr(verify, "ProcessPoolExecutor", never)
+        code, out, err = run(capsys, "verify", "all", "--max", bound, "--jobs", "2")
+        assert code == 1
+        assert out == ""
+        assert err == "error: theorem1 requires max_sum >= 2\n"
+
+    def test_all_prints_the_same_bytes_for_every_worker_count(self, capsys):
+        outputs = {run(capsys, "verify", "all", "--max", "6", "--jobs", jobs, "--format", "json")[1:]
+                   for jobs in ("1", "2", "3")}
+        assert len(outputs) == 1
+        (out, err), = outputs
+        assert err == ""
+        assert [report["passed"] for report in json.loads(out)] == [True] * 11
 
     def test_force_flag_accepted(self, capsys):
         code, _, _ = run(capsys, "verify", "theorem4", "--max-n", "4", "--force")
@@ -334,11 +356,11 @@ class TestJobsEnvironment:
 
         seen = []
 
-        def record(name, *, jobs, **bounds):
+        def record(names, *, jobs, **bounds):
             seen.append(jobs)
-            return verify.VerificationReport(name, {}, (), 1)
+            return [verify.VerificationReport(name, {}, (), 1) for name in names]
 
-        monkeypatch.setattr(verify, "run_identity", record)
+        monkeypatch.setattr(verify, "run_identities", record)
         return seen
 
     @pytest.fixture

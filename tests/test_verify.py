@@ -1,3 +1,6 @@
+import multiprocessing
+from concurrent.futures import Future, ProcessPoolExecutor
+
 import pytest
 
 from supercat import verify
@@ -53,8 +56,10 @@ def test_path_suites_refuse_jobs_below_one(name):
         verify.run_identity(name, jobs=0)
 
 
-@pytest.mark.parametrize("name", verify.IDENTITIES)
-def test_path_suites_fan_rows_out_to_a_pool(monkeypatch, name):
+@pytest.fixture
+def opened(monkeypatch):
+    """Swap the process pool for one that runs each submitted row at once, in
+    this process; the worker count of every pool opened is recorded."""
     opened = []
 
     class SerialPool:
@@ -67,14 +72,62 @@ def test_path_suites_fan_rows_out_to_a_pool(monkeypatch, name):
         def __exit__(self, *exc):
             return None
 
-        def map(self, fn, rows):
-            return map(fn, rows)
+        def submit(self, fn, *args):
+            future = Future()
+            future.set_result(fn(*args))
+            return future
 
-    bounds = {"max_sum": 5, "max_m": 3, "max_n": 3}
     monkeypatch.setattr(verify, "ProcessPoolExecutor", SerialPool)
+    return opened
+
+
+@pytest.mark.parametrize("name", verify.IDENTITIES)
+def test_path_suites_fan_rows_out_to_a_pool(opened, name):
+    bounds = {"max_sum": 5, "max_m": 3, "max_n": 3}
     pooled = verify.run_identity(name, **bounds, jobs=2)
     assert opened == ([2] if name in PATH_SUITES else [])
     assert pooled == verify.run_identity(name, **bounds, jobs=1)
+
+
+def test_verify_all_opens_one_pool(opened, capsys):
+    from supercat.cli import main
+
+    argv = ["verify", "all", "--max", "5", "--format", "json", "--jobs"]
+    assert main([*argv, "3"]) == 0
+    pooled = capsys.readouterr().out
+    assert opened == [3]
+    assert main([*argv, "1"]) == 0
+    assert capsys.readouterr().out == pooled
+    assert opened == [3]
+
+
+def _broken_injection_f(path):
+    # module level, so that the worker a row is sent to can unpickle it
+    raise AssertionError(f"internal: broken core on {path.steps}")
+
+
+def test_a_raising_row_cancels_the_shared_queue(monkeypatch):
+    from supercat import bijections
+    from supercat.cli import main
+
+    class CancellingPool(ProcessPoolExecutor):
+        def shutdown(self, wait=True, *, cancel_futures=False):
+            cancelled.append(cancel_futures)
+            super().shutdown(wait, cancel_futures=cancel_futures)
+
+    cancelled = []
+    monkeypatch.setattr(verify, "ProcessPoolExecutor", CancellingPool)
+    # bijection-f is the eighth of eleven suites; each of its rows raises
+    monkeypatch.setattr(bijections, "_injection_f", _broken_injection_f)
+    raised = []
+    for jobs in ("1", "2"):
+        with pytest.raises(AssertionError) as exc:
+            main(["verify", "all", "--max", "6", "--jobs", jobs, "--format", "json"])
+        raised.append((type(exc.value), str(exc.value)))
+        assert multiprocessing.active_children() == []
+    assert raised[0] == raised[1] == (AssertionError, "internal: broken core on UUUDDD")
+    # the queued rows of the suites after it were dropped, not run
+    assert cancelled[0] is True
 
 
 def test_reports_carry_bounds():
