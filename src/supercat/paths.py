@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate
+from typing import NamedTuple
 
 from .errors import DomainError, ParseError
 
@@ -124,8 +125,7 @@ def _rightmost(levels: tuple[int, ...], level: int) -> int:
     return len(levels) - 1 - levels[::-1].index(level)
 
 
-@dataclass(frozen=True)
-class PathMarkers:
+class PathMarkers(NamedTuple):
     """Distinguished points and split statistics of a nonempty Dyck path.
 
     ``last_level_one`` is the last point at level one up to and including
@@ -150,14 +150,7 @@ def _markers(levels: tuple[int, ...]) -> PathMarkers:
     # candidate and the search below cannot fail
     x = rightmost - levels[rightmost::-1].index(1)
     # the suffix from x holds the rightmost maximum, so its maximum is h
-    return PathMarkers(
-        height=h,
-        leftmost_max=levels.index(h),
-        rightmost_max=rightmost,
-        last_level_one=x,
-        h_minus=max(levels[: x + 1]),
-        h_plus=h,
-    )
+    return PathMarkers(h, levels.index(h), rightmost, x, max(levels[: x + 1]), h)
 
 
 def markers(path: DyckPath) -> PathMarkers:

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import inspect
 from collections.abc import Callable, Iterable, Iterator
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial, wraps
 from itertools import islice, product
@@ -97,6 +96,8 @@ def _execute(plans: list[_Plan], jobs: int) -> list[VerificationReport]:
     if jobs == 1 or len(tasks) < 2:
         results = [plan.row(b) for plan, b in tasks]
     else:
+        from concurrent.futures import ProcessPoolExecutor  # deferred: most runs never open a pool
+
         order = sorted(range(len(tasks)), key=lambda i: _row_cost(*tasks[i]), reverse=True)
         with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
             futures = {i: pool.submit(tasks[i][0].row, tasks[i][1]) for i in order}
@@ -190,14 +191,20 @@ def verify_theorem1_dyck(max_sum: int = 12) -> _Plan:
 
 
 def _reversal_row(s: int) -> Row:
-    failures = []
-    cases = 0
+    """Each path's signs at m = 1..s-1 against its mirror's at s-m, reversed:
+    the mirror is built per path, the signs once per level profile."""
+    failures, cases, ms = [], 0, range(1, s)
+    memo: dict[tuple[int, ...], tuple[int, ...]] = {}
+
+    def signs(levels: tuple[int, ...]) -> tuple[int, ...]:
+        if levels not in memo:  # one _sign call per distinct (profile, m)
+            memo[levels] = tuple(bij._sign(levels, m) for m in ms)
+        return memo[levels]
+
     for steps, levels in _motzkin2_walks(s - 2):
-        mirrored = _reverse(steps).levels
-        for m in range(1, s):
-            lhs, rhs = bij._sign(levels, m), bij._sign(mirrored, s - m)
-            if lhs != rhs:
-                failures.append(Failure((m, s - m, steps), lhs, rhs))
+        lhs, rhs = signs(levels), signs(_reverse(steps).levels)[::-1]
+        if lhs != rhs:  # then every m whose sides differ, in order
+            failures.extend(Failure((m, s - m, steps), a, b) for m, a, b in zip(ms, lhs, rhs) if a != b)
         cases += s - 1
     return failures, cases
 

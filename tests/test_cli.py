@@ -1,6 +1,9 @@
 import io
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -173,13 +176,11 @@ class TestVerify:
 
     @pytest.mark.parametrize("bound", ["0", "1"])
     def test_bound_errors_come_before_any_worker(self, capsys, monkeypatch, bound):
-        from supercat import verify
-
         def never(*args, **kwargs):
             raise AssertionError("a pool opened before every suite was planned")
 
         # theorem1 is planned first, and every later suite takes the bound too
-        monkeypatch.setattr(verify, "ProcessPoolExecutor", never)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", never)
         code, out, err = run(capsys, "verify", "all", "--max", bound, "--jobs", "2")
         assert code == 1
         assert out == ""
@@ -192,6 +193,16 @@ class TestVerify:
         (out, err), = outputs
         assert err == ""
         assert [report["passed"] for report in json.loads(out)] == [True] * 11
+
+    def test_import_loads_no_pool_modules(self):
+        # the pool is imported only where a run opens one; -S keeps site hooks out
+        probe = "import sys, supercat.cli; print(*sorted(set(sys.argv[1:]) & set(sys.modules)))"
+        pool = ["concurrent.futures", "concurrent.futures.process", "multiprocessing", "logging", "socket"]
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+        result = subprocess.run([sys.executable, "-S", "-c", probe, *pool], env=env, capture_output=True, text=True,
+                                timeout=60)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == "\n"
 
     def test_force_flag_accepted(self, capsys):
         code, _, _ = run(capsys, "verify", "theorem4", "--max-n", "4", "--force")

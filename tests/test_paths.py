@@ -127,6 +127,18 @@ class TestMarkers:
             for path in enum_dyck(n):
                 assert _markers(path.levels) == reference_markers(path.steps)
 
+    def test_named_tuple_keeps_the_public_behaviour(self):
+        mk = markers(parse_path("UUDUDD", "dyck"))
+        # the README's library tour, joined onto one line
+        assert repr(mk) == (
+            "PathMarkers(height=2, leftmost_max=2, rightmost_max=4, last_level_one=3, h_minus=2, h_plus=2)"
+        )
+        with pytest.raises(AttributeError):
+            mk.height = 3
+        assert mk == PathMarkers(height=2, leftmost_max=2, rightmost_max=4, last_level_one=3, h_minus=2, h_plus=2)
+        again = markers(parse_path("UUDUDD", "dyck"))
+        assert again == mk and hash(again) == hash(mk)
+
     def test_split_invariant_exhaustive(self):
         # h_minus <= h_plus == height over every Dyck path of length <= 16
         for n in range(1, 9):

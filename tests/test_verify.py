@@ -77,7 +77,7 @@ def opened(monkeypatch):
             future.set_result(fn(*args))
             return future
 
-    monkeypatch.setattr(verify, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", SerialPool)
     return opened
 
 
@@ -116,7 +116,7 @@ def test_a_raising_row_cancels_the_shared_queue(monkeypatch):
             super().shutdown(wait, cancel_futures=cancel_futures)
 
     cancelled = []
-    monkeypatch.setattr(verify, "ProcessPoolExecutor", CancellingPool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", CancellingPool)
     # bijection-f is the eighth of eleven suites; each of its rows raises
     monkeypatch.setattr(bijections, "_injection_f", _broken_injection_f)
     raised = []
@@ -282,6 +282,47 @@ def test_failing_reversal_report_is_pinned(monkeypatch):
     report = verify.run_identity("reversal", max_sum=5)
     assert report.cases == 76
     assert report.failures == (((1, 3, "UD"), -1, 1), ((3, 1, "UD"), 1, -1))
+
+
+def test_a_broken_sign_fails_every_path_sharing_the_profile(monkeypatch):
+    from supercat import bijections
+
+    true_sign = bijections._sign
+
+    def broken_sign(levels, m):
+        # SS, SW, WS and WW all have this level profile
+        sign = true_sign(levels, m)
+        return -sign if (levels, m) == ((0, 0, 0), 1) else sign
+
+    monkeypatch.setattr(bijections, "_sign", broken_sign)
+    report = verify.run_identity("reversal", max_sum=5)
+    assert report.cases == 76
+    assert report.failures == tuple(
+        failure for p in ("SS", "SW", "WS", "WW") for failure in (((1, 3, p), -1, 1), ((3, 1, p), 1, -1))
+    )
+
+
+def test_reversal_mirrors_every_path_and_signs_every_profile_once(monkeypatch):
+    from supercat import bijections
+    from supercat.enumeration import enum_motzkin2
+
+    true_sign, true_reverse = bijections._sign, verify._reverse
+    signed, mirrored = [], []
+
+    def counted_sign(levels, m):
+        signed.append((levels, m))
+        return true_sign(levels, m)
+
+    def counted_reverse(steps):
+        mirrored.append(steps)
+        return true_reverse(steps)
+
+    monkeypatch.setattr(bijections, "_sign", counted_sign)
+    monkeypatch.setattr(verify, "_reverse", counted_reverse)
+    assert verify.run_identity("reversal", max_sum=7).passed
+    walked = [path for s in range(2, 8) for path in enum_motzkin2(s - 2)]
+    assert mirrored == [path.steps for path in walked]
+    assert sorted(signed) == sorted({(path.levels, m) for path in walked for m in range(1, len(path) + 2)})
 
 
 def test_reversal_checks_the_mirrored_steps(monkeypatch):
