@@ -14,7 +14,9 @@ Every public map validates its input's precondition (raising
 which trusts input the enumeration engine or another map has already
 checked.  Public maps and cores alike check their output's family
 invariants (an invalid output raises AssertionError: it means the
-implementation is wrong, never the caller).
+implementation is wrong, never the caller).  ``_motzkin_to_dyck`` returns
+a checked ``(steps, levels)`` walk, the enumeration engine's type; only
+the public maps build a :class:`~supercat.paths.LatticePath` from it.
 """
 
 from __future__ import annotations
@@ -36,16 +38,17 @@ from .paths import (
     LatticePath,
     PathMarkers,
     TwoMotzkinPath,
+    _levels,
     _markers,
     _rightmost,
     is_dyck,
     is_even_terminal_ballot,
     is_motzkin2,
-    parse_path,
 )
 
 _DOUBLE = {"U": "UU", "D": "DD", "S": "UD", "W": "DU"}
 _M2D = str.maketrans(_DOUBLE)
+_NOT_UD = str.maketrans("", "", "UD")
 _PAIR_TO_STEP = {pair: step for step, pair in _DOUBLE.items()}
 _AVOIDING = "injection_f requires an up-up-up start avoiding level one before the rightmost maximum"
 _ATTAINING = "injection_g requires an up-up-up start attaining level one before the rightmost maximum"
@@ -131,11 +134,18 @@ def _flip(steps: str, i: int, expect: str, to: str) -> str:
     return steps[:i] + to + steps[i + 1 :]
 
 
+def _dyck_walk(steps: str) -> _Walk:
+    """Constructed steps and their levels, checked to be a Dyck path: the one
+    output check of every map that builds one."""
+    if not steps.translate(_NOT_UD):
+        levels = _levels(steps)
+        if min(levels) == 0 and levels[-1] == 0:
+            return steps, levels
+    raise AssertionError(f"internal: constructed path {steps!r} is not a valid Dyck path")
+
+
 def _dyck(steps: str) -> LatticePath:
-    path = parse_path(steps, "dyck")
-    if not is_dyck(path):
-        raise AssertionError(f"internal: constructed path {steps!r} is not a valid Dyck path")
-    return path
+    return LatticePath(*_dyck_walk(steps))
 
 
 def motzkin_to_dyck(path: TwoMotzkinPath) -> DyckPath:
@@ -147,11 +157,11 @@ def motzkin_to_dyck(path: TwoMotzkinPath) -> DyckPath:
     level -1 that wavy steps introduce.
     """
     _require(is_motzkin2(path), "motzkin_to_dyck requires a valid 2-Motzkin path")
-    return _motzkin_to_dyck(path.steps)
+    return LatticePath(*_motzkin_to_dyck(path.steps))
 
 
-def _motzkin_to_dyck(steps: str) -> DyckPath:
-    return _dyck("U" + steps.translate(_M2D) + "D")
+def _motzkin_to_dyck(steps: str) -> _Walk:
+    return _dyck_walk("U" + steps.translate(_M2D) + "D")
 
 
 def dyck_to_motzkin(path: DyckPath) -> TwoMotzkinPath:
@@ -161,7 +171,7 @@ def dyck_to_motzkin(path: DyckPath) -> TwoMotzkinPath:
     steps = path.steps
     inner = steps[1:-1]
     out = "".join(_PAIR_TO_STEP[inner[i : i + 2]] for i in range(0, len(inner), 2))
-    result = parse_path(out, "motzkin")
+    result = LatticePath(out, _levels(out))
     if not is_motzkin2(result):
         raise AssertionError(f"internal: pair decoding of {steps!r} is not a 2-Motzkin path")
     return result
@@ -315,7 +325,7 @@ def _g_intermediate(path: DyckPath) -> LatticePath:
     shrunk = path.steps[0] + path.steps[3:]
     out = _flip(shrunk, y - 4, "D", "U")
     out = _flip(out, y - 3, "D", "U")
-    result = parse_path(out, "dyck")
+    result = LatticePath(out, _levels(out))
     _check(is_even_terminal_ballot(result), "stage one did not produce an even-terminal ballot path")
     x = _rightmost(result.levels, 1)
     gap = max(result.levels[x:]) - max(result.levels[: x + 1])
@@ -363,7 +373,7 @@ def injection_g_inverse(path: DyckPath) -> DyckPath:
 
 def _injection_g_inverse(path: DyckPath) -> DyckPath:
     ballot = _flip(path.steps, _rightmost(path.levels, path.height), "D", "U")
-    levels = parse_path(ballot, "dyck").levels
+    levels = _levels(ballot)  # grown's own check covers ballot's steps
     x = _rightmost(levels, 1)
     grown = ballot[0] + "UU" + ballot[1:]
     # the two steps leaving x were at indices x and x+1; insertion shifts

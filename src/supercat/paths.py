@@ -10,8 +10,9 @@ type rather than a distinct runtime type: parsing is deliberately
 permissive, so a freshly parsed path may be invalid for every family.
 ``DyckPath``/``TwoMotzkinPath`` are aliases used in signatures to say
 which family an operation expects or guarantees.  Public functions check
-it; the cores ``_markers`` and ``_reverse`` trust their input, and
-``_reverse`` checks its output, so a wrong mirror raises AssertionError.
+it; the cores ``_markers`` and ``_reverse`` trust their input.  ``_reverse``
+returns a checked ``(steps, levels)`` walk, the enumeration engine's type,
+and no :class:`LatticePath`: a wrong mirror raises AssertionError.
 
 The text format is a single line over ``{U,D,S,W}`` with no separators;
 the empty string is the empty path.
@@ -89,9 +90,14 @@ def parse_path(text: str, alphabet: str) -> LatticePath:
     if not allowed.issuperset(text):
         i, ch = next((i, ch) for i, ch in enumerate(text) if ch not in allowed)
         raise ParseError(f"unknown step {ch!r} at index {i}", index=i)
+    return LatticePath(text, _levels(text))
+
+
+def _levels(steps: str) -> tuple[int, ...]:
+    """The level profile of steps over U/D/S/W, unchecked."""
     # a tuple built straight from an iterator is over-allocated; one built
     # from a list is exact-size
-    return LatticePath(text, tuple(list(accumulate(map(RISE.__getitem__, text), initial=0))))
+    return tuple(list(accumulate(map(RISE.__getitem__, steps), initial=0)))
 
 
 def make_path(text: str) -> LatticePath:
@@ -162,12 +168,14 @@ def markers(path: DyckPath) -> PathMarkers:
     return _markers(path.levels)
 
 
-def _reverse(steps: str) -> TwoMotzkinPath:
-    """The mirror of a checked 2-Motzkin path's steps, parsed and checked."""
-    path = parse_path(steps[::-1].translate(_MIRROR), "motzkin")
-    if not is_motzkin2(path):
-        raise AssertionError(f"internal: reversed path {path.steps!r} is not a valid 2-Motzkin path")
-    return path
+def _reverse(steps: str) -> tuple[str, tuple[int, ...]]:
+    """The mirror of a checked 2-Motzkin path's steps and its levels, checked
+    (the mirror table keeps U/D/S/W, and the level scan raises on any other)."""
+    mirrored = steps[::-1].translate(_MIRROR)
+    levels = _levels(mirrored)
+    if min(levels) < 0 or levels[-1]:
+        raise AssertionError(f"internal: reversed path {mirrored!r} is not a valid 2-Motzkin path")
+    return mirrored, levels
 
 
 def reverse(path: TwoMotzkinPath) -> TwoMotzkinPath:
@@ -175,4 +183,4 @@ def reverse(path: TwoMotzkinPath) -> TwoMotzkinPath:
     exchanged, level steps kept.  An involution on valid 2-Motzkin paths."""
     if not is_motzkin2(path):
         raise DomainError("reverse requires a valid 2-Motzkin path")
-    return _reverse(path.steps)
+    return LatticePath(*_reverse(path.steps))

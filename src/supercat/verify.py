@@ -153,17 +153,18 @@ def verify_theorem1(max_sum: int = 14) -> _Plan:
 
 
 def _theorem1_dyck_row(s: int) -> Row:
-    failures = []
+    failures, ms = [], range(1, s)
+    memo: dict[tuple[int, ...], tuple[int, ...]] = {}
 
     def pathwise() -> Iterator[tuple[str, tuple[int, ...]]]:
-        # pathwise correspondence under the canonical bijection, on the histogram's stream
+        # the canonical bijection's odd points against the doubled profile, on the histogram's stream
         for steps, levels in _motzkin2_walks(s - 2):
-            image = bij._motzkin_to_dyck(steps).levels
-            for m in range(1, s):
-                got = image[2 * m - 1]
-                want = 2 * levels[m - 1] + 1
-                if got != want:
-                    failures.append(Failure((m, s - m, steps), got, want))
+            got = bij._motzkin_to_dyck(steps)[1][1::2]
+            if levels not in memo:
+                memo[levels] = tuple(2 * level + 1 for level in levels)
+            want = memo[levels]
+            if got != want:  # then every m whose sides differ, in order
+                failures.extend(Failure((m, s - m, steps), a, b) for m, a, b in zip(ms, got, want) if a != b)
             yield steps, levels
 
     hist = bij._level_histogram(pathwise(), s - 2)
@@ -202,7 +203,7 @@ def _reversal_row(s: int) -> Row:
         return memo[levels]
 
     for steps, levels in _motzkin2_walks(s - 2):
-        lhs, rhs = signs(levels), signs(_reverse(steps).levels)[::-1]
+        lhs, rhs = signs(levels), signs(_reverse(steps)[1])[::-1]
         if lhs != rhs:  # then every m whose sides differ, in order
             failures.extend(Failure((m, s - m, steps), a, b) for m, a, b in zip(ms, lhs, rhs) if a != b)
         cases += s - 1

@@ -1,4 +1,5 @@
 from collections import Counter
+from itertools import product
 
 import pytest
 from hypothesis import given
@@ -30,7 +31,15 @@ from supercat.bijections import (
 from supercat.enumeration import _dyck_walks, _motzkin2_walks, enum_dyck, enum_motzkin2
 from supercat.errors import DomainError
 from supercat.numbers import super_catalan_t
-from supercat.paths import EMPTY_PATH, is_even_terminal_ballot, make_path, markers, parse_path
+from supercat.paths import (
+    EMPTY_PATH,
+    LatticePath,
+    is_dyck,
+    is_even_terminal_ballot,
+    make_path,
+    markers,
+    parse_path,
+)
 
 
 def dyck(steps: str):
@@ -56,6 +65,19 @@ class TestCanonicalBijection:
             images = {motzkin_to_dyck(p).steps for p in enum_motzkin2(length)}
             assert images == {p.steps for p in enum_dyck(length + 1)}
 
+    def test_public_map_returns_the_parsed_path(self):
+        for path in enum_motzkin2(5):
+            image = motzkin_to_dyck(path)
+            assert type(image) is LatticePath
+            assert image == dyck(image.steps)
+
+    def test_a_broken_core_raises_assertion_error(self, monkeypatch):
+        # a level step in a constructed Dyck path is the program's fault, not
+        # the caller's: AssertionError, never ParseError
+        monkeypatch.setattr(bijections, "_M2D", str.maketrans({**bijections._DOUBLE, "U": "US"}))
+        with pytest.raises(AssertionError, match="not a valid Dyck path"):
+            motzkin_to_dyck(make_path("UD"))
+
     def test_rejects_invalid_input(self):
         with pytest.raises(DomainError):
             motzkin_to_dyck(make_path("WDU"))
@@ -63,6 +85,28 @@ class TestCanonicalBijection:
             dyck_to_motzkin(EMPTY_PATH)
         with pytest.raises(DomainError):
             dyck_to_motzkin(dyck("DU"))
+
+
+class TestDyckOutputCheck:
+    def test_accepts_exactly_the_dyck_paths(self):
+        for length in range(7):
+            for steps in map("".join, product("UDSW", repeat=length)):
+                if is_dyck(make_path(steps)):
+                    assert bijections._dyck_walk(steps) == (steps, make_path(steps).levels)
+                else:
+                    with pytest.raises(AssertionError, match="not a valid Dyck path"):
+                        bijections._dyck_walk(steps)
+
+    def test_builds_the_parsed_path(self):
+        for path in enum_dyck(4):
+            built = bijections._dyck(path.steps)
+            assert type(built) is LatticePath
+            assert built == path
+
+    @pytest.mark.parametrize("steps", ["UDS", "UUDX"])
+    def test_a_foreign_step_is_an_internal_error(self, steps):
+        with pytest.raises(AssertionError, match="not a valid Dyck path"):
+            bijections._dyck(steps)
 
 
 class TestWeight:

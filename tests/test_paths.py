@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 from hypothesis import given
 
@@ -7,8 +9,10 @@ from supercat.errors import DomainError, ParseError
 from supercat.paths import (
     EMPTY_PATH,
     RISE,
+    LatticePath,
     PathMarkers,
     _markers,
+    _reverse,
     is_dyck,
     is_even_terminal_ballot,
     is_motzkin2,
@@ -197,6 +201,23 @@ class TestReverse:
     def test_output_valid(self):
         for steps in brute_family(6, 0, "UDSW"):
             assert is_motzkin2(reverse(make_path(steps)))
+
+    def test_core_check_matches_the_predicate(self):
+        # the core's lean check on its mirror raises exactly where is_motzkin2 fails
+        for length in range(7):
+            for steps in map("".join, product("UDSW", repeat=length)):
+                mirror = make_path(steps[::-1].translate(str.maketrans("UD", "DU")))
+                if is_motzkin2(mirror):
+                    assert _reverse(steps) == (mirror.steps, mirror.levels)
+                else:
+                    with pytest.raises(AssertionError, match="reversed path"):
+                        _reverse(steps)
+
+    def test_public_map_returns_the_parsed_path(self):
+        for steps in brute_family(5, 0, "UDSW"):
+            mirrored = reverse(make_path(steps))
+            assert type(mirrored) is LatticePath
+            assert mirrored == make_path(mirrored.steps)
 
 
 @given(motzkin_paths())

@@ -268,6 +268,18 @@ def test_failing_level_report_is_pinned(monkeypatch):
     )
 
 
+def test_failing_theorem1_dyck_report_is_pinned(monkeypatch):
+    from supercat import bijections
+
+    true_map = bijections._motzkin_to_dyck
+    # SSSS doubles to UUDUDUDUDD: every odd point at level 1, where UUDD's image
+    # climbs to 5; the two agree only at m = 1 and m = 5
+    monkeypatch.setattr(bijections, "_motzkin_to_dyck", lambda steps: true_map("SSSS" if steps == "UUDD" else steps))
+    report = verify.run_identity("theorem1-dyck", max_sum=6)
+    assert report.cases == 301
+    assert report.failures == (((2, 4, "UUDD"), 1, 3), ((3, 3, "UUDD"), 1, 5), ((4, 2, "UUDD"), 1, 3))
+
+
 def test_failing_reversal_report_is_pinned(monkeypatch):
     from supercat import bijections
 
@@ -384,27 +396,30 @@ def test_image_outside_the_target_family_fails(monkeypatch):
 
 
 def test_suites_do_not_revalidate_their_paths(monkeypatch):
-    # the m = 2 suites hand engine paths to the unchecked cores, so is_dyck
-    # runs only in the cores' output checks: one per map applied
+    # the m = 2 suites hand engine paths to the unchecked cores, so no input
+    # is revalidated and a Dyck check runs only as the cores' output check:
+    # one per map applied
     from supercat import bijections, paths
 
-    calls = []
+    calls, validations = [], []
 
-    def counted(is_dyck):
-        def wrapper(path):
-            calls.append(None)
-            return is_dyck(path)
+    def counted(check, tally):
+        def wrapper(arg):
+            tally.append(None)
+            return check(arg)
 
         return wrapper
 
-    monkeypatch.setattr(paths, "is_dyck", counted(paths.is_dyck))
-    monkeypatch.setattr(bijections, "is_dyck", counted(bijections.is_dyck))
+    monkeypatch.setattr(bijections, "_dyck_walk", counted(bijections._dyck_walk, calls))
+    monkeypatch.setattr(paths, "is_dyck", counted(paths.is_dyck, validations))
+    monkeypatch.setattr(bijections, "is_dyck", counted(bijections.is_dyck, validations))
     report = verify.verify_bijection_f(6)
     assert report.passed and report.cases == 380
     assert len(calls) <= 2 * report.cases
     calls.clear()
     assert verify.verify_theorem4(8).passed
     assert calls == []
+    assert validations == []
 
 
 def test_failing_pair_map_report_is_pinned(monkeypatch):
