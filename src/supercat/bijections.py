@@ -14,9 +14,10 @@ Every public map validates its input's precondition (raising
 which trusts input the enumeration engine or another map has already
 checked.  Public maps and cores alike check their output's family
 invariants (an invalid output raises AssertionError: it means the
-implementation is wrong, never the caller).  ``_motzkin_to_dyck`` returns
-a checked ``(steps, levels)`` walk, the enumeration engine's type; only
-the public maps build a :class:`~supercat.paths.LatticePath` from it.
+implementation is wrong, never the caller).  Every core takes and returns
+checked ``(steps, levels)`` walks, the enumeration engine's type (the pair
+split a tuple of walk pairs); only the public maps build a
+:class:`~supercat.paths.LatticePath` or a :class:`DyckPair` of two.
 """
 
 from __future__ import annotations
@@ -38,11 +39,11 @@ from .paths import (
     LatticePath,
     PathMarkers,
     TwoMotzkinPath,
+    _even_terminal_ballot,
     _levels,
     _markers,
     _rightmost,
     is_dyck,
-    is_even_terminal_ballot,
     is_motzkin2,
 )
 
@@ -97,6 +98,17 @@ class DyckPair(NamedTuple):
     second: DyckPath
 
 
+def _walk(path: LatticePath) -> _Walk:
+    return path.steps, path.levels
+
+
+_EMPTY_WALK = _walk(EMPTY_PATH)
+
+
+def _path_pair(first: _Walk, second: _Walk) -> DyckPair:
+    return DyckPair(LatticePath(*first), LatticePath(*second))
+
+
 def _require(cond: bool, message: str) -> None:
     if not cond:
         raise DomainError(message)
@@ -142,10 +154,6 @@ def _dyck_walk(steps: str) -> _Walk:
         if min(levels) == 0 and levels[-1] == 0:
             return steps, levels
     raise AssertionError(f"internal: constructed path {steps!r} is not a valid Dyck path")
-
-
-def _dyck(steps: str) -> LatticePath:
-    return LatticePath(*_dyck_walk(steps))
 
 
 def motzkin_to_dyck(path: TwoMotzkinPath) -> DyckPath:
@@ -271,16 +279,16 @@ def injection_f(path: DyckPath) -> DyckPath:
     height-one path is never produced).
     """
     _require(classify_start(path) is StartClass.NSTAR, _AVOIDING)
-    return _injection_f(path)
+    return LatticePath(*_injection_f(_walk(path)))
 
 
-def _injection_f(path: DyckPath) -> DyckPath:
-    rightmost = _rightmost(path.levels, path.height)
-    shrunk = path.steps[0] + path.steps[3:]
+def _injection_f(walk: _Walk) -> _Walk:
+    steps, levels = walk
+    rightmost = _rightmost(levels, max(levels))
+    shrunk = steps[0] + steps[3:]
     # dropping string indices 1 and 2 shifts the flip target left by 2
-    out = _flip(shrunk, rightmost - 2, "D", "U")
-    result = _dyck(out)
-    _check(_in_f_image(result.levels), "shrunk path lost its height-two guarantee")
+    result = _dyck_walk(_flip(shrunk, rightmost - 2, "D", "U"))
+    _check(_in_f_image(result[1]), "shrunk path lost its height-two guarantee")
     return result
 
 
@@ -290,17 +298,17 @@ def injection_f_inverse(path: DyckPath) -> DyckPath:
     step."""
     _require(is_dyck(path) and len(path) >= 2, "injection_f_inverse requires a nonempty valid Dyck path")
     _require(_in_f_image(path.levels), "height-one path is outside the image of injection_f")
-    return _injection_f_inverse(path)
+    return LatticePath(*_injection_f_inverse(_walk(path)))
 
 
-def _injection_f_inverse(path: DyckPath) -> DyckPath:
-    leftmost = path.levels.index(path.height)
-    grown = path.steps[0] + "UU" + path.steps[1:]
+def _injection_f_inverse(walk: _Walk) -> _Walk:
+    steps, levels = walk
+    leftmost = levels.index(max(levels))
+    grown = steps[0] + "UU" + steps[1:]
     # the step entering the leftmost maximum was at index leftmost-1; the
     # two inserted steps shift it to leftmost+1
-    out = _flip(grown, leftmost + 1, "U", "D")
-    result = _dyck(out)
-    _check(_start_class(out, result.levels) is StartClass.NSTAR, "inverse image left the avoiding class")
+    result = _dyck_walk(_flip(grown, leftmost + 1, "U", "D"))
+    _check(_start_class(*result) is StartClass.NSTAR, "inverse image left the avoiding class")
     return result
 
 
@@ -314,24 +322,25 @@ def g_intermediate(path: DyckPath) -> LatticePath:
     maximum after it by at least 4.
     """
     _require(classify_start(path) is StartClass.NSTARSTAR, _ATTAINING)
-    return _g_intermediate(path)
+    return LatticePath(*_g_intermediate(_walk(path)))
 
 
-def _g_intermediate(path: DyckPath) -> LatticePath:
+def _g_intermediate(walk: _Walk) -> _Walk:
+    steps, levels = walk
     # the attaining class puts this point before the rightmost maximum
-    y = path.levels.index(1, 4)
+    y = levels.index(1, 4)
     # the two steps entering y descend from level 3; after dropping string
     # indices 1 and 2 they sit at y-4 and y-3
-    shrunk = path.steps[0] + path.steps[3:]
+    shrunk = steps[0] + steps[3:]
     out = _flip(shrunk, y - 4, "D", "U")
     out = _flip(out, y - 3, "D", "U")
-    result = LatticePath(out, _levels(out))
-    _check(is_even_terminal_ballot(result), "stage one did not produce an even-terminal ballot path")
-    x = _rightmost(result.levels, 1)
-    gap = max(result.levels[x:]) - max(result.levels[: x + 1])
+    inter = _levels(out)
+    _check(_even_terminal_ballot(out, inter), "stage one did not produce an even-terminal ballot path")
+    x = _rightmost(inter, 1)
+    gap = max(inter[x:]) - max(inter[: x + 1])
     if gap < 4:
-        raise AssertionError(f"internal: stage one of {path.steps!r} left a maximum gap of {gap}, below 4")
-    return result
+        raise AssertionError(f"internal: stage one of {steps!r} left a maximum gap of {gap}, below 4")
+    return out, inter
 
 
 def injection_g(path: DyckPath) -> DyckPath:
@@ -343,15 +352,13 @@ def injection_g(path: DyckPath) -> DyckPath:
     the pre-split maximum by at least 3.
     """
     _require(classify_start(path) is StartClass.NSTARSTAR, _ATTAINING)
-    return _injection_g(path)
+    return LatticePath(*_injection_g(_walk(path)))
 
 
-def _injection_g(path: DyckPath) -> DyckPath:
-    inter = _g_intermediate(path)
-    leftmost = inter.levels.index(inter.height)
-    out = _flip(inter.steps, leftmost - 1, "U", "D")
-    result = _dyck(out)
-    _check(_in_g_image(result.levels), "image lost the height-gap guarantee")
+def _injection_g(walk: _Walk) -> _Walk:
+    inter, levels = _g_intermediate(walk)
+    result = _dyck_walk(_flip(inter, levels.index(max(levels)) - 1, "U", "D"))
+    _check(_in_g_image(result[1]), "image lost the height-gap guarantee")
     return result
 
 
@@ -368,20 +375,19 @@ def injection_g_inverse(path: DyckPath) -> DyckPath:
         _in_g_image(path.levels),
         "injection_g_inverse requires the post-split maximum to exceed the pre-split maximum by at least 3",
     )
-    return _injection_g_inverse(path)
+    return LatticePath(*_injection_g_inverse(_walk(path)))
 
 
-def _injection_g_inverse(path: DyckPath) -> DyckPath:
-    ballot = _flip(path.steps, _rightmost(path.levels, path.height), "D", "U")
-    levels = _levels(ballot)  # grown's own check covers ballot's steps
-    x = _rightmost(levels, 1)
+def _injection_g_inverse(walk: _Walk) -> _Walk:
+    steps, levels = walk
+    ballot = _flip(steps, _rightmost(levels, max(levels)), "D", "U")
+    x = _rightmost(_levels(ballot), 1)  # grown's own check covers ballot's steps
     grown = ballot[0] + "UU" + ballot[1:]
     # the two steps leaving x were at indices x and x+1; insertion shifts
     # them to x+2 and x+3
     grown = _flip(grown, x + 2, "U", "D")
-    grown = _flip(grown, x + 3, "U", "D")
-    result = _dyck(grown)
-    _check(_start_class(grown, result.levels) is StartClass.NSTARSTAR, "inverse image left the attaining class")
+    result = _dyck_walk(_flip(grown, x + 3, "U", "D"))
+    _check(_start_class(*result) is StartClass.NSTARSTAR, "inverse image left the attaining class")
     return result
 
 
@@ -432,26 +438,27 @@ def to_pair(path: DyckPath) -> DyckPair:
     mk = _split_markers(path, "to_pair")
     _require(mk.height > 1,
              "height-one path maps to two pairs (path, empty) and (empty, path); see to_pair_all")
-    return _to_pair_all(path, mk)[0]
+    return _path_pair(*_to_pair_all(_walk(path), mk)[0])
 
 
 def to_pair_all(path: DyckPath) -> tuple[DyckPair, ...]:
     """All pairs a bounded-gap Dyck path accounts for: one for height > 1,
     and for the height-one path the two tagged pairs (path, empty) and
     (empty, path), in that order."""
-    return _to_pair_all(path, _split_markers(path, "to_pair_all"))
+    mk = _split_markers(path, "to_pair_all")
+    return tuple(starmap(_path_pair, _to_pair_all(_walk(path), mk)))
 
 
-def _to_pair_all(path: DyckPath, mk: PathMarkers) -> tuple[DyckPair, ...]:
+def _to_pair_all(walk: _Walk, mk: PathMarkers) -> tuple[tuple[_Walk, _Walk], ...]:
     if mk.height == 1:
-        return (DyckPair(path, EMPTY_PATH), DyckPair(EMPTY_PATH, path))
+        return ((walk, _EMPTY_WALK), (_EMPTY_WALK, walk))
     x = mk.last_level_one
-    out = _flip(path.steps, x, "U", "D")
+    out = _flip(walk[0], x, "U", "D")
     out = _flip(out, mk.rightmost_max, "D", "U")
-    first = _dyck(out[: x + 1])
-    second = _dyck(out[x + 1 :])
-    _check(_close(first.height, second.height), "pair heights drifted by more than one")
-    return (DyckPair(first, second),)
+    first = _dyck_walk(out[: x + 1])
+    second = _dyck_walk(out[x + 1 :])
+    _check(_close(max(first[1]), max(second[1])), "pair heights drifted by more than one")
+    return ((first, second),)
 
 
 def from_pair(pair: DyckPair) -> DyckPath:
@@ -466,22 +473,21 @@ def from_pair(pair: DyckPair) -> DyckPath:
     _require(is_dyck(first) and is_dyck(second), "from_pair requires two valid (possibly empty) Dyck paths")
     _require(len(first) > 0 or len(second) > 0, "from_pair requires a nonempty pair")
     _require(_close(first.height, second.height), "from_pair requires the pair heights to differ by at most 1")
-    return _from_pair(first, second)
+    return LatticePath(*_from_pair(_walk(first), _walk(second)))
 
 
-def _from_pair(first: DyckPath, second: DyckPath) -> DyckPath:
-    if len(first) == 0 or len(second) == 0:
-        survivor = first if len(second) == 0 else second
+def _from_pair(first: _Walk, second: _Walk) -> _Walk:
+    if not first[0] or not second[0]:
+        survivor = first if not second[0] else second
         # the empty partner forces height one on the other component
-        _check(survivor.height == 1, "one-sided pair with height above one")
+        _check(max(survivor[1]) == 1, "one-sided pair with height above one")
         return survivor
-    joined = first.steps + second.steps
-    junction = len(first)
-    leftmost = second.levels.index(second.height)
-    out = _flip(joined, junction - 1, "D", "U")
+    junction = len(first[0])
+    leftmost = second[1].index(max(second[1]))
+    out = _flip(first[0] + second[0], junction - 1, "D", "U")
     out = _flip(out, junction + leftmost - 1, "U", "D")
-    result = _dyck(out)
-    mk = _markers(result.levels)
+    result = _dyck_walk(out)
+    mk = _markers(result[1])
     _check(mk.height > 1 and _bounded_gap(mk), "joined path left the bounded-gap family")
     return result
 

@@ -23,7 +23,7 @@ from .enumeration import (
     _ballot_walks,
     _dyck_walks,
     _motzkin2_walks,
-    enum_pairs_total,
+    _pair_walks,
 )
 from .errors import SupercatError
 from .numbers import ballot_number, catalan, super_catalan_s, super_catalan_t
@@ -200,7 +200,7 @@ _FAMILIES = {
     "motzkin2": (1, _motzkin2_walks),
     "ballot": (2, _ballot_walks),
     "ballot-even": (1, _ballot_even_walks),
-    "pairs": (1, lambda n: ((f"{a.steps}\t{b.steps}",) for a, b in enum_pairs_total(n))),
+    "pairs": (1, lambda n: ((f"{a[0]}\t{b[0]}",) for a, b in _pair_walks(n))),
 }
 
 

@@ -11,8 +11,11 @@ is lexicographic in the canonical step order U < D < S < W; two runs emit
 identical sequences.
 
 The public ``enum_*`` streams wrap each pair in a :class:`LatticePath`.
-Callers that read only levels or steps (the row tallies, ``supercat
-enumerate``) take the private ``_*_walks`` streams and build no path.
+Callers that read only levels or steps (the row tallies, the m = 2 map
+rows, ``supercat enumerate``) take the private ``_*_walks`` streams and
+build no path.  :func:`_pair_walks` is the one pair stream: it feeds
+``enum_pairs_total``, ``supercat enumerate pairs`` and pair-map's
+recovery half.
 """
 
 from __future__ import annotations
@@ -137,13 +140,17 @@ def enum_ballot_even(length: int) -> Iterator[LatticePath]:
 def enum_pairs_total(n: int) -> Iterator[tuple[LatticePath, LatticePath]]:
     """All ordered pairs of (possibly empty) Dyck paths of total length 2n,
     grouped by the first component's length, ascending."""
+    return ((LatticePath(*first), LatticePath(*second)) for first, second in _pair_walks(n))
+
+
+def _pair_walks(n: int) -> Iterator[tuple[_Walk, _Walk]]:
     if n < 1:
         raise DomainError("enum_pairs_total requires n >= 1")
 
-    def gen() -> Iterator[tuple[LatticePath, LatticePath]]:
+    def gen() -> Iterator[tuple[_Walk, _Walk]]:
         for k in range(n + 1):
-            seconds = list(enum_dyck(n - k))
-            for first in enum_dyck(k):
+            seconds = list(_dyck_walks(n - k))
+            for first in _dyck_walks(k):
                 for second in seconds:
                     yield first, second
 

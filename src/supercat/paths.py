@@ -122,9 +122,13 @@ def is_motzkin2(path: LatticePath) -> bool:
 
 def is_even_terminal_ballot(path: LatticePath) -> bool:
     """Up/down path of even length ending at level 2, never below the axis."""
-    if set(path.steps) - {UP, DOWN}:
+    return _even_terminal_ballot(path.steps, path.levels)
+
+
+def _even_terminal_ballot(steps: str, levels: tuple[int, ...]) -> bool:
+    if set(steps) - {UP, DOWN}:
         return False
-    return len(path) % 2 == 0 and path.levels[-1] == 2 and min(path.levels) >= 0
+    return len(steps) % 2 == 0 and levels[-1] == 2 and min(levels) >= 0
 
 
 def _rightmost(levels: tuple[int, ...], level: int) -> int:

@@ -19,10 +19,10 @@ from itertools import islice, product
 from typing import NamedTuple
 
 from . import bijections as bij
-from .enumeration import _dyck_walks, _motzkin2_walks, enum_pairs_total
+from .enumeration import _dyck_walks, _motzkin2_walks, _pair_walks, _Walk
 from .errors import DomainError
 from .numbers import ballot_number, ballot_sum_identity, catalan, super_catalan_t
-from .paths import DyckPath, LatticePath, _markers, _reverse
+from .paths import _markers, _reverse
 
 
 class Failure(NamedTuple):
@@ -284,33 +284,35 @@ def verify_pairs(max_n: int = 9) -> _Plan:
     return _rows("pairs", partial(_census_row, bij.pair_census), 1, max_n=max_n)
 
 
-def _injection_row(name: str, start: bij.StartClass, forward: Callable[[DyckPath], DyckPath],
-                   inverse: Callable[[DyckPath], DyckPath], in_image: Callable[[tuple[int, ...]], bool],
+def _injection_row(name: str, start: bij.StartClass, forward: Callable[[_Walk], _Walk],
+                   inverse: Callable[[_Walk], _Walk], in_image: Callable[[tuple[int, ...]], bool],
                    n: int) -> Row:
-    """``forward`` maps the Dyck paths of length 2n+2 in class ``start`` one
-    to one onto the Dyck paths of length 2n whose levels satisfy ``in_image``,
-    and ``inverse`` undoes it on both sides.  Both are unchecked cores, each
-    checking its own output.  Each input's round trip makes ``forward`` one
-    to one, each image is checked to satisfy ``in_image``, and each target's
-    round trip puts it in the image, so the image is exactly the targets; no
-    image is kept."""
+    """``forward`` maps the Dyck walks of length 2n+2 in class ``start`` one
+    to one onto the Dyck walks of length 2n whose levels satisfy ``in_image``,
+    and ``inverse`` undoes it on both sides.  Both are unchecked cores on the
+    engine's ``(steps, levels)`` walks, each checking its own output.  Each
+    input's round trip makes ``forward`` one to one, each image is checked to
+    satisfy ``in_image``, and each target's round trip puts it in the image,
+    so the image is exactly the targets; no image is kept."""
     failures = []
     cases = 0
-    for steps, levels in _dyck_walks(n + 1):
+    for walk in _dyck_walks(n + 1):
+        steps, levels = walk
         if bij._start_class(steps, levels) is not start:
             continue
         cases += 1
-        image = forward(LatticePath(steps, levels))
-        if not in_image(image.levels):
-            failures.append(Failure((n, steps), image.steps, "outside the expected image"))
-        back = inverse(image).steps
+        image = forward(walk)
+        if not in_image(image[1]):
+            failures.append(Failure((n, steps), image[0], "outside the expected image"))
+        back = inverse(image)[0]
         if back != steps:
             failures.append(Failure((n, steps), back, steps))
-    for steps, levels in _dyck_walks(n):
+    for walk in _dyck_walks(n):
+        steps, levels = walk
         if not in_image(levels):
             continue
         cases += 1
-        if forward(inverse(LatticePath(steps, levels))).steps != steps:
+        if forward(inverse(walk))[0] != steps:
             failures.append(Failure((n, steps), f"{name}({name}_inv) != id", steps))
     return failures, cases
 
@@ -340,30 +342,31 @@ def verify_bijection_g(max_n: int = 8) -> _Plan:
 def _pair_map_row(n: int) -> Row:
     failures = []
     cases = 0
-    for steps, levels in _dyck_walks(n):
+    for walk in _dyck_walks(n):
+        steps, levels = walk
         mk = _markers(levels)
         if not bij._bounded_gap(mk):
             continue
-        path = LatticePath(steps, levels)
-        pairs = bij._to_pair_all(path, mk)
+        pairs = bij._to_pair_all(walk, mk)
         for pair in pairs:
             cases += 1
-            if bij._from_pair(*pair) != path:
-                failures.append(Failure((n, path.steps), "from_pair(to_pair) != id", path.steps))
+            if bij._from_pair(*pair) != walk:
+                failures.append(Failure((n, steps), "from_pair(to_pair) != id", steps))
         if mk.height > 1:
-            heights = (pairs[0].first.height, pairs[0].second.height)
+            heights = (max(pairs[0][0][1]), max(pairs[0][1][1]))
             if heights != (mk.h_minus, mk.h_plus - 1):
-                failures.append(Failure((n, path.steps), heights, (mk.h_minus, mk.h_plus - 1)))
+                failures.append(Failure((n, steps), heights, (mk.h_minus, mk.h_plus - 1)))
     expected = super_catalan_t(2, n)
     if cases != expected:  # so far one case per pair
         failures.append(Failure((n, "pair count"), cases, expected))
-    for first, second in enum_pairs_total(n):
-        if not bij._close(first.height, second.height):
+    for pair in _pair_walks(n):
+        first, second = pair
+        if not bij._close(max(first[1]), max(second[1])):
             continue
         cases += 1
         joined = bij._from_pair(first, second)
-        if (first, second) not in bij._to_pair_all(joined, _markers(joined.levels)):
-            failures.append(Failure((n, first.steps, second.steps), joined.steps, "pair not recovered"))
+        if pair not in bij._to_pair_all(joined, _markers(joined[1])):
+            failures.append(Failure((n, first[0], second[0]), joined[0], "pair not recovered"))
     return failures, cases
 
 

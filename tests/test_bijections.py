@@ -97,16 +97,53 @@ class TestDyckOutputCheck:
                     with pytest.raises(AssertionError, match="not a valid Dyck path"):
                         bijections._dyck_walk(steps)
 
-    def test_builds_the_parsed_path(self):
-        for path in enum_dyck(4):
-            built = bijections._dyck(path.steps)
-            assert type(built) is LatticePath
-            assert built == path
-
     @pytest.mark.parametrize("steps", ["UDS", "UUDX"])
     def test_a_foreign_step_is_an_internal_error(self, steps):
         with pytest.raises(AssertionError, match="not a valid Dyck path"):
-            bijections._dyck(steps)
+            bijections._dyck_walk(steps)
+
+
+class TestPublicMapsBuildPaths:
+    """The cores work on bare walks; every public m = 2 map still returns
+    parsed :class:`LatticePath` values (or :class:`DyckPair`s of them)."""
+
+    @staticmethod
+    def assert_parsed(result):
+        for path in result if isinstance(result, tuple) else (result,):
+            assert type(path) is LatticePath
+            assert path == parse_path(path.steps, "dyck")
+
+    def test_every_valid_input_up_to_n6(self):
+        from supercat.enumeration import enum_pairs_total
+
+        for n in range(1, 7):
+            for path in enum_dyck(n):
+                mk = markers(path)
+                if n >= 3 and classify_start(path) is StartClass.NSTAR:
+                    self.assert_parsed(injection_f(path))
+                if n >= 3 and classify_start(path) is StartClass.NSTARSTAR:
+                    self.assert_parsed(g_intermediate(path))
+                    self.assert_parsed(injection_g(path))
+                if mk.height >= 2:
+                    self.assert_parsed(injection_f_inverse(path))
+                if mk.h_plus >= mk.h_minus + 3:
+                    self.assert_parsed(injection_g_inverse(path))
+                if mk.h_plus <= mk.h_minus + 2:
+                    pairs = to_pair_all(path)
+                    assert all(type(pair) is DyckPair for pair in pairs)
+                    for pair in pairs:
+                        self.assert_parsed(pair)
+                    if mk.height > 1:
+                        assert to_pair(path) == pairs[0] and type(to_pair(path)) is DyckPair
+                        self.assert_parsed(to_pair(path))
+            for first, second in enum_pairs_total(n):
+                if abs(first.height - second.height) <= 1:
+                    self.assert_parsed(from_pair(DyckPair(first, second)))
+
+    def test_height_one_path_pairs_with_the_empty_path(self):
+        for n in range(1, 7):
+            p = parse_path("UD" * n, "dyck")
+            assert to_pair_all(p) == (DyckPair(p, EMPTY_PATH), DyckPair(EMPTY_PATH, p))
 
 
 class TestWeight:

@@ -312,6 +312,17 @@ class TestEnumerate:
         assert code == 0
         assert out.splitlines() == ["\tUD", "UD\t"]
 
+    def test_pairs_print_the_public_pair_stream(self, capsys):
+        import hashlib
+
+        from supercat.enumeration import enum_pairs_total
+
+        code, out, _ = run(capsys, "enumerate", "pairs", "7")
+        assert code == 0
+        assert out == "".join(f"{a.steps}\t{b.steps}\n" for a, b in enum_pairs_total(7))
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        assert digest == "5f9880b8c6dee53928297540a9516ae3b6b098e8a1d7ff786bb5f399c910d519"
+
     def test_arity_checked(self, capsys):
         code, _, err = run(capsys, "enumerate", "ballot", "3")
         assert code == 2

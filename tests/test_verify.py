@@ -101,9 +101,9 @@ def test_verify_all_opens_one_pool(opened, capsys):
     assert opened == [3]
 
 
-def _broken_injection_f(path):
+def _broken_injection_f(walk):
     # module level, so that the worker a row is sent to can unpickle it
-    raise AssertionError(f"internal: broken core on {path.steps}")
+    raise AssertionError(f"internal: broken core on {walk[0]}")
 
 
 def test_a_raising_row_cancels_the_shared_queue(monkeypatch):
@@ -358,14 +358,15 @@ def test_non_injective_map_fails(monkeypatch):
     first, second = [
         p for p in enum_dyck(4) if bijections.classify_start(p) is bijections.StartClass.NSTAR
     ][:2]
+    first_walk, second_walk = (first.steps, first.levels), (second.steps, second.levels)
 
-    def collapsed(path):
+    def collapsed(walk):
         # send the second input to the first one's image
-        return true_f(first if path == second else path)
+        return true_f(first_walk if walk == second_walk else walk)
 
     monkeypatch.setattr(bijections, "_injection_f", collapsed)
     report = verify.verify_bijection_f(3)
-    image = true_f(second).steps
+    image = true_f(second_walk)[0]
     assert report.failures == (
         ((3, second.steps), first.steps, second.steps),
         ((3, image), "f(f_inv) != id", image),
@@ -383,12 +384,13 @@ def test_image_outside_the_target_family_fails(monkeypatch):
         p for p in enum_dyck(4) if bijections.classify_start(p) is bijections.StartClass.NSTAR
     )
     flat = parse_path("UDUDUD", "dyck")  # height one, so outside the image of f
-    monkeypatch.setattr(bijections, "_injection_f", lambda p: flat if p == first else true_f(p))
+    first_walk, flat_walk = (first.steps, first.levels), (flat.steps, flat.levels)
+    monkeypatch.setattr(bijections, "_injection_f", lambda w: flat_walk if w == first_walk else true_f(w))
     monkeypatch.setattr(
-        bijections, "_injection_f_inverse", lambda p: first if p == flat else true_inverse(p)
+        bijections, "_injection_f_inverse", lambda w: first_walk if w == flat_walk else true_inverse(w)
     )
     report = verify.verify_bijection_f(3)
-    image = true_f(first).steps
+    image = true_f(first_walk)[0]
     assert report.failures == (
         ((3, first.steps), "UDUDUD", "outside the expected image"),
         ((3, image), "f(f_inv) != id", image),
@@ -422,14 +424,55 @@ def test_suites_do_not_revalidate_their_paths(monkeypatch):
     assert validations == []
 
 
+def test_m2_rows_build_no_path(monkeypatch):
+    # the m = 2 rows hand the engine's walks to the cores and compare walks
+    from supercat.paths import LatticePath
+
+    built = []
+    init = LatticePath.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(LatticePath, "__init__", counted)
+    assert verify.verify_bijection_f(6).passed
+    assert verify.verify_bijection_g(6).passed
+    assert verify.verify_pair_map(6).passed
+    assert built == []
+
+
+def test_pair_map_recovers_the_close_pairs_in_order(monkeypatch):
+    from supercat import bijections
+    from supercat.enumeration import enum_pairs_total
+    from supercat.numbers import super_catalan_t
+
+    true_from_pair = bijections._from_pair
+    calls = []
+
+    def recorded(first, second):
+        calls.append((first[0], second[0]))
+        return true_from_pair(first, second)
+
+    monkeypatch.setattr(bijections, "_from_pair", recorded)
+    for n in range(1, 7):
+        calls.clear()
+        failures, _ = verify._pair_map_row(n)
+        assert failures == []
+        # the first T(2,n) calls invert the split of each bounded-gap path
+        assert calls[super_catalan_t(2, n):] == [
+            (a.steps, b.steps) for a, b in enum_pairs_total(n) if abs(a.height - b.height) <= 1
+        ]
+
+
 def test_failing_pair_map_report_is_pinned(monkeypatch):
     from supercat import bijections
 
     true_to_pair_all = bijections._to_pair_all
 
-    def swapped(path, mk):
-        pairs = true_to_pair_all(path, mk)
-        return (bijections.DyckPair(pairs[0].second, pairs[0].first),) if path.steps == "UUDUDD" else pairs
+    def swapped(walk, mk):
+        pairs = true_to_pair_all(walk, mk)
+        return ((pairs[0][1], pairs[0][0]),) if walk[0] == "UUDUDD" else pairs
 
     monkeypatch.setattr(bijections, "_to_pair_all", swapped)
     report = verify.verify_pair_map(3)
@@ -448,9 +491,10 @@ def test_failing_bijection_g_report_is_pinned(monkeypatch):
     true_g, true_inverse = bijections._injection_g, bijections._injection_g_inverse
     source = parse_path("UUUDDUUDDD", "dyck")
     flat = parse_path("UDUDUDUD", "dyck")  # height one, so no gap of 3
-    monkeypatch.setattr(bijections, "_injection_g", lambda p: flat if p == source else true_g(p))
+    source_walk, flat_walk = (source.steps, source.levels), (flat.steps, flat.levels)
+    monkeypatch.setattr(bijections, "_injection_g", lambda w: flat_walk if w == source_walk else true_g(w))
     monkeypatch.setattr(
-        bijections, "_injection_g_inverse", lambda p: source if p == flat else true_inverse(p)
+        bijections, "_injection_g_inverse", lambda w: source_walk if w == flat_walk else true_inverse(w)
     )
     report = verify.verify_bijection_g(4)
     assert report.cases == 2
