@@ -50,6 +50,8 @@ def _default_jobs() -> int:
         if jobs >= 1:
             return jobs
         print(f"warning: ignoring SUPERCAT_JOBS={env!r}, not a positive integer", file=sys.stderr)
+    if not hasattr(os, "fork"):
+        return 1  # the worker pool forks
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))  # the CPUs this process may run on
     return os.cpu_count() or 1
@@ -131,6 +133,9 @@ def _cmd_verify(args) -> int:
     jobs = _default_jobs() if args.jobs is None else args.jobs
     if jobs < 1:
         print(f"--jobs must be at least 1, got {jobs}", file=sys.stderr)
+        return 2
+    if jobs > 1 and not hasattr(os, "fork"):
+        print(f"--jobs {jobs} needs os.fork, which this platform lacks; pass --jobs 1", file=sys.stderr)
         return 2
     names = list(verify_mod.IDENTITIES) if args.identity == "all" else [args.identity]
     explicit = {"max_sum": args.max_sum, "max_m": args.max_m, "max_n": args.max_n}

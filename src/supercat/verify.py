@@ -2,16 +2,18 @@
 parameter range and returns a :class:`VerificationReport`.
 
 A suite is planned (bounds checked, rows listed: each length m + n, or each n
-of the m = 2 suites), then run; :func:`run_identities` plans every named suite,
-then runs all their rows on one process pool, priciest first.  Rows merge per
-suite in order, so reports are identical for every worker count.  A 2-Motzkin
-row tallies its path family once and reads every (m, n) cell of its length off
-that pass.
+of the m = 2 suites, and each row's independent parts), then run;
+:func:`run_identities` plans every named suite, then runs every (row, part)
+task of them all on one pool of forked worker processes, priciest row first.
+Parts and rows merge per suite in order, so reports are identical for every
+worker count.  A 2-Motzkin row tallies its path family once and reads every
+(m, n) cell of its length off that pass.
 """
 
 from __future__ import annotations
 
 import inspect
+import os
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 from functools import partial, wraps
@@ -62,21 +64,23 @@ def _checked(cases: Iterable[tuple[tuple, object, object]]) -> Row:
 
 
 class _Plan(NamedTuple):
-    """A planned suite: ``row(b)`` for each b in ``rows``, merged in order."""
+    """A planned suite: ``part(b)`` for each b in ``rows`` and each of the
+    row's independent ``parts``, merged in that order."""
 
     identity: str
     bounds: dict[str, int]
-    row: Callable[[int], Row]
+    parts: tuple[Callable[[int], Row], ...]
     rows: range
 
 
-def _rows(identity: str, row: Callable[..., Row], lo: int, **bounds: int) -> _Plan:
-    """Rows lo..hi of the last bound, hi its value, checked by a partial of
-    ``row`` and the other bounds; it reaches workers pickled."""
+def _rows(identity: str, lo: int, *parts: Callable[..., Row], **bounds: int) -> _Plan:
+    """Rows lo..hi of the last bound, hi its value, each checked by a partial
+    of every one of ``parts`` and the other bounds."""
     *fixed, (bound, hi) = bounds.items()
     if hi < lo:
         raise DomainError(f"{identity} requires {bound} >= {lo}")
-    return _Plan(identity, bounds, partial(row, *dict(fixed).values()), range(lo, hi + 1))
+    args = dict(fixed).values()
+    return _Plan(identity, bounds, tuple(partial(part, *args) for part in parts), range(lo, hi + 1))
 
 
 def _row_cost(plan: _Plan, b: int) -> int:
@@ -85,33 +89,132 @@ def _row_cost(plan: _Plan, b: int) -> int:
     return cost(**{**plan.bounds, bound: b}) - cost(**{**plan.bounds, bound: b - 1})
 
 
+# One part of one row of a plan, run as ``part(b)``.
+_Task = tuple[_Plan, int, Callable[[int], Row]]
+
+
 def _execute(plans: list[_Plan], jobs: int) -> list[VerificationReport]:
-    """Every plan's report.  At one job, or for one row, rows run in order in
-    this process; else on one pool, priciest row first.  Results are read in
-    plan order, so a raising row raises what one job would, and cancels the
-    rows still queued."""
+    """Every plan's report.  At one job, or for one task, tasks run in order
+    in this process; else on :func:`_forked` workers, priciest row first.
+    More than one job needs ``os.fork``."""
     if jobs < 1:
         raise DomainError(f"{plans[0].identity} requires jobs >= 1")
-    tasks = [(plan, b) for plan in plans for b in plan.rows]
+    if jobs > 1 and not hasattr(os, "fork"):
+        raise DomainError(f"{plans[0].identity} requires jobs = 1 on a platform without os.fork")
+    tasks = [(plan, b, part) for plan in plans for b in plan.rows for part in plan.parts]
     if jobs == 1 or len(tasks) < 2:
-        results = [plan.row(b) for plan, b in tasks]
+        results = [part(b) for _, b, part in tasks]
     else:
-        from concurrent.futures import ProcessPoolExecutor  # deferred: most runs never open a pool
-
-        order = sorted(range(len(tasks)), key=lambda i: _row_cost(*tasks[i]), reverse=True)
-        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
-            futures = {i: pool.submit(tasks[i][0].row, tasks[i][1]) for i in order}
-            try:
-                results = [futures[i].result() for i in range(len(tasks))]
-            except BaseException:
-                pool.shutdown(cancel_futures=True)
-                raise
+        order = sorted(range(len(tasks)), key=lambda i: _row_cost(*tasks[i][:2]), reverse=True)
+        results = _forked(tasks, order, min(jobs, len(tasks)))
     reports, merged = [], iter(results)
     for plan in plans:
-        rows = list(islice(merged, len(plan.rows)))
+        rows = list(islice(merged, len(plan.rows) * len(plan.parts)))
         failures = tuple(failure for row_failures, _ in rows for failure in row_failures)
         reports.append(VerificationReport(plan.identity, plan.bounds, failures, sum(cases for _, cases in rows)))
     return reports
+
+
+def _forked(tasks: list[_Task], order: list[int], workers: int) -> list[Row]:
+    """Each task's row, in task order, from ``workers`` forked processes.
+
+    The workers inherit ``tasks``.  The parent hands each idle worker the
+    next index in ``order`` and reads back one length-prefixed pickle: the
+    row, or the exception its part raised and the worker's traceback.  Once
+    a task raises, no later task is handed out, and when every earlier one
+    is done the earliest exception is raised, as one process would raise it,
+    from a ``RuntimeError`` that holds the traceback.  A worker that exits
+    without a result raises ``RuntimeError`` naming its row.  Every worker
+    is reaped on the way out, and one still busy is killed first."""
+    import pickle  # deferred: most runs open no pool
+    import select
+    import signal
+
+    outcomes: list[tuple[bool, object] | None] = [None] * len(tasks)
+    queue = order[::-1]  # the next task last
+    first = len(tasks)  # the earliest task known to have raised
+    pids, senders, busy = {}, {}, {}  # by a worker's result pipe: its pid, task pipe, task
+
+    def reap(fd: int) -> int:
+        os.close(fd)
+        os.close(senders.pop(fd))
+        pid = pids.pop(fd)
+        if busy.pop(fd, None) is not None:
+            os.kill(pid, signal.SIGKILL)
+        return os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+
+    try:
+        for _ in range(workers):
+            task_r, task_w = os.pipe()
+            result_r, result_w = os.pipe()
+            pid = os.fork()
+            if pid == 0:  # a worker, which must never return into the caller's code
+                status = 1
+                try:
+                    for fd in (task_w, result_r, *pids, *senders.values()):
+                        os.close(fd)
+                    _serve(tasks, task_r, result_w)
+                    status = 0
+                finally:
+                    os._exit(status)
+            os.close(task_r)
+            os.close(result_w)
+            pids[result_r], senders[result_r] = pid, task_w
+        idle = list(pids)
+        while None in outcomes[:first]:
+            while idle and queue:
+                if (i := queue.pop()) < first:
+                    busy[idle[-1]] = i
+                    _write(senders[idle.pop()], i.to_bytes(4, "little"))
+            for fd in select.select(list(busy), [], [])[0]:
+                i = busy.pop(fd)
+                size = int.from_bytes(head := _read(fd, 8), "little")
+                message = _read(fd, size)
+                if len(head) < 8 or len(message) < size:
+                    plan, b, _ = tasks[i]
+                    raise RuntimeError(f"{plan.identity} row {b}: a worker exited with code {reap(fd)} "
+                                       "before returning its result")
+                outcomes[i] = pickle.loads(message)
+                if not outcomes[i][0]:
+                    first = min(first, i)
+                idle.append(fd)
+        if first < len(tasks):
+            error, trace = outcomes[first][1]
+            raise error from RuntimeError(f"in a worker process:\n{trace}")
+        return [row for _, row in outcomes]
+    finally:
+        for fd in list(pids):
+            reap(fd)
+
+
+def _serve(tasks: list[_Task], task_r: int, result_w: int) -> None:
+    """Run each task whose index arrives on ``task_r`` until it closes, and
+    write back its outcome as one length-prefixed pickle."""
+    import pickle
+
+    while index := _read(task_r, 4):
+        _, b, part = tasks[int.from_bytes(index, "little")]
+        try:
+            message = pickle.dumps((True, part(b)))
+        except Exception as exc:  # raised by the parent, in task order
+            import traceback
+
+            message = pickle.dumps((False, (exc, traceback.format_exc())))
+        _write(result_w, len(message).to_bytes(8, "little") + message)
+
+
+def _read(fd: int, size: int) -> bytearray:
+    """``size`` bytes from a pipe, or fewer if it closes first."""
+    data = bytearray()
+    while len(data) < size and (chunk := os.read(fd, min(size - len(data), 1 << 16))):
+        data += chunk
+    return data
+
+
+def _write(fd: int, data: bytes) -> None:
+    view = memoryview(data)
+    while view:
+        view = view[os.write(fd, view):]
 
 
 def _suite(plan: Callable[..., _Plan]) -> Callable[..., VerificationReport]:
@@ -149,7 +252,7 @@ def _theorem1_row(s: int) -> Row:
 def verify_theorem1(max_sum: int = 14) -> _Plan:
     """P(m,n) - N(m,n) == T(m,n) for all m, n >= 1 with m + n <= max_sum,
     by exhausting the 2-Motzkin paths of each length."""
-    return _rows("theorem1", _theorem1_row, 2, max_sum=max_sum)
+    return _rows("theorem1", 2, _theorem1_row, max_sum=max_sum)
 
 
 def _theorem1_dyck_row(s: int) -> Row:
@@ -188,7 +291,7 @@ def verify_theorem1_dyck(max_sum: int = 12) -> _Plan:
     """The Dyck-path restatement: tallies by level mod 4 at the point after
     2m-1 steps agree componentwise with the 2-Motzkin tallies, and the
     level correspondence under the canonical bijection holds pathwise."""
-    return _rows("theorem1-dyck", _theorem1_dyck_row, 2, max_sum=max_sum)
+    return _rows("theorem1-dyck", 2, _theorem1_dyck_row, max_sum=max_sum)
 
 
 def _reversal_row(s: int) -> Row:
@@ -215,7 +318,7 @@ def verify_reversal(max_sum: int = 12) -> _Plan:
     """Reading a path right to left preserves its sign: the weight at m of
     every 2-Motzkin path of length m+n-2 equals the weight at n of its reverse,
     whose levels are read from its mirrored steps; so T(m,n) = T(n,m)."""
-    return _rows("reversal", _reversal_row, 2, max_sum=max_sum)
+    return _rows("reversal", 2, _reversal_row, max_sum=max_sum)
 
 
 def _rubenstein_row(max_m: int, max_n: int) -> Row:
@@ -231,7 +334,7 @@ def verify_rubenstein(max_m: int = 50, max_n: int = 50) -> _Plan:
     1 <= n <= max_n."""
     if max_m < 1 or max_n < 1:
         raise DomainError("rubenstein requires bounds >= 1")
-    return _rows("rubenstein", _rubenstein_row, max_n, max_m=max_m, max_n=max_n)
+    return _rows("rubenstein", max_n, _rubenstein_row, max_m=max_m, max_n=max_n)
 
 
 def _ballot_sum_row(max_m: int, max_n: int) -> Row:
@@ -247,7 +350,7 @@ def verify_ballot_sum(max_m: int = 30, max_n: int = 30) -> _Plan:
     of its two printed forms is asserted inside the evaluation."""
     if max_m < 1 or max_n < 1:
         raise DomainError("ballot-sum requires bounds >= 1")
-    return _rows("ballot-sum", _ballot_sum_row, max_n, max_m=max_m, max_n=max_n)
+    return _rows("ballot-sum", max_n, _ballot_sum_row, max_m=max_m, max_n=max_n)
 
 
 def _symmetry_row(max_sum: int) -> Row:
@@ -263,7 +366,7 @@ def verify_symmetry(max_sum: int = 100) -> _Plan:
     """Formula-level T(m,n) = T(n,m) for all m + n <= max_sum."""
     if max_sum < 1:
         raise DomainError("symmetry requires max_sum >= 1")
-    return _rows("symmetry", _symmetry_row, max_sum, max_sum=max_sum)
+    return _rows("symmetry", max_sum, _symmetry_row, max_sum=max_sum)
 
 
 def _census_row(census: Callable[[int], int], n: int) -> Row:
@@ -274,26 +377,27 @@ def _census_row(census: Callable[[int], int], n: int) -> Row:
 def verify_theorem4(max_n: int = 10) -> _Plan:
     """The bounded-gap census over Dyck paths of length 2n (height-one path
     twice) equals T(2,n) for every 1 <= n <= max_n."""
-    return _rows("theorem4", partial(_census_row, bij.theorem4_census), 1, max_n=max_n)
+    return _rows("theorem4", 1, partial(_census_row, bij.theorem4_census), max_n=max_n)
 
 
 @_suite
 def verify_pairs(max_n: int = 9) -> _Plan:
     """The number of ordered Dyck-path pairs of total length 2n with height
     difference at most 1 equals T(2,n) for every 1 <= n <= max_n."""
-    return _rows("pairs", partial(_census_row, bij.pair_census), 1, max_n=max_n)
+    return _rows("pairs", 1, partial(_census_row, bij.pair_census), max_n=max_n)
 
 
-def _injection_row(name: str, start: bij.StartClass, forward: Callable[[_Walk], _Walk],
-                   inverse: Callable[[_Walk], _Walk], in_image: Callable[[tuple[int, ...]], bool],
-                   n: int) -> Row:
+def _injection_sources(start: bij.StartClass, forward: Callable[[_Walk], _Walk],
+                       inverse: Callable[[_Walk], _Walk], in_image: Callable[[tuple[int, ...]], bool],
+                       n: int) -> Row:
     """``forward`` maps the Dyck walks of length 2n+2 in class ``start`` one
     to one onto the Dyck walks of length 2n whose levels satisfy ``in_image``,
     and ``inverse`` undoes it on both sides.  Both are unchecked cores on the
-    engine's ``(steps, levels)`` walks, each checking its own output.  Each
-    input's round trip makes ``forward`` one to one, each image is checked to
-    satisfy ``in_image``, and each target's round trip puts it in the image,
-    so the image is exactly the targets; no image is kept."""
+    engine's ``(steps, levels)`` walks, each checking its own output.  Here
+    each input's round trip makes ``forward`` one to one and each image is
+    checked to satisfy ``in_image``; :func:`_injection_targets`, the row's
+    other part, puts every target in the image, so the image is exactly the
+    targets.  No image is kept."""
     failures = []
     cases = 0
     for walk in _dyck_walks(n + 1):
@@ -307,6 +411,15 @@ def _injection_row(name: str, start: bij.StartClass, forward: Callable[[_Walk], 
         back = inverse(image)[0]
         if back != steps:
             failures.append(Failure((n, steps), back, steps))
+    return failures, cases
+
+
+def _injection_targets(name: str, forward: Callable[[_Walk], _Walk], inverse: Callable[[_Walk], _Walk],
+                       in_image: Callable[[tuple[int, ...]], bool], n: int) -> Row:
+    """Each target, a Dyck walk of length 2n whose levels satisfy
+    ``in_image``, round-trips through ``inverse`` and then ``forward``."""
+    failures = []
+    cases = 0
     for walk in _dyck_walks(n):
         steps, levels = walk
         if not in_image(levels):
@@ -322,9 +435,9 @@ def verify_bijection_f(max_n: int = 8) -> _Plan:
     """Round-trips and image census of the first injection, for every
     2 <= n <= max_n: it is a bijection from the avoiding class onto the Dyck
     paths of height >= 2, missing exactly the height-one path."""
-    row = partial(_injection_row, "f", bij.StartClass.NSTAR, bij._injection_f, bij._injection_f_inverse,
-                  bij._in_f_image)
-    return _rows("bijection-f", row, 2, max_n=max_n)
+    maps = bij._injection_f, bij._injection_f_inverse, bij._in_f_image
+    return _rows("bijection-f", 2, partial(_injection_sources, bij.StartClass.NSTAR, *maps),
+                 partial(_injection_targets, "f", *maps), max_n=max_n)
 
 
 @_suite
@@ -334,12 +447,15 @@ def verify_bijection_g(max_n: int = 8) -> _Plan:
     paths whose post-split maximum exceeds the pre-split maximum by at least
     3.  Its even-terminal intermediate's gap of at least 4 is asserted inside
     :func:`~supercat.bijections.g_intermediate`."""
-    row = partial(_injection_row, "g", bij.StartClass.NSTARSTAR, bij._injection_g, bij._injection_g_inverse,
-                  bij._in_g_image)
-    return _rows("bijection-g", row, 2, max_n=max_n)
+    maps = bij._injection_g, bij._injection_g_inverse, bij._in_g_image
+    return _rows("bijection-g", 2, partial(_injection_sources, bij.StartClass.NSTARSTAR, *maps),
+                 partial(_injection_targets, "g", *maps), max_n=max_n)
 
 
-def _pair_map_row(n: int) -> Row:
+def _pair_map_split(n: int) -> Row:
+    """Each bounded-gap Dyck walk of length 2n splits into pairs that join
+    back to it, with split heights (h_minus, h_plus - 1); one case per pair,
+    and their count is T(2, n)."""
     failures = []
     cases = 0
     for walk in _dyck_walks(n):
@@ -357,8 +473,16 @@ def _pair_map_row(n: int) -> Row:
             if heights != (mk.h_minus, mk.h_plus - 1):
                 failures.append(Failure((n, steps), heights, (mk.h_minus, mk.h_plus - 1)))
     expected = super_catalan_t(2, n)
-    if cases != expected:  # so far one case per pair
+    if cases != expected:
         failures.append(Failure((n, "pair count"), cases, expected))
+    return failures, cases
+
+
+def _pair_map_recovery(n: int) -> Row:
+    """Each pair of Dyck walks of total length 2n with heights at most 1
+    apart is among the pairs its join splits into."""
+    failures = []
+    cases = 0
     for pair in _pair_walks(n):
         first, second = pair
         if not bij._close(max(first[1]), max(second[1])):
@@ -374,7 +498,7 @@ def _pair_map_row(n: int) -> Row:
 def verify_pair_map(max_n: int = 8) -> _Plan:
     """The pair split and its inverse are mutually inverse, split heights
     match the pre/post maxima, and the pair multiset is counted by T(2,n)."""
-    return _rows("pair-map", _pair_map_row, 1, max_n=max_n)
+    return _rows("pair-map", 1, _pair_map_split, _pair_map_recovery, max_n=max_n)
 
 
 def _catalan_sum(lo: int, hi: int) -> int:

@@ -180,7 +180,7 @@ class TestVerify:
             raise AssertionError("a pool opened before every suite was planned")
 
         # theorem1 is planned first, and every later suite takes the bound too
-        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", never)
+        monkeypatch.setattr("supercat.verify._forked", never)
         code, out, err = run(capsys, "verify", "all", "--max", bound, "--jobs", "2")
         assert code == 1
         assert out == ""
@@ -203,6 +203,19 @@ class TestVerify:
                                 timeout=60)
         assert result.returncode == 0, result.stderr
         assert result.stdout == "\n"
+
+    def test_a_pooled_run_loads_no_pool_modules(self):
+        # the forked pool needs only os, select and pickle
+        probe = ("import sys; from supercat.cli import main; code = main(sys.argv[1:7]); "
+                 "print(code, *sorted(set(sys.argv[7:]) & set(sys.modules)), file=sys.stderr)")
+        argv = ["verify", "pair-map", "--max-n", "5", "--jobs", "2"]
+        pool = ["concurrent.futures", "concurrent.futures.process", "multiprocessing", "logging", "socket"]
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+        result = subprocess.run([sys.executable, "-S", "-c", probe, *argv, *pool], env=env, capture_output=True,
+                                text=True, timeout=60)
+        assert result.returncode == 0, result.stderr
+        assert "passed\ttrue" in result.stdout
+        assert result.stderr == "0\n"
 
     def test_force_flag_accepted(self, capsys):
         code, _, _ = run(capsys, "verify", "theorem4", "--max-n", "4", "--force")
@@ -398,6 +411,22 @@ class TestJobsEnvironment:
         assert main(["verify", "symmetry"]) == 0
         # the core count only where the platform cannot say which CPUs are usable
         assert seen_jobs == [2, 4]
+
+    def test_default_is_one_job_without_fork(self, monkeypatch, capsys, seen_jobs, pinned):
+        monkeypatch.delenv("SUPERCAT_JOBS", raising=False)
+        monkeypatch.delattr(os, "fork")
+        assert main(["verify", "symmetry"]) == 0
+        assert seen_jobs == [1]
+
+    def test_more_jobs_without_fork_is_usage_error(self, monkeypatch, capsys, seen_jobs):
+        monkeypatch.delattr(os, "fork")
+        code, out, err = run(capsys, "verify", "theorem4", "--max-n", "3", "--jobs", "2")
+        assert code == 2
+        assert out == ""
+        assert err == "--jobs 2 needs os.fork, which this platform lacks; pass --jobs 1\n"
+        assert seen_jobs == []
+        assert main(["verify", "theorem4", "--max-n", "3", "--jobs", "1"]) == 0
+        assert seen_jobs == [1]
 
     def test_env_var_sets_default(self, monkeypatch, capsys, seen_jobs):
         monkeypatch.setenv("SUPERCAT_JOBS", "3")

@@ -1,5 +1,8 @@
-import multiprocessing
-from concurrent.futures import Future, ProcessPoolExecutor
+import os
+import subprocess
+import sys
+from functools import partial
+from pathlib import Path
 
 import pytest
 
@@ -58,27 +61,23 @@ def test_path_suites_refuse_jobs_below_one(name):
 
 @pytest.fixture
 def opened(monkeypatch):
-    """Swap the process pool for one that runs each submitted row at once, in
-    this process; the worker count of every pool opened is recorded."""
+    """Swap the forked pool for one that runs each task at once, in this
+    process, in the pool's order; the worker count of every pool opened is
+    recorded."""
     opened = []
 
-    class SerialPool:
-        def __init__(self, max_workers):
-            opened.append(max_workers)
+    def serial(tasks, order, workers):
+        opened.append(workers)
+        rows = {i: tasks[i][2](tasks[i][1]) for i in order}
+        return [rows[i] for i in range(len(tasks))]
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return None
-
-        def submit(self, fn, *args):
-            future = Future()
-            future.set_result(fn(*args))
-            return future
-
-    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(verify, "_forked", serial)
     return opened
+
+
+def assert_every_worker_reaped():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.mark.parametrize("name", verify.IDENTITIES)
@@ -102,21 +101,27 @@ def test_verify_all_opens_one_pool(opened, capsys):
 
 
 def _broken_injection_f(walk):
-    # module level, so that the worker a row is sent to can unpickle it
     raise AssertionError(f"internal: broken core on {walk[0]}")
 
 
-def test_a_raising_row_cancels_the_shared_queue(monkeypatch):
+def _logged(log, label, part, b):
+    # appends from every worker process land whole
+    with open(log, "a") as out:
+        out.write(f"{label} {b}\n")
+    return part(b)
+
+
+def test_a_raising_row_cancels_the_shared_queue(monkeypatch, tmp_path):
     from supercat import bijections
     from supercat.cli import main
 
-    class CancellingPool(ProcessPoolExecutor):
-        def shutdown(self, wait=True, *, cancel_futures=False):
-            cancelled.append(cancel_futures)
-            super().shutdown(wait, cancel_futures=cancel_futures)
+    log, forked = tmp_path / "ran", verify._forked
 
-    cancelled = []
-    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", CancellingPool)
+    def logging_forked(tasks, order, workers):
+        logged = [(plan, b, partial(_logged, log, plan.identity, part)) for plan, b, part in tasks]
+        return forked(logged, order, workers)
+
+    monkeypatch.setattr(verify, "_forked", logging_forked)
     # bijection-f is the eighth of eleven suites; each of its rows raises
     monkeypatch.setattr(bijections, "_injection_f", _broken_injection_f)
     raised = []
@@ -124,10 +129,88 @@ def test_a_raising_row_cancels_the_shared_queue(monkeypatch):
         with pytest.raises(AssertionError) as exc:
             main(["verify", "all", "--max", "6", "--jobs", jobs, "--format", "json"])
         raised.append((type(exc.value), str(exc.value)))
-        assert multiprocessing.active_children() == []
+        assert_every_worker_reaped()
     assert raised[0] == raised[1] == (AssertionError, "internal: broken core on UUUDDD")
-    # the queued rows of the suites after it were dropped, not run
-    assert cancelled[0] is True
+    # the queued rows of the suites after it were dropped, not run: both
+    # workers start on bijection-f's row 6, the priciest, and both raise
+    ran = {line.split()[0] for line in log.read_text().splitlines()}
+    assert "bijection-f" in ran
+    assert ran.isdisjoint({"bijection-g", "pair-map", "reversal"})
+
+
+def _raising_at_2_and_4(b):
+    if b in (2, 4):
+        raise ValueError(f"row {b}")
+    return [], 1
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_the_pool_raises_the_earliest_error_once_every_earlier_task_ran(tmp_path, workers):
+    log = tmp_path / "ran"
+    plan = verify._Plan("probe", {"n": 5}, (partial(_logged, log, "probe", _raising_at_2_and_4),), range(6))
+    tasks = [(plan, b, part) for b in plan.rows for part in plan.parts]
+    with pytest.raises(ValueError, match="row 2"):
+        verify._forked(tasks, [3, 4, 2, 0, 1, 5], workers)
+    assert_every_worker_reaped()
+    ran = [int(line.split()[1]) for line in log.read_text().splitlines()]
+    assert {0, 1, 2} <= set(ran)
+    if workers == 1:
+        # 4 raised, then 2; 0 and 1 come before 2 and still ran; 5 was dropped
+        assert ran == [3, 4, 2, 0, 1]
+
+
+def test_m2_rows_run_their_parts_on_the_pool_and_reap_every_worker():
+    for name in ("bijection-f", "bijection-g", "pair-map"):
+        assert verify.run_identity(name, max_n=6, jobs=3) == verify.run_identity(name, max_n=6, jobs=1)
+        assert_every_worker_reaped()
+
+
+# Run in a child interpreter, so that a worker that dies or a hung pool
+# cannot take the pytest process with it; the child prints what it saw.
+POOL_PROBE = """
+import os, signal, sys, time
+from supercat import verify
+
+signal.signal(signal.SIGINT, signal.default_int_handler)
+sources = verify._injection_sources
+
+def broken(*args):
+    if args[-1] == 4:  # row 4's source part
+        if sys.argv[1] == "exit":
+            os._exit(3)
+        os.kill(os.getppid(), signal.SIGINT)
+        time.sleep(120)
+    return sources(*args)
+
+verify._injection_sources = broken
+try:
+    verify.run_identity("bijection-f", max_n=4, jobs=2)
+except (RuntimeError, KeyboardInterrupt) as exc:
+    print(type(exc).__name__, exc)
+try:
+    os.waitpid(-1, os.WNOHANG)
+except ChildProcessError:
+    print("reaped")
+"""
+
+
+@pytest.mark.parametrize("how,seen", [
+    ("exit", "RuntimeError bijection-f row 4: a worker exited with code 3 before returning its result"),
+    ("interrupt", "KeyboardInterrupt "),
+])
+def test_a_dead_worker_or_an_interrupt_reaps_every_worker(how, seen):
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    result = subprocess.run([sys.executable, "-c", POOL_PROBE, how], env=env, capture_output=True, text=True,
+                            timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines() == [seen, "reaped"]
+
+
+def test_jobs_above_one_need_fork(monkeypatch):
+    monkeypatch.delattr(os, "fork")
+    with pytest.raises(DomainError, match="theorem4 requires jobs = 1 on a platform without os.fork"):
+        verify.run_identity("theorem4", max_n=3, jobs=2)
+    assert verify.run_identity("theorem4", max_n=3, jobs=1).passed
 
 
 def test_reports_carry_bounds():
@@ -246,7 +329,7 @@ def test_failing_reports_are_pinned(monkeypatch, name):
 
 @pytest.mark.parametrize("name", verify.IDENTITIES)
 def test_failing_reports_are_pinned_at_two_jobs(monkeypatch, name):
-    # forked workers inherit the patch (fork is Linux's default start method before Python 3.14)
+    # the forked workers inherit the patch
     check_broken_t_report(monkeypatch, name, jobs=2)
 
 
@@ -457,10 +540,14 @@ def test_pair_map_recovers_the_close_pairs_in_order(monkeypatch):
     monkeypatch.setattr(bijections, "_from_pair", recorded)
     for n in range(1, 7):
         calls.clear()
-        failures, _ = verify._pair_map_row(n)
+        failures, cases = verify._pair_map_split(n)
         assert failures == []
-        # the first T(2,n) calls invert the split of each bounded-gap path
-        assert calls[super_catalan_t(2, n):] == [
+        # the split part inverts the split of each bounded-gap path: T(2,n) calls
+        assert len(calls) == cases == super_catalan_t(2, n)
+        calls.clear()
+        failures, _ = verify._pair_map_recovery(n)
+        assert failures == []
+        assert calls == [
             (a.steps, b.steps) for a, b in enum_pairs_total(n) if abs(a.height - b.height) <= 1
         ]
 
