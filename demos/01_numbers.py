@@ -33,7 +33,7 @@ print("  S(4,7) =", super_catalan_s(4, 7), "= 2 *", super_catalan_t(4, 7))
 
 print()
 print("The doubling recurrence 4T(m,n) = T(m+1,n) + T(m,n+1), checked on a 30x30 grid:")
-report = verify.verify_rubenstein(30, 30)
+report = verify.run_identity("rubenstein", max_m=30, max_n=30)
 print(f"  {report.cases} cells, failures: {len(report.failures)}")
 
 print()

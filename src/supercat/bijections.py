@@ -13,8 +13,10 @@ Every public map validates its input's precondition (raising
 :class:`~supercat.errors.DomainError`) and then runs its private ``_`` core,
 which trusts input the enumeration engine or another map has already
 checked.  Public maps and cores alike check their output's family
-invariants (an invalid output raises AssertionError: it means the
-implementation is wrong, never the caller).  Every core takes and returns
+invariants with the family tests of :mod:`~supercat.paths` (an invalid output
+raises AssertionError: it means the implementation is wrong, never the
+caller).  The paper's sign rule is :func:`_sign` alone: :func:`weight`, the
+signed tallies and the verify suites all read it.  Every core takes and returns
 checked ``(steps, levels)`` walks, the enumeration engine's type (the pair
 split a tuple of walk pairs); only the public maps build a
 :class:`~supercat.paths.LatticePath` or a :class:`DyckPair` of two.
@@ -39,9 +41,11 @@ from .paths import (
     LatticePath,
     PathMarkers,
     TwoMotzkinPath,
+    _dyck_levels,
     _even_terminal_ballot,
     _levels,
     _markers,
+    _motzkin2_levels,
     _rightmost,
     is_dyck,
     is_motzkin2,
@@ -49,7 +53,6 @@ from .paths import (
 
 _DOUBLE = {"U": "UU", "D": "DD", "S": "UD", "W": "DU"}
 _M2D = str.maketrans(_DOUBLE)
-_NOT_UD = str.maketrans("", "", "UD")
 _PAIR_TO_STEP = {pair: step for step, pair in _DOUBLE.items()}
 _AVOIDING = "injection_f requires an up-up-up start avoiding level one before the rightmost maximum"
 _ATTAINING = "injection_g requires an up-up-up start attaining level one before the rightmost maximum"
@@ -149,10 +152,9 @@ def _flip(steps: str, i: int, expect: str, to: str) -> str:
 def _dyck_walk(steps: str) -> _Walk:
     """Constructed steps and their levels, checked to be a Dyck path: the one
     output check of every map that builds one."""
-    if not steps.translate(_NOT_UD):
-        levels = _levels(steps)
-        if min(levels) == 0 and levels[-1] == 0:
-            return steps, levels
+    levels = _dyck_levels(steps)
+    if levels is not None:
+        return steps, levels
     raise AssertionError(f"internal: constructed path {steps!r} is not a valid Dyck path")
 
 
@@ -179,10 +181,10 @@ def dyck_to_motzkin(path: DyckPath) -> TwoMotzkinPath:
     steps = path.steps
     inner = steps[1:-1]
     out = "".join(_PAIR_TO_STEP[inner[i : i + 2]] for i in range(0, len(inner), 2))
-    result = LatticePath(out, _levels(out))
-    if not is_motzkin2(result):
+    levels = _motzkin2_levels(out)
+    if levels is None:
         raise AssertionError(f"internal: pair decoding of {steps!r} is not a 2-Motzkin path")
-    return result
+    return LatticePath(out, levels)
 
 
 def weight(path: TwoMotzkinPath, m: int) -> int:
@@ -195,11 +197,12 @@ def weight(path: TwoMotzkinPath, m: int) -> int:
         raise DomainError("weight requires m >= 1")
     if len(path) < m - 1:
         raise DomainError(f"path of length {len(path)} has no point at x={m - 1}")
-    return _sign(path.levels, m)
+    return _sign(path.levels[m - 1])
 
 
-def _sign(levels: tuple[int, ...], m: int) -> int:
-    return 1 if levels[m - 1] % 2 == 0 else -1
+def _sign(level: int) -> int:
+    """A path's weight at a point of this level: the one statement of the sign rule."""
+    return 1 if level % 2 == 0 else -1
 
 
 def _level_histogram(walks: Iterable[_Walk], length: int, points: slice = slice(None)) -> list[list[int]]:
@@ -219,9 +222,12 @@ def _level_histogram(walks: Iterable[_Walk], length: int, points: slice = slice(
     return hist
 
 
-def _parity_split(counts: list[int]) -> tuple[int, int]:
-    """Paths at even and at odd levels, from one point's level counts."""
-    return sum(counts[0::2]), sum(counts[1::2])
+def _sign_split(counts: list[int]) -> tuple[int, int]:
+    """Paths of weight +1 and of weight -1, from one point's level counts."""
+    by_sign = Counter()
+    for level, count in enumerate(counts):
+        by_sign[_sign(level)] += count
+    return by_sign[1], by_sign[-1]
 
 
 def _mod4_split(counts: list[int]) -> tuple[int, int]:
@@ -235,7 +241,7 @@ def signed_count(m: int, n: int) -> SignedCount:
     difference equals the super Catalan number T(m,n)."""
     _require(m >= 1 and n >= 1, "signed_count requires m, n >= 1")
     hist = _level_histogram(_motzkin2_walks(m + n - 2), m + n - 2)
-    return SignedCount(*_parity_split(hist[m - 1]))
+    return SignedCount(*_sign_split(hist[m - 1]))
 
 
 def signed_count_dyck(m: int, n: int) -> SignedCount:

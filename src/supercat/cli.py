@@ -17,7 +17,7 @@ from itertools import islice
 from operator import itemgetter
 
 from . import bijections as bij
-from . import verify as verify_mod
+from . import verify
 from .enumeration import (
     _ballot_even_walks,
     _ballot_walks,
@@ -25,7 +25,7 @@ from .enumeration import (
     _motzkin2_walks,
     _pair_walks,
 )
-from .errors import SupercatError
+from .errors import DomainError, SupercatError
 from .numbers import ballot_number, catalan, super_catalan_s, super_catalan_t
 from .paths import parse_path, reverse
 from .render import render_svg
@@ -33,7 +33,7 @@ from .verify import VerificationReport
 
 # Verifications that would enumerate more paths than theorem1 does at
 # m+n <= 18 (C(1) + ... + C(17), about 1.8e8) refuse to run without --force.
-ENUMERATION_CAP = verify_mod.path_cost("theorem1", max_sum=18)
+ENUMERATION_CAP = verify.path_cost("theorem1", max_sum=18)
 
 
 def _dumps(obj) -> str:
@@ -131,17 +131,16 @@ def _flag(bound: str) -> str:
 
 def _cmd_verify(args) -> int:
     jobs = _default_jobs() if args.jobs is None else args.jobs
-    if jobs < 1:
-        print(f"--jobs must be at least 1, got {jobs}", file=sys.stderr)
+    try:
+        verify._check_jobs(jobs)
+    except DomainError as exc:
+        print(exc, file=sys.stderr)
         return 2
-    if jobs > 1 and not hasattr(os, "fork"):
-        print(f"--jobs {jobs} needs os.fork, which this platform lacks; pass --jobs 1", file=sys.stderr)
-        return 2
-    names = list(verify_mod.IDENTITIES) if args.identity == "all" else [args.identity]
+    names = list(verify.IDENTITIES) if args.identity == "all" else [args.identity]
     explicit = {"max_sum": args.max_sum, "max_m": args.max_m, "max_n": args.max_n}
     if args.identity != "all":
         # --max fills only the bounds a suite takes; an explicit bound must be one
-        _, _, defaults = verify_mod._resolve(args.identity)
+        _, _, defaults = verify._resolve(args.identity)
         stray = [_flag(k) for k, v in explicit.items() if v is not None and k not in defaults]
         if stray:
             taken = " and ".join(_flag(k) for k in explicit if k in defaults)
@@ -149,7 +148,7 @@ def _cmd_verify(args) -> int:
             return 2
     bounds = {key: args.max if value is None else value for key, value in explicit.items()}
     for name in names:
-        cost = verify_mod.path_cost(name, **bounds)
+        cost = verify.path_cost(name, **bounds)
         if cost > ENUMERATION_CAP and not args.force:
             print(
                 f"{name}: refusing a sweep over {cost:,} paths, more than the "
@@ -157,7 +156,7 @@ def _cmd_verify(args) -> int:
                 file=sys.stderr,
             )
             return 2
-    reports = verify_mod.run_identities(names, **bounds, jobs=jobs)
+    reports = verify.run_identities(names, **bounds, jobs=jobs)
     if args.format == "json":
         payload = [_report_json(r) for r in reports]
         print(_dumps(payload[0] if args.identity != "all" else payload))
@@ -251,16 +250,16 @@ def build_parser() -> argparse.ArgumentParser:
     table.add_argument("--format", choices=("tsv", "json"), default="tsv")
     table.set_defaults(func=_cmd_table)
 
-    verify = sub.add_parser("verify", help="verify an identity over a range")
-    verify.add_argument("identity", choices=verify_mod.IDENTITIES + ("all",))
-    verify.add_argument("--max-sum", type=int, default=None)
-    verify.add_argument("--max", type=int, default=None, help="shorthand for the identity's natural bound")
-    verify.add_argument("--max-m", type=int, default=None)
-    verify.add_argument("--max-n", type=int, default=None)
-    verify.add_argument("--force", action="store_true", help="allow sweeps beyond the desk-scale cap")
-    verify.add_argument("--jobs", type=int, default=None)
-    verify.add_argument("--format", choices=("tsv", "json"), default="tsv")
-    verify.set_defaults(func=_cmd_verify)
+    check = sub.add_parser("verify", help="verify an identity over a range")
+    check.add_argument("identity", choices=verify.IDENTITIES + ("all",))
+    check.add_argument("--max-sum", type=int, default=None)
+    check.add_argument("--max", type=int, default=None, help="shorthand for the identity's natural bound")
+    check.add_argument("--max-m", type=int, default=None)
+    check.add_argument("--max-n", type=int, default=None)
+    check.add_argument("--force", action="store_true", help="allow sweeps beyond the desk-scale cap")
+    check.add_argument("--jobs", type=int, default=None)
+    check.add_argument("--format", choices=("tsv", "json"), default="tsv")
+    check.set_defaults(func=_cmd_verify)
 
     map_cmd = sub.add_parser("map", help="apply a bijection to path(s)")
     map_cmd.add_argument("kind", choices=tuple(_MAPS))

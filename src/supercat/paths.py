@@ -10,7 +10,9 @@ type rather than a distinct runtime type: parsing is deliberately
 permissive, so a freshly parsed path may be invalid for every family.
 ``DyckPath``/``TwoMotzkinPath`` are aliases used in signatures to say
 which family an operation expects or guarantees.  Public functions check
-it; the cores ``_markers`` and ``_reverse`` trust their input.  ``_reverse``
+it through one private test per family, :func:`_dyck_levels` and
+:func:`_motzkin2_levels`, which the maps' own output checks share; the
+cores ``_markers`` and ``_reverse`` trust their input.  ``_reverse``
 returns a checked ``(steps, levels)`` walk, the enumeration engine's type,
 and no :class:`LatticePath`: a wrong mirror raises AssertionError.
 
@@ -40,6 +42,7 @@ MOTZKIN_ALPHABET = (UP, DOWN, STRAIGHT, WAVY)
 _ALPHABETS = {"dyck": frozenset(DYCK_ALPHABET), "motzkin": frozenset(MOTZKIN_ALPHABET)}
 
 _MIRROR = str.maketrans("UD", "DU")
+_NOT_UD = str.maketrans("", "", "UD")
 
 
 @dataclass(frozen=True)
@@ -105,19 +108,31 @@ def make_path(text: str) -> LatticePath:
     return parse_path(text, "motzkin")
 
 
+def _dyck_levels(steps: str) -> tuple[int, ...] | None:
+    """The levels of steps that form a Dyck path (see :func:`is_dyck`), else None."""
+    if steps.translate(_NOT_UD):
+        return None
+    levels = _levels(steps)
+    return levels if min(levels) == 0 and levels[-1] == 0 else None
+
+
+def _motzkin2_levels(steps: str) -> tuple[int, ...] | None:
+    """The levels of steps that form a 2-Motzkin path (see :func:`is_motzkin2`), else None."""
+    levels = _levels(steps)
+    return levels if min(levels) >= 0 and levels[-1] == 0 else None
+
+
 def is_dyck(path: LatticePath) -> bool:
     """Up/down steps only, never below the axis, ends on the axis.
 
     The empty path qualifies (length 0, height 0).
     """
-    if set(path.steps) - {UP, DOWN}:
-        return False
-    return min(path.levels) == 0 and path.levels[-1] == 0
+    return _dyck_levels(path.steps) is not None
 
 
 def is_motzkin2(path: LatticePath) -> bool:
     """Never below the axis and ends on the axis; level steps allowed."""
-    return min(path.levels) >= 0 and path.levels[-1] == 0
+    return _motzkin2_levels(path.steps) is not None
 
 
 def is_even_terminal_ballot(path: LatticePath) -> bool:
@@ -176,8 +191,8 @@ def _reverse(steps: str) -> tuple[str, tuple[int, ...]]:
     """The mirror of a checked 2-Motzkin path's steps and its levels, checked
     (the mirror table keeps U/D/S/W, and the level scan raises on any other)."""
     mirrored = steps[::-1].translate(_MIRROR)
-    levels = _levels(mirrored)
-    if min(levels) < 0 or levels[-1]:
+    levels = _motzkin2_levels(mirrored)
+    if levels is None:
         raise AssertionError(f"internal: reversed path {mirrored!r} is not a valid 2-Motzkin path")
     return mirrored, levels
 

@@ -1,13 +1,14 @@
 """Verification suites: each checks one identity exhaustively over a
 parameter range and returns a :class:`VerificationReport`.
 
-A suite is planned (bounds checked, rows listed: each length m + n, or each n
-of the m = 2 suites, and each row's independent parts), then run;
-:func:`run_identities` plans every named suite, then runs every (row, part)
-task of them all on one pool of forked worker processes, priciest row first.
-Parts and rows merge per suite in order, so reports are identical for every
-worker count.  A 2-Motzkin row tallies its path family once and reads every
-(m, n) cell of its length off that pass.
+:func:`run_identities` and :func:`run_identity` are the only runners.  They
+plan each named suite by its ``_REGISTRY`` plan, whose signature holds the
+default bounds (bounds checked, rows listed: each length m + n, or each n of
+the m = 2 suites, and each row's independent parts), then run every (row,
+part) task of them all on one pool of forked worker processes, priciest row
+first.  Parts and rows merge per suite in order, so reports are identical for
+every worker count.  A 2-Motzkin row tallies its path family once and reads
+every (m, n) cell of its length off that pass.
 """
 
 from __future__ import annotations
@@ -16,9 +17,9 @@ import inspect
 import os
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
-from functools import partial, wraps
+from functools import partial
 from itertools import islice, product
-from typing import NamedTuple
+from typing import BinaryIO, NamedTuple
 
 from . import bijections as bij
 from .enumeration import _dyck_walks, _motzkin2_walks, _pair_walks, _Walk
@@ -93,14 +94,18 @@ def _row_cost(plan: _Plan, b: int) -> int:
 _Task = tuple[_Plan, int, Callable[[int], Row]]
 
 
+def _check_jobs(jobs: int) -> None:
+    """The one rule on a worker count, which the CLI checks too: at least 1, and 1 without ``os.fork``."""
+    if jobs < 1:
+        raise DomainError(f"jobs must be at least 1, got {jobs}")
+    if jobs > 1 and not hasattr(os, "fork"):
+        raise DomainError(f"jobs must be 1 on a platform without os.fork, got {jobs}")
+
+
 def _execute(plans: list[_Plan], jobs: int) -> list[VerificationReport]:
     """Every plan's report.  At one job, or for one task, tasks run in order
-    in this process; else on :func:`_forked` workers, priciest row first.
-    More than one job needs ``os.fork``."""
-    if jobs < 1:
-        raise DomainError(f"{plans[0].identity} requires jobs >= 1")
-    if jobs > 1 and not hasattr(os, "fork"):
-        raise DomainError(f"{plans[0].identity} requires jobs = 1 on a platform without os.fork")
+    in this process; else on :func:`_forked` workers, priciest row first."""
+    _check_jobs(jobs)
     tasks = [(plan, b, part) for plan in plans for b in plan.rows for part in plan.parts]
     if jobs == 1 or len(tasks) < 2:
         results = [part(b) for _, b, part in tasks]
@@ -119,13 +124,13 @@ def _forked(tasks: list[_Task], order: list[int], workers: int) -> list[Row]:
     """Each task's row, in task order, from ``workers`` forked processes.
 
     The workers inherit ``tasks``.  The parent hands each idle worker the
-    next index in ``order`` and reads back one length-prefixed pickle: the
-    row, or the exception its part raised and the worker's traceback.  Once
-    a task raises, no later task is handed out, and when every earlier one
-    is done the earliest exception is raised, as one process would raise it,
-    from a ``RuntimeError`` that holds the traceback.  A worker that exits
-    without a result raises ``RuntimeError`` naming its row.  Every worker
-    is reaped on the way out, and one still busy is killed first."""
+    next index in ``order`` and reads back one pickle: the row, or the
+    exception its part raised and the worker's traceback.  Once a task
+    raises, no later task is handed out, and when every earlier one is done
+    the earliest exception is raised, as one process would raise it, from a
+    ``RuntimeError`` that holds the traceback.  A worker that exits before
+    its pickle is whole raises ``RuntimeError`` naming its row.  Every
+    worker is reaped on the way out, and one still busy is killed first."""
     import pickle  # deferred: most runs open no pool
     import select
     import signal
@@ -133,13 +138,13 @@ def _forked(tasks: list[_Task], order: list[int], workers: int) -> list[Row]:
     outcomes: list[tuple[bool, object] | None] = [None] * len(tasks)
     queue = order[::-1]  # the next task last
     first = len(tasks)  # the earliest task known to have raised
-    pids, senders, busy = {}, {}, {}  # by a worker's result pipe: its pid, task pipe, task
+    pool = {}  # by a worker's buffered result pipe: [its pid, its task pipe, its task or None]
 
-    def reap(fd: int) -> int:
-        os.close(fd)
-        os.close(senders.pop(fd))
-        pid = pids.pop(fd)
-        if busy.pop(fd, None) is not None:
+    def reap(results: BinaryIO) -> int:
+        pid, sender, task = pool.pop(results)
+        results.close()
+        os.close(sender)
+        if task is not None:
             os.kill(pid, signal.SIGKILL)
         return os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
 
@@ -151,75 +156,60 @@ def _forked(tasks: list[_Task], order: list[int], workers: int) -> list[Row]:
             if pid == 0:  # a worker, which must never return into the caller's code
                 status = 1
                 try:
-                    for fd in (task_w, result_r, *pids, *senders.values()):
+                    for fd in (task_w, result_r, *(sender for _, sender, _ in pool.values())):
                         os.close(fd)
+                    for results in pool:
+                        os.close(results.fileno())
                     _serve(tasks, task_r, result_w)
                     status = 0
                 finally:
                     os._exit(status)
             os.close(task_r)
             os.close(result_w)
-            pids[result_r], senders[result_r] = pid, task_w
-        idle = list(pids)
+            pool[open(result_r, "rb")] = [pid, task_w, None]
         while None in outcomes[:first]:
-            while idle and queue:
-                if (i := queue.pop()) < first:
-                    busy[idle[-1]] = i
-                    _write(senders[idle.pop()], i.to_bytes(4, "little"))
-            for fd in select.select(list(busy), [], [])[0]:
-                i = busy.pop(fd)
-                size = int.from_bytes(head := _read(fd, 8), "little")
-                message = _read(fd, size)
-                if len(head) < 8 or len(message) < size:
+            for worker in pool.values():
+                while worker[2] is None and queue:
+                    if (i := queue.pop()) < first:
+                        worker[2] = i
+                        os.write(worker[1], i.to_bytes(4, "little"))  # under PIPE_BUF: one whole write
+            busy = [results for results, (_, _, task) in pool.items() if task is not None]
+            for results in select.select(busy, [], [])[0]:
+                i, pool[results][2] = pool[results][2], None
+                try:
+                    outcomes[i] = pickle.load(results)
+                except (EOFError, pickle.UnpicklingError):
                     plan, b, _ = tasks[i]
-                    raise RuntimeError(f"{plan.identity} row {b}: a worker exited with code {reap(fd)} "
-                                       "before returning its result")
-                outcomes[i] = pickle.loads(message)
+                    raise RuntimeError(f"{plan.identity} row {b}: a worker exited with code {reap(results)} "
+                                       "before returning its result") from None
                 if not outcomes[i][0]:
                     first = min(first, i)
-                idle.append(fd)
         if first < len(tasks):
             error, trace = outcomes[first][1]
             raise error from RuntimeError(f"in a worker process:\n{trace}")
         return [row for _, row in outcomes]
     finally:
-        for fd in list(pids):
-            reap(fd)
+        for results in list(pool):
+            reap(results)
 
 
 def _serve(tasks: list[_Task], task_r: int, result_w: int) -> None:
     """Run each task whose index arrives on ``task_r`` until it closes, and
-    write back its outcome as one length-prefixed pickle."""
+    pickle its outcome onto ``result_w``."""
     import pickle
 
-    while index := _read(task_r, 4):
-        _, b, part = tasks[int.from_bytes(index, "little")]
-        try:
-            message = pickle.dumps((True, part(b)))
-        except Exception as exc:  # raised by the parent, in task order
-            import traceback
+    with open(result_w, "wb") as out:
+        while index := os.read(task_r, 4):
+            _, b, part = tasks[int.from_bytes(index, "little")]
+            try:
+                message = pickle.dumps((True, part(b)))
+            except Exception as exc:  # raised by the parent, in task order
+                import traceback
 
-            message = pickle.dumps((False, (exc, traceback.format_exc())))
-        _write(result_w, len(message).to_bytes(8, "little") + message)
-
-
-def _read(fd: int, size: int) -> bytearray:
-    """``size`` bytes from a pipe, or fewer if it closes first."""
-    data = bytearray()
-    while len(data) < size and (chunk := os.read(fd, min(size - len(data), 1 << 16))):
-        data += chunk
-    return data
-
-
-def _write(fd: int, data: bytes) -> None:
-    view = memoryview(data)
-    while view:
-        view = view[os.write(fd, view):]
-
-
-def _suite(plan: Callable[..., _Plan]) -> Callable[..., VerificationReport]:
-    """The suite that runs ``plan`` on ``jobs`` workers; ``__wrapped__`` is the plan."""
-    return wraps(plan)(lambda *args, jobs=1, **bounds: _execute([plan(*args, **bounds)], jobs)[0])
+                message = pickle.dumps((False, (exc, traceback.format_exc())))
+            # one whole pickle per write: pickle.dump into the pipe ran 20% slower on big rows
+            out.write(message)
+            out.flush()
 
 
 def _theorem1_row(s: int) -> Row:
@@ -229,8 +219,9 @@ def _theorem1_row(s: int) -> Row:
     At the point after m - 1 steps a path joins a walk from 0 to some level
     l and a reversed walk from l back to 0, so B(m, l+1) B(n, l+1) paths sit
     at level l.  Each cell checks its levels against those ballot products,
-    reporting both sides as ``(level, count)`` pairs, and then its signed sum
-    against T(m, n); a cell counts as one case."""
+    reporting both sides as ``(level, count)`` pairs, and then its signed sum,
+    each level's count times that level's sign, against T(m, n); a cell counts
+    as one case."""
     hist = bij._level_histogram(_motzkin2_walks(s - 2), s - 2)
     failures = []
     for m in range(1, s):
@@ -241,15 +232,14 @@ def _theorem1_row(s: int) -> Row:
                          for level in range(min(m, n)))
         if observed != expected:
             failures.append(Failure((m, n), observed, expected))
-        even, odd = bij._parity_split(counts)
+        signed = sum(count * bij._sign(level) for level, count in observed)
         t = super_catalan_t(m, n)
-        if even - odd != t:
-            failures.append(Failure((m, n), even - odd, t))
+        if signed != t:
+            failures.append(Failure((m, n), signed, t))
     return failures, s - 1
 
 
-@_suite
-def verify_theorem1(max_sum: int = 14) -> _Plan:
+def _theorem1(max_sum: int = 14) -> _Plan:
     """P(m,n) - N(m,n) == T(m,n) for all m, n >= 1 with m + n <= max_sum,
     by exhausting the 2-Motzkin paths of each length."""
     return _rows("theorem1", 2, _theorem1_row, max_sum=max_sum)
@@ -277,7 +267,7 @@ def _theorem1_dyck_row(s: int) -> Row:
 
     def cell(m: int) -> tuple[tuple, object, object]:
         dyck = bij._mod4_split(dyck_hist[m - 1])
-        motzkin = bij._parity_split(hist[m - 1])
+        motzkin = bij._sign_split(hist[m - 1])
         if dyck != motzkin:
             return (m, s - m), dyck, motzkin
         return (m, s - m), dyck[0] - dyck[1], super_catalan_t(m, s - m)
@@ -286,8 +276,7 @@ def _theorem1_dyck_row(s: int) -> Row:
     return failures + cell_failures, paths * (s - 1) + cells
 
 
-@_suite
-def verify_theorem1_dyck(max_sum: int = 12) -> _Plan:
+def _theorem1_dyck(max_sum: int = 12) -> _Plan:
     """The Dyck-path restatement: tallies by level mod 4 at the point after
     2m-1 steps agree componentwise with the 2-Motzkin tallies, and the
     level correspondence under the canonical bijection holds pathwise."""
@@ -301,8 +290,8 @@ def _reversal_row(s: int) -> Row:
     memo: dict[tuple[int, ...], tuple[int, ...]] = {}
 
     def signs(levels: tuple[int, ...]) -> tuple[int, ...]:
-        if levels not in memo:  # one _sign call per distinct (profile, m)
-            memo[levels] = tuple(bij._sign(levels, m) for m in ms)
+        if levels not in memo:  # one _sign call per point of each distinct profile
+            memo[levels] = tuple(map(bij._sign, levels))
         return memo[levels]
 
     for steps, levels in _motzkin2_walks(s - 2):
@@ -313,44 +302,39 @@ def _reversal_row(s: int) -> Row:
     return failures, cases
 
 
-@_suite
-def verify_reversal(max_sum: int = 12) -> _Plan:
+def _reversal(max_sum: int = 12) -> _Plan:
     """Reading a path right to left preserves its sign: the weight at m of
     every 2-Motzkin path of length m+n-2 equals the weight at n of its reverse,
     whose levels are read from its mirrored steps; so T(m,n) = T(n,m)."""
     return _rows("reversal", 2, _reversal_row, max_sum=max_sum)
 
 
-def _rubenstein_row(max_m: int, max_n: int) -> Row:
-    return _checked(
-        ((m, n), 4 * super_catalan_t(m, n), super_catalan_t(m + 1, n) + super_catalan_t(m, n + 1))
-        for m, n in product(range(1, max_m + 1), range(1, max_n + 1))
-    )
+def _grid_row(sides: Callable[[int, int], tuple[int, int]], max_m: int, max_n: int) -> Row:
+    """Both sides of every cell 1 <= m <= max_m, 1 <= n <= max_n."""
+    cells = product(range(1, max_m + 1), range(1, max_n + 1))
+    return _checked(((m, n), *sides(m, n)) for m, n in cells)
 
 
-@_suite
-def verify_rubenstein(max_m: int = 50, max_n: int = 50) -> _Plan:
+def _grid(identity: str, sides: Callable[[int, int], tuple[int, int]], max_m: int, max_n: int) -> _Plan:
+    """A formula suite over a grid of (m, n) cells, run as one row."""
+    if max_m < 1 or max_n < 1:
+        raise DomainError(f"{identity} requires bounds >= 1")
+    return _rows(identity, max_n, partial(_grid_row, sides), max_m=max_m, max_n=max_n)
+
+
+def _rubenstein(max_m: int = 50, max_n: int = 50) -> _Plan:
     """4 T(m,n) = T(m+1,n) + T(m,n+1) for all 1 <= m <= max_m,
     1 <= n <= max_n."""
-    if max_m < 1 or max_n < 1:
-        raise DomainError("rubenstein requires bounds >= 1")
-    return _rows("rubenstein", max_n, _rubenstein_row, max_m=max_m, max_n=max_n)
+    def sides(m: int, n: int) -> tuple[int, int]:
+        return 4 * super_catalan_t(m, n), super_catalan_t(m + 1, n) + super_catalan_t(m, n + 1)
+
+    return _grid("rubenstein", sides, max_m, max_n)
 
 
-def _ballot_sum_row(max_m: int, max_n: int) -> Row:
-    return _checked(
-        ((m, n), ballot_sum_identity(m, n), super_catalan_t(m, n))
-        for m, n in product(range(1, max_m + 1), range(1, max_n + 1))
-    )
-
-
-@_suite
-def verify_ballot_sum(max_m: int = 30, max_n: int = 30) -> _Plan:
+def _ballot_sum(max_m: int = 30, max_n: int = 30) -> _Plan:
     """The alternating ballot-product sum equals T(m,n); termwise equality
     of its two printed forms is asserted inside the evaluation."""
-    if max_m < 1 or max_n < 1:
-        raise DomainError("ballot-sum requires bounds >= 1")
-    return _rows("ballot-sum", max_n, _ballot_sum_row, max_m=max_m, max_n=max_n)
+    return _grid("ballot-sum", lambda m, n: (ballot_sum_identity(m, n), super_catalan_t(m, n)), max_m, max_n)
 
 
 def _symmetry_row(max_sum: int) -> Row:
@@ -361,8 +345,7 @@ def _symmetry_row(max_sum: int) -> Row:
     )
 
 
-@_suite
-def verify_symmetry(max_sum: int = 100) -> _Plan:
+def _symmetry(max_sum: int = 100) -> _Plan:
     """Formula-level T(m,n) = T(n,m) for all m + n <= max_sum."""
     if max_sum < 1:
         raise DomainError("symmetry requires max_sum >= 1")
@@ -373,15 +356,13 @@ def _census_row(census: Callable[[int], int], n: int) -> Row:
     return _checked([((n,), census(n), super_catalan_t(2, n))])
 
 
-@_suite
-def verify_theorem4(max_n: int = 10) -> _Plan:
+def _theorem4(max_n: int = 10) -> _Plan:
     """The bounded-gap census over Dyck paths of length 2n (height-one path
     twice) equals T(2,n) for every 1 <= n <= max_n."""
     return _rows("theorem4", 1, partial(_census_row, bij.theorem4_census), max_n=max_n)
 
 
-@_suite
-def verify_pairs(max_n: int = 9) -> _Plan:
+def _pairs(max_n: int = 9) -> _Plan:
     """The number of ordered Dyck-path pairs of total length 2n with height
     difference at most 1 equals T(2,n) for every 1 <= n <= max_n."""
     return _rows("pairs", 1, partial(_census_row, bij.pair_census), max_n=max_n)
@@ -430,8 +411,7 @@ def _injection_targets(name: str, forward: Callable[[_Walk], _Walk], inverse: Ca
     return failures, cases
 
 
-@_suite
-def verify_bijection_f(max_n: int = 8) -> _Plan:
+def _bijection_f(max_n: int = 8) -> _Plan:
     """Round-trips and image census of the first injection, for every
     2 <= n <= max_n: it is a bijection from the avoiding class onto the Dyck
     paths of height >= 2, missing exactly the height-one path."""
@@ -440,8 +420,7 @@ def verify_bijection_f(max_n: int = 8) -> _Plan:
                  partial(_injection_targets, "f", *maps), max_n=max_n)
 
 
-@_suite
-def verify_bijection_g(max_n: int = 8) -> _Plan:
+def _bijection_g(max_n: int = 8) -> _Plan:
     """Round-trips and image census of the two-stage injection, for every
     2 <= n <= max_n: it is a bijection from the attaining class onto the Dyck
     paths whose post-split maximum exceeds the pre-split maximum by at least
@@ -494,8 +473,7 @@ def _pair_map_recovery(n: int) -> Row:
     return failures, cases
 
 
-@_suite
-def verify_pair_map(max_n: int = 8) -> _Plan:
+def _pair_map(max_n: int = 8) -> _Plan:
     """The pair split and its inverse are mutually inverse, split heights
     match the pre/post maxima, and the pair multiset is counted by T(2,n)."""
     return _rows("pair-map", 1, _pair_map_split, _pair_map_recovery, max_n=max_n)
@@ -513,34 +491,34 @@ def _injection_cost(max_n: int) -> int:
     return _catalan_sum(3, max_n + 1) + _catalan_sum(2, max_n)
 
 
-# Every identity, in the order `supercat verify all` runs them: its suite and
-# the paths that suite enumerates, given its bounds.  Default bounds live only
-# in the suite signatures.
-_REGISTRY: dict[str, tuple[Callable[..., VerificationReport], Callable[..., int]]] = {
-    "theorem1": (verify_theorem1, _rows_cost),
-    "theorem1-dyck": (verify_theorem1_dyck, lambda max_sum: 2 * _rows_cost(max_sum)),
-    "rubenstein": (verify_rubenstein, lambda **_: 0),
-    "ballot-sum": (verify_ballot_sum, lambda **_: 0),
-    "symmetry": (verify_symmetry, lambda **_: 0),
-    "theorem4": (verify_theorem4, lambda max_n: _catalan_sum(1, max_n)),
-    "pairs": (verify_pairs, lambda max_n: sum(_catalan_sum(0, n) for n in range(1, max_n + 1))),
-    "bijection-f": (verify_bijection_f, _injection_cost),
-    "bijection-g": (verify_bijection_g, _injection_cost),
-    "pair-map": (verify_pair_map, lambda max_n: _catalan_sum(1, max_n) + _catalan_sum(2, max_n + 1)),
-    "reversal": (verify_reversal, _rows_cost),
+# Every identity, in the order `supercat verify all` runs them: its plan and
+# the paths its suite enumerates, given its bounds.  Default bounds live only
+# in the plan signatures.
+_REGISTRY: dict[str, tuple[Callable[..., _Plan], Callable[..., int]]] = {
+    "theorem1": (_theorem1, _rows_cost),
+    "theorem1-dyck": (_theorem1_dyck, lambda max_sum: 2 * _rows_cost(max_sum)),
+    "rubenstein": (_rubenstein, lambda **_: 0),
+    "ballot-sum": (_ballot_sum, lambda **_: 0),
+    "symmetry": (_symmetry, lambda **_: 0),
+    "theorem4": (_theorem4, lambda max_n: _catalan_sum(1, max_n)),
+    "pairs": (_pairs, lambda max_n: sum(_catalan_sum(0, n) for n in range(1, max_n + 1))),
+    "bijection-f": (_bijection_f, _injection_cost),
+    "bijection-g": (_bijection_g, _injection_cost),
+    "pair-map": (_pair_map, lambda max_n: _catalan_sum(1, max_n) + _catalan_sum(2, max_n + 1)),
+    "reversal": (_reversal, _rows_cost),
 }
 IDENTITIES = tuple(_REGISTRY)
 
 
 def _resolve(name: str, **overrides: int | None):
-    """The named suite's plan, its cost and its signature's default bounds, replaced
+    """The named suite's plan, its cost and the plan's default bounds, replaced
     by each override it takes that is not None (an explicit 0 reaches the plan)."""
     if name not in _REGISTRY:
         raise DomainError(f"unknown identity {name!r}")
-    suite, cost = _REGISTRY[name]
-    params = inspect.signature(suite).parameters
+    plan, cost = _REGISTRY[name]
+    params = inspect.signature(plan).parameters
     bounds = {k: p.default if overrides.get(k) is None else overrides[k] for k, p in params.items()}
-    return suite.__wrapped__, cost, bounds
+    return plan, cost, bounds
 
 
 def run_identities(names: Iterable[str], *, max_sum: int | None = None, max_m: int | None = None,

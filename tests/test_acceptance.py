@@ -39,7 +39,7 @@ def test_c01_figure_one_reproduction():
 
 def test_c02_signed_interpretation_exhaustive():
     start = time.perf_counter()
-    report = verify.verify_theorem1(max_sum=14, jobs=1)
+    report = verify.run_identity("theorem1", max_sum=14, jobs=1)
     elapsed = time.perf_counter() - start
     assert report.passed, report.failures[:3]
     assert report.cases == sum(s - 1 for s in range(2, 15))
@@ -48,14 +48,14 @@ def test_c02_signed_interpretation_exhaustive():
 
 
 def test_c03_dyck_reformulation():
-    report = verify.verify_theorem1_dyck(max_sum=12, jobs=1)
+    report = verify.run_identity("theorem1-dyck", max_sum=12, jobs=1)
     assert report.passed, report.failures[:3]
     ok(3, f"mod-4 Dyck tallies and pathwise bijection correspondence, m+n <= 12 ({report.cases} checks)")
 
 
 def test_c04_rubenstein_recurrence():
     start = time.perf_counter()
-    report = verify.verify_rubenstein(50, 50)
+    report = verify.run_identity("rubenstein", max_m=50, max_n=50)
     elapsed = time.perf_counter() - start
     assert report.passed
     assert report.cases == 2500
@@ -65,7 +65,7 @@ def test_c04_rubenstein_recurrence():
 
 def test_c05_ballot_sum_identity():
     start = time.perf_counter()
-    report = verify.verify_ballot_sum(30, 30)
+    report = verify.run_identity("ballot-sum", max_m=30, max_n=30)
     elapsed = time.perf_counter() - start
     assert report.passed, report.failures[:3]
     assert report.cases == 900
@@ -74,7 +74,7 @@ def test_c05_ballot_sum_identity():
 
 
 def test_c06_bounded_gap_census():
-    report = verify.verify_theorem4(10)
+    report = verify.run_identity("theorem4", max_n=10)
     assert report.passed, report.failures[:3]
     listing = sorted(p.steps for p in theorem4_paths(3))
     assert listing == sorted(["UDUDUD", "UDUDUD", "UUDDUD", "UDUUDD", "UUDUDD", "UUUDDD"])
@@ -82,30 +82,30 @@ def test_c06_bounded_gap_census():
 
 
 def test_c07_pair_count_oracle():
-    report = verify.verify_pairs(9)
+    report = verify.run_identity("pairs", max_n=9)
     assert report.passed, report.failures[:3]
     ok(7, "ordered pairs with height gap <= 1 counted by T(2,n) for n <= 9")
 
 
 def test_c08_injection_roundtrips_and_censuses():
-    report_f = verify.verify_bijection_f(8)
+    report_f = verify.run_identity("bijection-f", max_n=8)
     assert report_f.passed, report_f.failures[:3]
-    report_g = verify.verify_bijection_g(8)
+    report_g = verify.run_identity("bijection-g", max_n=8)
     assert report_g.passed, report_g.failures[:3]
     ok(8, f"both injections round-trip with exact image censuses for n <= 8 "
           f"({report_f.cases}+{report_g.cases} checks)")
 
 
 def test_c09_pair_map_inverse_and_heights():
-    report = verify.verify_pair_map(8)
+    report = verify.run_identity("pair-map", max_n=8)
     assert report.passed, report.failures[:3]
     ok(9, f"pair split/join mutually inverse with matching split heights for n <= 8 ({report.cases} checks)")
 
 
 def test_c10_weight_preserving_reversal_and_symmetry():
-    report = verify.verify_reversal(12, jobs=1)
+    report = verify.run_identity("reversal", max_sum=12, jobs=1)
     assert report.passed, report.failures[:3]
-    formula = verify.verify_symmetry(100)
+    formula = verify.run_identity("symmetry", max_sum=100)
     assert formula.passed, formula.failures[:3]
     ok(10, f"reversal preserves weights for m+n <= 12 ({report.cases} checks); "
            f"T(m,n) = T(n,m) for m+n <= 100 ({formula.cases} cells)")

@@ -4,7 +4,7 @@ from itertools import product
 import pytest
 from hypothesis import given
 
-from conftest import dyck_paths, motzkin_paths, ref_catalan
+from conftest import dyck_paths, motzkin_paths, ref_catalan, ref_super_catalan_s
 from supercat import bijections
 from supercat.bijections import (
     DyckPair,
@@ -164,6 +164,16 @@ class TestWeight:
             weight(make_path("UD"), 4)
         with pytest.raises(DomainError):
             weight(make_path("UD"), 0)
+
+    def test_sign_is_the_parity_of_the_level(self):
+        assert [bijections._sign(level) for level in range(8)] == [1, -1, 1, -1, 1, -1, 1, -1]
+
+    def test_weights_sum_to_t(self):
+        # the paper's statement itself, path by path; T(m,n) = S(m,n) / 2
+        for m in range(1, 9):
+            for n in range(1, 10 - m):
+                total = sum(weight(path, m) for path in enum_motzkin2(m + n - 2))
+                assert total == ref_super_catalan_s(m, n) // 2, (m, n)
 
 
 class TestSignedCount:

@@ -172,7 +172,7 @@ class TestVerify:
         code, out, err = run(capsys, "verify", "theorem4", "--max-n", "3", "--jobs", jobs)
         assert code == 2
         assert out == ""
-        assert "--jobs" in err
+        assert err == f"jobs must be at least 1, got {jobs}\n"
 
     @pytest.mark.parametrize("bound", ["0", "1"])
     def test_bound_errors_come_before_any_worker(self, capsys, monkeypatch, bound):
@@ -423,7 +423,7 @@ class TestJobsEnvironment:
         code, out, err = run(capsys, "verify", "theorem4", "--max-n", "3", "--jobs", "2")
         assert code == 2
         assert out == ""
-        assert err == "--jobs 2 needs os.fork, which this platform lacks; pass --jobs 1\n"
+        assert err == "jobs must be 1 on a platform without os.fork, got 2\n"
         assert seen_jobs == []
         assert main(["verify", "theorem4", "--max-n", "3", "--jobs", "1"]) == 0
         assert seen_jobs == [1]

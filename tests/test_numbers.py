@@ -13,7 +13,7 @@ from supercat.numbers import (
     super_catalan_s,
     super_catalan_t,
 )
-from supercat.verify import verify_rubenstein
+from supercat.verify import run_identity
 
 
 class TestSuperCatalanS:
@@ -94,7 +94,7 @@ class TestRubenstein:
         assert 4 * super_catalan_t(2, 2) == super_catalan_t(3, 2) + super_catalan_t(2, 3)
 
     def test_full_grid(self):
-        report = verify_rubenstein(50, 50)
+        report = run_identity("rubenstein", max_m=50, max_n=50)
         assert report.passed
         assert report.cases == 2500
         assert report.identity == "rubenstein"
@@ -102,7 +102,7 @@ class TestRubenstein:
 
     def test_bounds_validated(self):
         with pytest.raises(DomainError):
-            verify_rubenstein(0, 5)
+            run_identity("rubenstein", max_m=0, max_n=5)
 
 
 class TestBallotSum:

@@ -45,17 +45,17 @@ def test_identity_list_is_complete():
 
 
 def test_parallel_rows_merge_deterministically():
-    serial = verify.verify_theorem1(9, jobs=1)
-    parallel = verify.verify_theorem1(9, jobs=4)
+    serial = verify.run_identity("theorem1", max_sum=9, jobs=1)
+    parallel = verify.run_identity("theorem1", max_sum=9, jobs=4)
     assert serial == parallel
-    serial = verify.verify_reversal(8, jobs=1)
-    parallel = verify.verify_reversal(8, jobs=2)
+    serial = verify.run_identity("reversal", max_sum=8, jobs=1)
+    parallel = verify.run_identity("reversal", max_sum=8, jobs=2)
     assert serial == parallel
 
 
 @pytest.mark.parametrize("name", PATH_SUITES)
 def test_path_suites_refuse_jobs_below_one(name):
-    with pytest.raises(DomainError, match=f"{name} requires jobs >= 1"):
+    with pytest.raises(DomainError, match="^jobs must be at least 1, got 0$"):
         verify.run_identity(name, jobs=0)
 
 
@@ -168,21 +168,34 @@ def test_m2_rows_run_their_parts_on_the_pool_and_reap_every_worker():
 # Run in a child interpreter, so that a worker that dies or a hung pool
 # cannot take the pytest process with it; the child prints what it saw.
 POOL_PROBE = """
-import os, signal, sys, time
+import os, pickle, signal, sys, time
 from supercat import verify
 
 signal.signal(signal.SIGINT, signal.default_int_handler)
 sources = verify._injection_sources
 
+whole = pickle.dumps
+truncating = False
+
+def dumps(outcome):
+    data = whole(outcome)
+    return data[: len(data) // 2] if truncating else data
+
 def broken(*args):
+    global truncating
     if args[-1] == 4:  # row 4's source part
         if sys.argv[1] == "exit":
             os._exit(3)
+        if sys.argv[1] == "truncate":  # this worker sends half its result, then dies
+            truncating = True
+            os.read = lambda fd, size: os._exit(3)
+            return sources(*args)
         os.kill(os.getppid(), signal.SIGINT)
         time.sleep(120)
     return sources(*args)
 
 verify._injection_sources = broken
+pickle.dumps = dumps
 try:
     verify.run_identity("bijection-f", max_n=4, jobs=2)
 except (RuntimeError, KeyboardInterrupt) as exc:
@@ -196,6 +209,7 @@ except ChildProcessError:
 
 @pytest.mark.parametrize("how,seen", [
     ("exit", "RuntimeError bijection-f row 4: a worker exited with code 3 before returning its result"),
+    ("truncate", "RuntimeError bijection-f row 4: a worker exited with code 3 before returning its result"),
     ("interrupt", "KeyboardInterrupt "),
 ])
 def test_a_dead_worker_or_an_interrupt_reaps_every_worker(how, seen):
@@ -206,36 +220,54 @@ def test_a_dead_worker_or_an_interrupt_reaps_every_worker(how, seen):
     assert result.stdout.splitlines() == [seen, "reaped"]
 
 
+# The mutants of the sign rule that the ROADMAP's mutation sweep found alive.
+SIGN_MUTANTS = {
+    "return 2": lambda level: 2 if level % 2 == 0 else -1,
+    "else -2": lambda level: 1 if level % 2 == 0 else -2,
+    "% 3": lambda level: 1 if level % 3 == 0 else -1,
+    "!= 0": lambda level: 1 if level % 2 != 0 else -1,
+    "== 1": lambda level: 1 if level % 2 == 1 else -1,
+}
+
+
+@pytest.mark.parametrize("mutant", SIGN_MUTANTS)
+def test_theorem1_reads_the_sign_rule(monkeypatch, mutant):
+    from supercat import bijections
+
+    monkeypatch.setattr(bijections, "_sign", SIGN_MUTANTS[mutant])
+    assert not verify.run_identity("theorem1", max_sum=6).passed
+
+
 def test_jobs_above_one_need_fork(monkeypatch):
     monkeypatch.delattr(os, "fork")
-    with pytest.raises(DomainError, match="theorem4 requires jobs = 1 on a platform without os.fork"):
+    with pytest.raises(DomainError, match="^jobs must be 1 on a platform without os.fork, got 2$"):
         verify.run_identity("theorem4", max_n=3, jobs=2)
     assert verify.run_identity("theorem4", max_n=3, jobs=1).passed
 
 
 def test_reports_carry_bounds():
-    report = verify.verify_theorem4(5)
+    report = verify.run_identity("theorem4", max_n=5)
     assert report.bounds == {"max_n": 5}
-    report = verify.verify_ballot_sum(4, 7)
+    report = verify.run_identity("ballot-sum", max_m=4, max_n=7)
     assert report.bounds == {"max_m": 4, "max_n": 7}
 
 
 def test_bounds_validated():
     with pytest.raises(DomainError):
-        verify.verify_theorem1(1)
+        verify.run_identity("theorem1", max_sum=1)
     with pytest.raises(DomainError):
-        verify.verify_bijection_f(1)
+        verify.run_identity("bijection-f", max_n=1)
     with pytest.raises(DomainError):
-        verify.verify_pairs(0)
+        verify.run_identity("pairs", max_n=0)
     # an explicit bound of 0 reaches the suite instead of its default
     with pytest.raises(DomainError):
         verify.run_identity("theorem1", max_sum=0)
     with pytest.raises(DomainError):
         verify.run_identity("rubenstein", max_m=0)
     # a worker count below one is refused, not run serially
-    with pytest.raises(DomainError, match="theorem1"):
-        verify.verify_theorem1(5, jobs=0)
-    with pytest.raises(DomainError, match="reversal"):
+    with pytest.raises(DomainError, match="^jobs must be at least 1, got 0$"):
+        verify.run_identity("theorem1", max_sum=5, jobs=0)
+    with pytest.raises(DomainError, match="^jobs must be at least 1, got -3$"):
         verify.run_identity("reversal", max_sum=5, jobs=-3)
 
 
@@ -364,37 +396,31 @@ def test_failing_theorem1_dyck_report_is_pinned(monkeypatch):
 
 
 def test_failing_reversal_report_is_pinned(monkeypatch):
-    from supercat import bijections
+    true_reverse = verify._reverse
 
-    true_sign = bijections._sign
+    def broken_reverse(steps):
+        # UD is the only 2-Motzkin path whose mirror has this level profile
+        mirrored, levels = true_reverse(steps)
+        return mirrored, (0, 0, 0) if levels == (0, 1, 0) else levels
 
-    def broken_sign(levels, m):
-        # UD is the only 2-Motzkin path with this level profile
-        sign = true_sign(levels, m)
-        return -sign if (levels, m) == ((0, 1, 0), 1) else sign
-
-    monkeypatch.setattr(bijections, "_sign", broken_sign)
+    monkeypatch.setattr(verify, "_reverse", broken_reverse)
     report = verify.run_identity("reversal", max_sum=5)
     assert report.cases == 76
-    assert report.failures == (((1, 3, "UD"), -1, 1), ((3, 1, "UD"), 1, -1))
+    assert report.failures == (((2, 2, "UD"), -1, 1),)
 
 
-def test_a_broken_sign_fails_every_path_sharing_the_profile(monkeypatch):
-    from supercat import bijections
+def test_a_broken_mirror_fails_every_path_sharing_the_profile(monkeypatch):
+    true_reverse = verify._reverse
 
-    true_sign = bijections._sign
+    def broken_reverse(steps):
+        # SS, SW, WS and WW all mirror to this level profile
+        mirrored, levels = true_reverse(steps)
+        return mirrored, (0, 1, 0) if levels == (0, 0, 0) else levels
 
-    def broken_sign(levels, m):
-        # SS, SW, WS and WW all have this level profile
-        sign = true_sign(levels, m)
-        return -sign if (levels, m) == ((0, 0, 0), 1) else sign
-
-    monkeypatch.setattr(bijections, "_sign", broken_sign)
+    monkeypatch.setattr(verify, "_reverse", broken_reverse)
     report = verify.run_identity("reversal", max_sum=5)
     assert report.cases == 76
-    assert report.failures == tuple(
-        failure for p in ("SS", "SW", "WS", "WW") for failure in (((1, 3, p), -1, 1), ((3, 1, p), 1, -1))
-    )
+    assert report.failures == tuple(((2, 2, p), 1, -1) for p in ("SS", "SW", "WS", "WW"))
 
 
 def test_reversal_mirrors_every_path_and_signs_every_profile_once(monkeypatch):
@@ -404,9 +430,9 @@ def test_reversal_mirrors_every_path_and_signs_every_profile_once(monkeypatch):
     true_sign, true_reverse = bijections._sign, verify._reverse
     signed, mirrored = [], []
 
-    def counted_sign(levels, m):
-        signed.append((levels, m))
-        return true_sign(levels, m)
+    def counted_sign(level):
+        signed.append(level)
+        return true_sign(level)
 
     def counted_reverse(steps):
         mirrored.append(steps)
@@ -417,7 +443,8 @@ def test_reversal_mirrors_every_path_and_signs_every_profile_once(monkeypatch):
     assert verify.run_identity("reversal", max_sum=7).passed
     walked = [path for s in range(2, 8) for path in enum_motzkin2(s - 2)]
     assert mirrored == [path.steps for path in walked]
-    assert sorted(signed) == sorted({(path.levels, m) for path in walked for m in range(1, len(path) + 2)})
+    # one call per point of each distinct profile (a row's profiles share one length)
+    assert sorted(signed) == sorted(level for levels in {path.levels for path in walked} for level in levels)
 
 
 def test_reversal_checks_the_mirrored_steps(monkeypatch):
@@ -425,12 +452,12 @@ def test_reversal_checks_the_mirrored_steps(monkeypatch):
 
     # flattening U and D keeps the mirror a 2-Motzkin path but not its signs
     monkeypatch.setattr(paths, "_MIRROR", str.maketrans("UD", "SS"))
-    assert not verify.verify_reversal(5).passed
+    assert not verify.run_identity("reversal", max_sum=5).passed
     # reversing without exchanging U and D keeps every level's parity, so
     # only the mirror's own output check can see it
     monkeypatch.setattr(paths, "_MIRROR", str.maketrans("", ""))
     with pytest.raises(AssertionError, match="reversed path"):
-        verify.verify_reversal(5)
+        verify.run_identity("reversal", max_sum=5)
 
 
 def test_non_injective_map_fails(monkeypatch):
@@ -448,7 +475,7 @@ def test_non_injective_map_fails(monkeypatch):
         return true_f(first_walk if walk == second_walk else walk)
 
     monkeypatch.setattr(bijections, "_injection_f", collapsed)
-    report = verify.verify_bijection_f(3)
+    report = verify.run_identity("bijection-f", max_n=3)
     image = true_f(second_walk)[0]
     assert report.failures == (
         ((3, second.steps), first.steps, second.steps),
@@ -472,7 +499,7 @@ def test_image_outside_the_target_family_fails(monkeypatch):
     monkeypatch.setattr(
         bijections, "_injection_f_inverse", lambda w: first_walk if w == flat_walk else true_inverse(w)
     )
-    report = verify.verify_bijection_f(3)
+    report = verify.run_identity("bijection-f", max_n=3)
     image = true_f(first_walk)[0]
     assert report.failures == (
         ((3, first.steps), "UDUDUD", "outside the expected image"),
@@ -498,11 +525,11 @@ def test_suites_do_not_revalidate_their_paths(monkeypatch):
     monkeypatch.setattr(bijections, "_dyck_walk", counted(bijections._dyck_walk, calls))
     monkeypatch.setattr(paths, "is_dyck", counted(paths.is_dyck, validations))
     monkeypatch.setattr(bijections, "is_dyck", counted(bijections.is_dyck, validations))
-    report = verify.verify_bijection_f(6)
+    report = verify.run_identity("bijection-f", max_n=6)
     assert report.passed and report.cases == 380
     assert len(calls) <= 2 * report.cases
     calls.clear()
-    assert verify.verify_theorem4(8).passed
+    assert verify.run_identity("theorem4", max_n=8).passed
     assert calls == []
     assert validations == []
 
@@ -519,9 +546,9 @@ def test_m2_rows_build_no_path(monkeypatch):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(LatticePath, "__init__", counted)
-    assert verify.verify_bijection_f(6).passed
-    assert verify.verify_bijection_g(6).passed
-    assert verify.verify_pair_map(6).passed
+    assert verify.run_identity("bijection-f", max_n=6).passed
+    assert verify.run_identity("bijection-g", max_n=6).passed
+    assert verify.run_identity("pair-map", max_n=6).passed
     assert built == []
 
 
@@ -562,7 +589,7 @@ def test_failing_pair_map_report_is_pinned(monkeypatch):
         return ((pairs[0][1], pairs[0][0]),) if walk[0] == "UUDUDD" else pairs
 
     monkeypatch.setattr(bijections, "_to_pair_all", swapped)
-    report = verify.verify_pair_map(3)
+    report = verify.run_identity("pair-map", max_n=3)
     assert report.cases == 22
     assert report.failures == (
         ((3, "UUDUDD"), "from_pair(to_pair) != id", "UUDUDD"),
@@ -583,7 +610,7 @@ def test_failing_bijection_g_report_is_pinned(monkeypatch):
     monkeypatch.setattr(
         bijections, "_injection_g_inverse", lambda w: source_walk if w == flat_walk else true_inverse(w)
     )
-    report = verify.verify_bijection_g(4)
+    report = verify.run_identity("bijection-g", max_n=4)
     assert report.cases == 2
     assert report.failures == (
         ((4, "UUUDDUUDDD"), "UDUDUDUD", "outside the expected image"),
