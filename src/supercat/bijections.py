@@ -13,13 +13,13 @@ Every public map validates its input's precondition (raising
 :class:`~supercat.errors.DomainError`) and then runs its private ``_`` core,
 which trusts input the enumeration engine or another map has already
 checked.  Public maps and cores alike check their output's family
-invariants with the family tests of :mod:`~supercat.paths` (an invalid output
-raises AssertionError: it means the implementation is wrong, never the
-caller).  The paper's sign rule is :func:`_sign` alone: :func:`weight`, the
-signed tallies and the verify suites all read it.  Every core takes and returns
-checked ``(steps, levels)`` walks, the enumeration engine's type (the pair
-split a tuple of walk pairs); only the public maps build a
-:class:`~supercat.paths.LatticePath` or a :class:`DyckPair` of two.
+invariants with :func:`~supercat.paths._family_levels`, the one family test
+(an invalid output raises AssertionError: it means the implementation is
+wrong, never the caller).  The paper's sign rule is :func:`_sign` alone:
+:func:`weight`, the signed tallies and the verify suites all read it.  Every
+core takes and returns checked ``(steps, levels)`` walks, the enumeration
+engine's type (the pair split a tuple of walk pairs); only the public maps
+build a :class:`~supercat.paths.LatticePath` or a :class:`DyckPair` of two.
 """
 
 from __future__ import annotations
@@ -41,11 +41,12 @@ from .paths import (
     LatticePath,
     PathMarkers,
     TwoMotzkinPath,
-    _dyck_levels,
-    _even_terminal_ballot,
+    _BALLOT_EVEN,
+    _DYCK,
+    _MOTZKIN2,
+    _family_levels,
     _levels,
     _markers,
-    _motzkin2_levels,
     _rightmost,
     is_dyck,
     is_motzkin2,
@@ -152,7 +153,7 @@ def _flip(steps: str, i: int, expect: str, to: str) -> str:
 def _dyck_walk(steps: str) -> _Walk:
     """Constructed steps and their levels, checked to be a Dyck path: the one
     output check of every map that builds one."""
-    levels = _dyck_levels(steps)
+    levels = _family_levels(steps, _DYCK)
     if levels is not None:
         return steps, levels
     raise AssertionError(f"internal: constructed path {steps!r} is not a valid Dyck path")
@@ -181,7 +182,7 @@ def dyck_to_motzkin(path: DyckPath) -> TwoMotzkinPath:
     steps = path.steps
     inner = steps[1:-1]
     out = "".join(_PAIR_TO_STEP[inner[i : i + 2]] for i in range(0, len(inner), 2))
-    levels = _motzkin2_levels(out)
+    levels = _family_levels(out, _MOTZKIN2)
     if levels is None:
         raise AssertionError(f"internal: pair decoding of {steps!r} is not a 2-Motzkin path")
     return LatticePath(out, levels)
@@ -340,8 +341,8 @@ def _g_intermediate(walk: _Walk) -> _Walk:
     shrunk = steps[0] + steps[3:]
     out = _flip(shrunk, y - 4, "D", "U")
     out = _flip(out, y - 3, "D", "U")
-    inter = _levels(out)
-    _check(_even_terminal_ballot(out, inter), "stage one did not produce an even-terminal ballot path")
+    inter = _family_levels(out, _BALLOT_EVEN)
+    _check(inter is not None, "stage one did not produce an even-terminal ballot path")
     x = _rightmost(inter, 1)
     gap = max(inter[x:]) - max(inter[: x + 1])
     if gap < 4:

@@ -140,7 +140,7 @@ def _cmd_verify(args) -> int:
     explicit = {"max_sum": args.max_sum, "max_m": args.max_m, "max_n": args.max_n}
     if args.identity != "all":
         # --max fills only the bounds a suite takes; an explicit bound must be one
-        _, _, defaults = verify._resolve(args.identity)
+        defaults = verify._plan(args.identity).bounds
         stray = [_flag(k) for k, v in explicit.items() if v is not None and k not in defaults]
         if stray:
             taken = " and ".join(_flag(k) for k in explicit if k in defaults)

@@ -15,6 +15,10 @@ class ParseError(SupercatError, ValueError):
         super().__init__(message)
         self.index = index
 
+    def __reduce__(self):
+        # pickle rebuilds an exception from its args, which leave out index
+        return type(self), (self.args[0], self.index)
+
 
 class DomainError(SupercatError, ValueError):
     """An argument lies outside an operation's documented domain."""

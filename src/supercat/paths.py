@@ -9,10 +9,11 @@ Family membership (Dyck, 2-Motzkin, ballot) is a predicate over this one
 type rather than a distinct runtime type: parsing is deliberately
 permissive, so a freshly parsed path may be invalid for every family.
 ``DyckPath``/``TwoMotzkinPath`` are aliases used in signatures to say
-which family an operation expects or guarantees.  Public functions check
-it through one private test per family, :func:`_dyck_levels` and
-:func:`_motzkin2_levels`, which the maps' own output checks share; the
-cores ``_markers`` and ``_reverse`` trust their input.  ``_reverse``
+which family an operation expects or guarantees.  A family is a pair
+(delete table of its alphabet, end level), and :func:`_family_levels` is
+the one membership test: the ``is_*`` predicates, the maps' own output
+checks and :func:`parse_path`'s alphabet check all read it or its tables.
+The cores ``_markers`` and ``_reverse`` trust their input.  ``_reverse``
 returns a checked ``(steps, levels)`` walk, the enumeration engine's type,
 and no :class:`LatticePath`: a wrong mirror raises AssertionError.
 
@@ -39,10 +40,13 @@ RISE = {UP: 1, DOWN: -1, STRAIGHT: 0, WAVY: 0}
 DYCK_ALPHABET = (UP, DOWN)
 MOTZKIN_ALPHABET = (UP, DOWN, STRAIGHT, WAVY)
 
-_ALPHABETS = {"dyck": frozenset(DYCK_ALPHABET), "motzkin": frozenset(MOTZKIN_ALPHABET)}
+# Each family: the table deleting its alphabet, and the level it ends on.
+_DYCK = (str.maketrans("", "", "".join(DYCK_ALPHABET)), 0)
+_MOTZKIN2 = (str.maketrans("", "", "".join(MOTZKIN_ALPHABET)), 0)
+_BALLOT_EVEN = (_DYCK[0], 2)
+_ALPHABETS = {"dyck": _DYCK[0], "motzkin": _MOTZKIN2[0]}
 
 _MIRROR = str.maketrans("UD", "DU")
-_NOT_UD = str.maketrans("", "", "UD")
 
 
 @dataclass(frozen=True)
@@ -87,12 +91,12 @@ def parse_path(text: str, alphabet: str) -> LatticePath:
     :class:`ParseError` naming the first offending index.
     """
     try:
-        allowed = _ALPHABETS[alphabet]
+        table = _ALPHABETS[alphabet]
     except KeyError:
         raise DomainError(f"unknown alphabet {alphabet!r}; expected 'dyck' or 'motzkin'") from None
-    if not allowed.issuperset(text):
-        i, ch = next((i, ch) for i, ch in enumerate(text) if ch not in allowed)
-        raise ParseError(f"unknown step {ch!r} at index {i}", index=i)
+    if foreign := text.translate(table):
+        i = text.index(foreign[0])
+        raise ParseError(f"unknown step {foreign[0]!r} at index {i}", index=i)
     return LatticePath(text, _levels(text))
 
 
@@ -108,18 +112,14 @@ def make_path(text: str) -> LatticePath:
     return parse_path(text, "motzkin")
 
 
-def _dyck_levels(steps: str) -> tuple[int, ...] | None:
-    """The levels of steps that form a Dyck path (see :func:`is_dyck`), else None."""
-    if steps.translate(_NOT_UD):
+def _family_levels(steps: str, family: tuple[dict[int, None], int]) -> tuple[int, ...] | None:
+    """The levels of steps over the family's alphabet that never go below the
+    axis and end on the family's level, else None."""
+    table, end = family
+    if steps.translate(table):
         return None
     levels = _levels(steps)
-    return levels if min(levels) == 0 and levels[-1] == 0 else None
-
-
-def _motzkin2_levels(steps: str) -> tuple[int, ...] | None:
-    """The levels of steps that form a 2-Motzkin path (see :func:`is_motzkin2`), else None."""
-    levels = _levels(steps)
-    return levels if min(levels) >= 0 and levels[-1] == 0 else None
+    return levels if min(levels) >= 0 and levels[-1] == end else None
 
 
 def is_dyck(path: LatticePath) -> bool:
@@ -127,23 +127,17 @@ def is_dyck(path: LatticePath) -> bool:
 
     The empty path qualifies (length 0, height 0).
     """
-    return _dyck_levels(path.steps) is not None
+    return _family_levels(path.steps, _DYCK) is not None
 
 
 def is_motzkin2(path: LatticePath) -> bool:
     """Never below the axis and ends on the axis; level steps allowed."""
-    return _motzkin2_levels(path.steps) is not None
+    return _family_levels(path.steps, _MOTZKIN2) is not None
 
 
 def is_even_terminal_ballot(path: LatticePath) -> bool:
-    """Up/down path of even length ending at level 2, never below the axis."""
-    return _even_terminal_ballot(path.steps, path.levels)
-
-
-def _even_terminal_ballot(steps: str, levels: tuple[int, ...]) -> bool:
-    if set(steps) - {UP, DOWN}:
-        return False
-    return len(steps) % 2 == 0 and levels[-1] == 2 and min(levels) >= 0
+    """Up/down path ending at level 2, never below the axis (so of even length)."""
+    return _family_levels(path.steps, _BALLOT_EVEN) is not None
 
 
 def _rightmost(levels: tuple[int, ...], level: int) -> int:
@@ -188,10 +182,9 @@ def markers(path: DyckPath) -> PathMarkers:
 
 
 def _reverse(steps: str) -> tuple[str, tuple[int, ...]]:
-    """The mirror of a checked 2-Motzkin path's steps and its levels, checked
-    (the mirror table keeps U/D/S/W, and the level scan raises on any other)."""
+    """The mirror of a checked 2-Motzkin path's steps and its levels, checked."""
     mirrored = steps[::-1].translate(_MIRROR)
-    levels = _motzkin2_levels(mirrored)
+    levels = _family_levels(mirrored, _MOTZKIN2)
     if levels is None:
         raise AssertionError(f"internal: reversed path {mirrored!r} is not a valid 2-Motzkin path")
     return mirrored, levels

@@ -4,10 +4,11 @@ parameter range and returns a :class:`VerificationReport`.
 :func:`run_identities` and :func:`run_identity` are the only runners.  They
 plan each named suite by its ``_REGISTRY`` plan, whose signature holds the
 default bounds (bounds checked, rows listed: each length m + n, or each n of
-the m = 2 suites, and each row's independent parts), then run every (row,
-part) task of them all on one pool of forked worker processes, priciest row
-first.  Parts and rows merge per suite in order, so reports are identical for
-every worker count.  A 2-Motzkin row tallies its path family once and reads
+the m = 2 suites, each row's independent parts and its price, the paths it
+enumerates), then run every (row, part) task of them all on one pool of
+forked worker processes, priciest row first; :func:`path_cost` sums the same
+prices.  Parts and rows merge per suite in order, so reports are identical
+for every worker count.  A 2-Motzkin row tallies its path family once and reads
 every (m, n) cell of its length off that pass.
 """
 
@@ -66,28 +67,25 @@ def _checked(cases: Iterable[tuple[tuple, object, object]]) -> Row:
 
 class _Plan(NamedTuple):
     """A planned suite: ``part(b)`` for each b in ``rows`` and each of the
-    row's independent ``parts``, merged in that order."""
+    row's independent ``parts``, merged in that order.  ``paths(b)`` is row
+    b's price, the paths its parts enumerate: none for a formula suite."""
 
     identity: str
     bounds: dict[str, int]
     parts: tuple[Callable[[int], Row], ...]
     rows: range
+    paths: Callable[[int], int] = lambda b: 0
 
 
-def _rows(identity: str, lo: int, *parts: Callable[..., Row], **bounds: int) -> _Plan:
+def _rows(identity: str, lo: int, *parts: Callable[..., Row],
+          paths: Callable[[int], int] = _Plan._field_defaults["paths"], **bounds: int) -> _Plan:
     """Rows lo..hi of the last bound, hi its value, each checked by a partial
-    of every one of ``parts`` and the other bounds."""
+    of every one of ``parts`` and the other bounds and priced by ``paths``."""
     *fixed, (bound, hi) = bounds.items()
     if hi < lo:
         raise DomainError(f"{identity} requires {bound} >= {lo}")
     args = dict(fixed).values()
-    return _Plan(identity, bounds, tuple(partial(part, *args) for part in parts), range(lo, hi + 1))
-
-
-def _row_cost(plan: _Plan, b: int) -> int:
-    """Row b's share of its suite's registry cost: cost(b) - cost(b - 1)."""
-    cost, bound = _REGISTRY[plan.identity][1], [*plan.bounds][-1]
-    return cost(**{**plan.bounds, bound: b}) - cost(**{**plan.bounds, bound: b - 1})
+    return _Plan(identity, bounds, tuple(partial(part, *args) for part in parts), range(lo, hi + 1), paths)
 
 
 # One part of one row of a plan, run as ``part(b)``.
@@ -110,7 +108,7 @@ def _execute(plans: list[_Plan], jobs: int) -> list[VerificationReport]:
     if jobs == 1 or len(tasks) < 2:
         results = [part(b) for _, b, part in tasks]
     else:
-        order = sorted(range(len(tasks)), key=lambda i: _row_cost(*tasks[i][:2]), reverse=True)
+        order = sorted(range(len(tasks)), key=lambda i: tasks[i][0].paths(tasks[i][1]), reverse=True)
         results = _forked(tasks, order, min(jobs, len(tasks)))
     reports, merged = [], iter(results)
     for plan in plans:
@@ -242,7 +240,7 @@ def _theorem1_row(s: int) -> Row:
 def _theorem1(max_sum: int = 14) -> _Plan:
     """P(m,n) - N(m,n) == T(m,n) for all m, n >= 1 with m + n <= max_sum,
     by exhausting the 2-Motzkin paths of each length."""
-    return _rows("theorem1", 2, _theorem1_row, max_sum=max_sum)
+    return _rows("theorem1", 2, _theorem1_row, paths=lambda s: catalan(s - 1), max_sum=max_sum)
 
 
 def _theorem1_dyck_row(s: int) -> Row:
@@ -280,7 +278,7 @@ def _theorem1_dyck(max_sum: int = 12) -> _Plan:
     """The Dyck-path restatement: tallies by level mod 4 at the point after
     2m-1 steps agree componentwise with the 2-Motzkin tallies, and the
     level correspondence under the canonical bijection holds pathwise."""
-    return _rows("theorem1-dyck", 2, _theorem1_dyck_row, max_sum=max_sum)
+    return _rows("theorem1-dyck", 2, _theorem1_dyck_row, paths=lambda s: 2 * catalan(s - 1), max_sum=max_sum)
 
 
 def _reversal_row(s: int) -> Row:
@@ -306,7 +304,7 @@ def _reversal(max_sum: int = 12) -> _Plan:
     """Reading a path right to left preserves its sign: the weight at m of
     every 2-Motzkin path of length m+n-2 equals the weight at n of its reverse,
     whose levels are read from its mirrored steps; so T(m,n) = T(n,m)."""
-    return _rows("reversal", 2, _reversal_row, max_sum=max_sum)
+    return _rows("reversal", 2, _reversal_row, paths=lambda s: catalan(s - 1), max_sum=max_sum)
 
 
 def _grid_row(sides: Callable[[int, int], tuple[int, int]], max_m: int, max_n: int) -> Row:
@@ -359,13 +357,14 @@ def _census_row(census: Callable[[int], int], n: int) -> Row:
 def _theorem4(max_n: int = 10) -> _Plan:
     """The bounded-gap census over Dyck paths of length 2n (height-one path
     twice) equals T(2,n) for every 1 <= n <= max_n."""
-    return _rows("theorem4", 1, partial(_census_row, bij.theorem4_census), max_n=max_n)
+    return _rows("theorem4", 1, partial(_census_row, bij.theorem4_census), paths=catalan, max_n=max_n)
 
 
 def _pairs(max_n: int = 9) -> _Plan:
     """The number of ordered Dyck-path pairs of total length 2n with height
     difference at most 1 equals T(2,n) for every 1 <= n <= max_n."""
-    return _rows("pairs", 1, partial(_census_row, bij.pair_census), max_n=max_n)
+    return _rows("pairs", 1, partial(_census_row, bij.pair_census),
+                 paths=lambda n: sum(map(catalan, range(n + 1))), max_n=max_n)
 
 
 def _injection_sources(start: bij.StartClass, forward: Callable[[_Walk], _Walk],
@@ -417,7 +416,7 @@ def _bijection_f(max_n: int = 8) -> _Plan:
     paths of height >= 2, missing exactly the height-one path."""
     maps = bij._injection_f, bij._injection_f_inverse, bij._in_f_image
     return _rows("bijection-f", 2, partial(_injection_sources, bij.StartClass.NSTAR, *maps),
-                 partial(_injection_targets, "f", *maps), max_n=max_n)
+                 partial(_injection_targets, "f", *maps), paths=lambda n: catalan(n + 1) + catalan(n), max_n=max_n)
 
 
 def _bijection_g(max_n: int = 8) -> _Plan:
@@ -428,7 +427,7 @@ def _bijection_g(max_n: int = 8) -> _Plan:
     :func:`~supercat.bijections.g_intermediate`."""
     maps = bij._injection_g, bij._injection_g_inverse, bij._in_g_image
     return _rows("bijection-g", 2, partial(_injection_sources, bij.StartClass.NSTARSTAR, *maps),
-                 partial(_injection_targets, "g", *maps), max_n=max_n)
+                 partial(_injection_targets, "g", *maps), paths=lambda n: catalan(n + 1) + catalan(n), max_n=max_n)
 
 
 def _pair_map_split(n: int) -> Row:
@@ -475,58 +474,45 @@ def _pair_map_recovery(n: int) -> Row:
 
 def _pair_map(max_n: int = 8) -> _Plan:
     """The pair split and its inverse are mutually inverse, split heights
-    match the pre/post maxima, and the pair multiset is counted by T(2,n)."""
-    return _rows("pair-map", 1, _pair_map_split, _pair_map_recovery, max_n=max_n)
+    match the pre/post maxima, and the pair multiset is counted by T(2,n).
+    Row n is priced at its C(n) split walks and the C(n + 1) pairs it compares."""
+    return _rows("pair-map", 1, _pair_map_split, _pair_map_recovery,
+                 paths=lambda n: catalan(n) + catalan(n + 1), max_n=max_n)
 
 
-def _catalan_sum(lo: int, hi: int) -> int:
-    return sum(catalan(n) for n in range(lo, hi + 1))
-
-
-def _rows_cost(max_sum: int) -> int:
-    return _catalan_sum(1, max_sum - 1)  # row s: the C(s-1) 2-Motzkin paths of length s-2
-
-
-def _injection_cost(max_n: int) -> int:
-    return _catalan_sum(3, max_n + 1) + _catalan_sum(2, max_n)
-
-
-# Every identity, in the order `supercat verify all` runs them: its plan and
-# the paths its suite enumerates, given its bounds.  Default bounds live only
-# in the plan signatures.
-_REGISTRY: dict[str, tuple[Callable[..., _Plan], Callable[..., int]]] = {
-    "theorem1": (_theorem1, _rows_cost),
-    "theorem1-dyck": (_theorem1_dyck, lambda max_sum: 2 * _rows_cost(max_sum)),
-    "rubenstein": (_rubenstein, lambda **_: 0),
-    "ballot-sum": (_ballot_sum, lambda **_: 0),
-    "symmetry": (_symmetry, lambda **_: 0),
-    "theorem4": (_theorem4, lambda max_n: _catalan_sum(1, max_n)),
-    "pairs": (_pairs, lambda max_n: sum(_catalan_sum(0, n) for n in range(1, max_n + 1))),
-    "bijection-f": (_bijection_f, _injection_cost),
-    "bijection-g": (_bijection_g, _injection_cost),
-    "pair-map": (_pair_map, lambda max_n: _catalan_sum(1, max_n) + _catalan_sum(2, max_n + 1)),
-    "reversal": (_reversal, _rows_cost),
+# Every identity, in the order `supercat verify all` runs them, and its plan.
+# Default bounds live only in the plan signatures.
+_REGISTRY: dict[str, Callable[..., _Plan]] = {
+    "theorem1": _theorem1,
+    "theorem1-dyck": _theorem1_dyck,
+    "rubenstein": _rubenstein,
+    "ballot-sum": _ballot_sum,
+    "symmetry": _symmetry,
+    "theorem4": _theorem4,
+    "pairs": _pairs,
+    "bijection-f": _bijection_f,
+    "bijection-g": _bijection_g,
+    "pair-map": _pair_map,
+    "reversal": _reversal,
 }
 IDENTITIES = tuple(_REGISTRY)
 
 
-def _resolve(name: str, **overrides: int | None):
-    """The named suite's plan, its cost and the plan's default bounds, replaced
-    by each override it takes that is not None (an explicit 0 reaches the plan)."""
+def _plan(name: str, **overrides: int | None) -> _Plan:
+    """The named suite's plan at its default bounds, each replaced by an
+    override it takes that is not None (an explicit 0 reaches the plan)."""
     if name not in _REGISTRY:
         raise DomainError(f"unknown identity {name!r}")
-    plan, cost = _REGISTRY[name]
+    plan = _REGISTRY[name]
     params = inspect.signature(plan).parameters
-    bounds = {k: p.default if overrides.get(k) is None else overrides[k] for k, p in params.items()}
-    return plan, cost, bounds
+    return plan(**{k: p.default if overrides.get(k) is None else overrides[k] for k, p in params.items()})
 
 
 def run_identities(names: Iterable[str], *, max_sum: int | None = None, max_m: int | None = None,
                    max_n: int | None = None, jobs: int = 1) -> list[VerificationReport]:
     """Plan each named suite, with its default bounds unless overridden, and
     only then run every row of them all on ``jobs`` worker processes."""
-    resolved = [_resolve(name, max_sum=max_sum, max_m=max_m, max_n=max_n) for name in names]
-    return _execute([plan(**bounds) for plan, _, bounds in resolved], jobs)
+    return _execute([_plan(name, max_sum=max_sum, max_m=max_m, max_n=max_n) for name in names], jobs)
 
 
 def run_identity(name: str, *, jobs: int = 1, **overrides: int | None) -> VerificationReport:
@@ -536,6 +522,8 @@ def run_identity(name: str, *, jobs: int = 1, **overrides: int | None) -> Verifi
 
 def path_cost(name: str, *, max_sum: int | None = None, max_m: int | None = None,
               max_n: int | None = None) -> int:
-    """Paths :func:`run_identity` would enumerate with the same overrides."""
-    _, cost, bounds = _resolve(name, max_sum=max_sum, max_m=max_m, max_n=max_n)
-    return cost(**bounds)
+    """Paths :func:`run_identity` would enumerate with the same overrides:
+    the sum of its plan's row prices.  Raises the plan's :class:`DomainError`
+    on bounds the suite refuses."""
+    plan = _plan(name, max_sum=max_sum, max_m=max_m, max_n=max_n)
+    return sum(map(plan.paths, plan.rows))

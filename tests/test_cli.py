@@ -186,6 +186,11 @@ class TestVerify:
         assert out == ""
         assert err == "error: theorem1 requires max_sum >= 2\n"
 
+    def test_all_refuses_a_bad_bound_before_pricing_a_later_suite(self, capsys):
+        # theorem1's plan refuses max_sum 1 before theorem4's price at n = 20 is read
+        code, out, err = run(capsys, "verify", "all", "--max-sum", "1", "--max-n", "20")
+        assert (code, out, err) == (1, "", "error: theorem1 requires max_sum >= 2\n")
+
     def test_all_prints_the_same_bytes_for_every_worker_count(self, capsys):
         outputs = {run(capsys, "verify", "all", "--max", "6", "--jobs", jobs, "--format", "json")[1:]
                    for jobs in ("1", "2", "3")}

@@ -1,3 +1,4 @@
+import pickle
 from itertools import product
 
 import pytest
@@ -7,10 +8,14 @@ from conftest import brute_family, dyck_paths, motzkin_paths
 from supercat.enumeration import enum_dyck
 from supercat.errors import DomainError, ParseError
 from supercat.paths import (
+    _BALLOT_EVEN,
+    _DYCK,
+    _MOTZKIN2,
     EMPTY_PATH,
     RISE,
     LatticePath,
     PathMarkers,
+    _family_levels,
     _markers,
     _reverse,
     is_dyck,
@@ -55,6 +60,11 @@ class TestParse:
         # parsing is permissive; the path may dip below the axis
         assert parse_path("DU", "dyck").levels == (0, -1, 0)
 
+    def test_parse_error_survives_pickle(self):
+        # a worker process hands its exception to the parent as a pickle
+        error = pickle.loads(pickle.dumps(ParseError("unknown step 'X' at index 3", index=3)))
+        assert (type(error), str(error), error.index) == (ParseError, "unknown step 'X' at index 3", 3)
+
 
 class TestPathValue:
     def test_str_and_repr(self):
@@ -92,6 +102,27 @@ class TestValidate:
         assert is_even_terminal_ballot(make_path("UUUUUDDD"))
         assert not is_even_terminal_ballot(make_path("UUU"))
         assert not is_even_terminal_ballot(make_path("USU"))
+
+    @pytest.mark.parametrize(
+        "family,alphabet,end", [(_DYCK, "UD", 0), (_MOTZKIN2, "UDSW", 0), (_BALLOT_EVEN, "UD", 2)]
+    )
+    def test_family_levels_accepts_exactly_the_brute_force_family(self, family, alphabet, end):
+        for length in range(9):
+            members = set(brute_family(length, end, alphabet))
+            for steps in map("".join, product("UDSW", repeat=length)):
+                levels = _family_levels(steps, family)
+                assert (levels is not None) == (steps in members), steps
+                if levels is not None:
+                    assert levels == make_path(steps).levels
+
+    def test_a_foreign_step_is_in_no_family(self):
+        path = LatticePath("UXD", (0, 1, 1, 0))
+        assert not is_dyck(path)
+        assert not is_motzkin2(path)
+        assert not is_even_terminal_ballot(path)
+
+    def test_predicates_read_the_steps_not_the_cached_levels(self):
+        assert is_even_terminal_ballot(LatticePath("UU", (0, 1, 0)))
 
 
 class TestMarkers:

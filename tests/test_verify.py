@@ -7,7 +7,8 @@ from pathlib import Path
 import pytest
 
 from supercat import verify
-from supercat.errors import DomainError
+from supercat.errors import DomainError, ParseError
+from supercat.numbers import catalan
 
 # The suites that enumerate paths; the rest evaluate formulas only.
 PATH_SUITES = (
@@ -309,6 +310,84 @@ def test_path_cost_matches_the_paths_enumerated(monkeypatch, name, bounds):
     monkeypatch.setattr(enumeration, "_walks", counted)
     assert verify.run_identity(name, **bounds).passed
     assert len(yielded) == verify.path_cost(name, **bounds)
+
+
+def counted_stream(stream, pulled):
+    """``stream`` with each item it yields appended to ``pulled``."""
+    def counted(*args):
+        for item in stream(*args):
+            pulled.append(item)
+            yield item
+
+    return counted
+
+
+@pytest.mark.parametrize(
+    "name,bounds",
+    [
+        ("theorem1", {"max_sum": 7}),
+        ("theorem1-dyck", {"max_sum": 7}),
+        ("reversal", {"max_sum": 7}),
+        ("theorem4", {"max_n": 6}),
+        ("pairs", {"max_n": 6}),
+        ("bijection-f", {"max_n": 5}),
+        ("bijection-g", {"max_n": 5}),
+    ],
+)
+def test_each_row_enumerates_its_price(monkeypatch, name, bounds):
+    # the pool's queue orders tasks by each row's price, so each must be exact
+    from supercat import enumeration
+
+    pulled = []
+    monkeypatch.setattr(enumeration, "_walks", counted_stream(enumeration._walks, pulled))
+    plan = verify._plan(name, **bounds)
+    for b in plan.rows:
+        pulled.clear()
+        for part in plan.parts:
+            assert part(b)[0] == []
+        assert len(pulled) == plan.paths(b), (name, b)
+
+
+def test_pair_map_rows_are_priced_at_their_split_walks_and_compared_pairs(monkeypatch):
+    from supercat import enumeration
+
+    walks, pairs = [], []
+    monkeypatch.setattr(enumeration, "_walks", counted_stream(enumeration._walks, walks))
+    monkeypatch.setattr(verify, "_pair_walks", counted_stream(verify._pair_walks, pairs))
+    plan = verify._plan("pair-map", max_n=6)
+    split, recovery = plan.parts
+    for n in plan.rows:
+        walks.clear()
+        pairs.clear()
+        assert split(n)[0] == []
+        assert len(walks) == catalan(n)
+        assert recovery(n)[0] == []
+        assert len(pairs) == catalan(n + 1)
+        assert plan.paths(n) == catalan(n) + catalan(n + 1)
+
+
+def test_path_cost_refuses_the_bounds_its_suite_refuses():
+    with pytest.raises(DomainError, match="^theorem1 requires max_sum >= 2$"):
+        verify.path_cost("theorem1", max_sum=1)
+    with pytest.raises(DomainError, match="^unknown identity 'fermat'$"):
+        verify.path_cost("fermat")
+
+
+def _parse_error_core(walk):
+    raise ParseError(f"unknown step 'X' in {walk[0]}", index=4)
+
+
+def test_a_parse_error_in_a_worker_reaches_the_parent_whole(monkeypatch):
+    from supercat import bijections
+
+    monkeypatch.setattr(bijections, "_injection_f", _parse_error_core)
+    raised = []
+    for jobs in (1, 2):
+        with pytest.raises(ParseError) as exc:
+            verify.run_identity("bijection-f", max_n=4, jobs=jobs)
+        raised.append((type(exc.value), str(exc.value), exc.value.index))
+        assert_every_worker_reaped()
+    assert raised[0] == raised[1] == (ParseError, "unknown step 'X' in UUUDDD", 4)
 
 
 class TestVerificationReport:
