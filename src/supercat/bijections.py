@@ -103,7 +103,8 @@ class DyckPair(NamedTuple):
 
 
 def _walk(path: LatticePath) -> _Walk:
-    return path.steps, path.levels
+    """The steps a public map checks and their levels, never the cached ``levels``."""
+    return path.steps, _levels(path.steps)
 
 
 _EMPTY_WALK = _walk(EMPTY_PATH)
@@ -262,7 +263,7 @@ def classify_start(path: DyckPath) -> StartClass:
     """
     _require(is_dyck(path), "classify_start requires a valid Dyck path")
     _require(len(path) >= 6, "classify_start requires length >= 6")
-    return _start_class(path.steps, path.levels)
+    return _start_class(*_walk(path))
 
 
 def _start_class(steps: str, levels: tuple[int, ...]) -> StartClass:
@@ -304,8 +305,9 @@ def injection_f_inverse(path: DyckPath) -> DyckPath:
     step, then turn the up step entering the leftmost maximum into a down
     step."""
     _require(is_dyck(path) and len(path) >= 2, "injection_f_inverse requires a nonempty valid Dyck path")
-    _require(_in_f_image(path.levels), "height-one path is outside the image of injection_f")
-    return LatticePath(*_injection_f_inverse(_walk(path)))
+    walk = _walk(path)
+    _require(_in_f_image(walk[1]), "height-one path is outside the image of injection_f")
+    return LatticePath(*_injection_f_inverse(walk))
 
 
 def _injection_f_inverse(walk: _Walk) -> _Walk:
@@ -378,11 +380,12 @@ def injection_g_inverse(path: DyckPath) -> DyckPath:
     level-one point into down steps.
     """
     _require(is_dyck(path) and len(path) >= 2, "injection_g_inverse requires a nonempty valid Dyck path")
+    walk = _walk(path)
     _require(
-        _in_g_image(path.levels),
+        _in_g_image(walk[1]),
         "injection_g_inverse requires the post-split maximum to exceed the pre-split maximum by at least 3",
     )
-    return LatticePath(*_injection_g_inverse(_walk(path)))
+    return LatticePath(*_injection_g_inverse(walk))
 
 
 def _injection_g_inverse(walk: _Walk) -> _Walk:
@@ -425,12 +428,13 @@ def _theorem4_walks(n: int) -> Iterator[_Walk]:
     return gen()
 
 
-def _split_markers(path: DyckPath, name: str) -> PathMarkers:
+def _split_markers(path: DyckPath, name: str) -> tuple[_Walk, PathMarkers]:
     _require(is_dyck(path) and len(path) >= 2, f"{name} requires a nonempty valid Dyck path")
-    mk = _markers(path.levels)
+    walk = _walk(path)
+    mk = _markers(walk[1])
     _require(_bounded_gap(mk),
              "to_pair requires the post-split maximum to exceed the pre-split maximum by at most 2")
-    return mk
+    return walk, mk
 
 
 def to_pair(path: DyckPath) -> DyckPair:
@@ -442,18 +446,17 @@ def to_pair(path: DyckPath) -> DyckPair:
     The pair heights are the input's pre-split maximum and post-split
     maximum minus one, so they differ by at most 1.
     """
-    mk = _split_markers(path, "to_pair")
+    walk, mk = _split_markers(path, "to_pair")
     _require(mk.height > 1,
              "height-one path maps to two pairs (path, empty) and (empty, path); see to_pair_all")
-    return _path_pair(*_to_pair_all(_walk(path), mk)[0])
+    return _path_pair(*_to_pair_all(walk, mk)[0])
 
 
 def to_pair_all(path: DyckPath) -> tuple[DyckPair, ...]:
     """All pairs a bounded-gap Dyck path accounts for: one for height > 1,
     and for the height-one path the two tagged pairs (path, empty) and
     (empty, path), in that order."""
-    mk = _split_markers(path, "to_pair_all")
-    return tuple(starmap(_path_pair, _to_pair_all(_walk(path), mk)))
+    return tuple(starmap(_path_pair, _to_pair_all(*_split_markers(path, "to_pair_all"))))
 
 
 def _to_pair_all(walk: _Walk, mk: PathMarkers) -> tuple[tuple[_Walk, _Walk], ...]:
@@ -479,8 +482,10 @@ def from_pair(pair: DyckPair) -> DyckPath:
     first, second = pair
     _require(is_dyck(first) and is_dyck(second), "from_pair requires two valid (possibly empty) Dyck paths")
     _require(len(first) > 0 or len(second) > 0, "from_pair requires a nonempty pair")
-    _require(_close(first.height, second.height), "from_pair requires the pair heights to differ by at most 1")
-    return LatticePath(*_from_pair(_walk(first), _walk(second)))
+    first, second = _walk(first), _walk(second)
+    _require(_close(max(first[1]), max(second[1])),
+             "from_pair requires the pair heights to differ by at most 1")
+    return LatticePath(*_from_pair(first, second))
 
 
 def _from_pair(first: _Walk, second: _Walk) -> _Walk:

@@ -13,7 +13,7 @@ import argparse
 import json
 import os
 import sys
-from itertools import islice
+from itertools import accumulate, islice
 from operator import itemgetter
 
 from . import bijections as bij
@@ -41,15 +41,6 @@ def _dumps(obj) -> str:
 
 
 def _default_jobs() -> int:
-    env = os.environ.get("SUPERCAT_JOBS")
-    if env:
-        try:
-            jobs = int(env)
-        except ValueError:
-            jobs = 0
-        if jobs >= 1:
-            return jobs
-        print(f"warning: ignoring SUPERCAT_JOBS={env!r}, not a positive integer", file=sys.stderr)
     if not hasattr(os, "fork"):
         return 1  # the worker pool forks
     if hasattr(os, "sched_getaffinity"):
@@ -73,11 +64,7 @@ def _table_cell(kind: str, m: int, n: int) -> int | None:
 
 
 def _cmd_table(args) -> int:
-    max_m = args.max_m if args.max_m is not None else args.rows
-    max_n = args.max_n if args.max_n is not None else args.cols
-    if max_m is None or max_n is None:
-        print("table requires bounds: table KIND MAX_M MAX_N", file=sys.stderr)
-        return 2
+    max_m, max_n = args.max_m, args.max_n
     if max_m < 0 or max_n < 0:
         print("table bounds must be >= 0", file=sys.stderr)
         return 2
@@ -148,10 +135,13 @@ def _cmd_verify(args) -> int:
             return 2
     bounds = {key: args.max if value is None else value for key, value in explicit.items()}
     for name in names:
-        cost = verify.path_cost(name, **bounds)
-        if cost > ENUMERATION_CAP and not args.force:
+        plan = verify._plan(name, **bounds)
+        # prices are nonnegative: the first partial sum over the cap, from the
+        # last row down, refuses without pricing the whole sweep
+        over = (cost for cost in accumulate(map(plan.paths, reversed(plan.rows))) if cost > ENUMERATION_CAP)
+        if not args.force and (cost := next(over, 0)):
             print(
-                f"{name}: refusing a sweep over {cost:,} paths, more than the "
+                f"{name}: refusing a sweep over at least {cost:,} paths, more than the "
                 f"{ENUMERATION_CAP:,} budget; pass --force to run it anyway",
                 file=sys.stderr,
             )
@@ -243,10 +233,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     table = sub.add_parser("table", help="print a value table")
     table.add_argument("kind", choices=("T", "S", "C", "B"))
-    table.add_argument("rows", nargs="?", type=int, default=None, metavar="MAX_M")
-    table.add_argument("cols", nargs="?", type=int, default=None, metavar="MAX_N")
-    table.add_argument("--max-m", type=int, default=None)
-    table.add_argument("--max-n", type=int, default=None)
+    table.add_argument("max_m", type=int, metavar="MAX_M")
+    table.add_argument("max_n", type=int, metavar="MAX_N")
     table.add_argument("--format", choices=("tsv", "json"), default="tsv")
     table.set_defaults(func=_cmd_table)
 

@@ -178,7 +178,7 @@ def markers(path: DyckPath) -> PathMarkers:
         raise DomainError("markers undefined for empty path")
     if not is_dyck(path):
         raise DomainError("markers require a valid Dyck path")
-    return _markers(path.levels)
+    return _markers(_levels(path.steps))
 
 
 def _reverse(steps: str) -> tuple[str, tuple[int, ...]]:

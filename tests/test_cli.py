@@ -3,11 +3,13 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 from supercat.cli import main
+from supercat.errors import DomainError
 
 
 def run(capsys, *argv):
@@ -55,11 +57,6 @@ class TestTable:
             "-\t5\t4\t1",
         ]
 
-    def test_flags_override_positionals(self, capsys):
-        code, out, _ = run(capsys, "table", "C", "9", "9", "--max-m", "0", "--max-n", "2")
-        assert code == 0
-        assert out.splitlines() == ["1\t1\t2"]
-
     def test_json_is_canonical_and_roundtrips(self, capsys):
         code, out, _ = run(capsys, "table", "T", "2", "2", "--format", "json")
         assert code == 0
@@ -75,9 +72,12 @@ class TestTable:
         assert int(payload["rows"][0][40]) > 2**63
 
     def test_missing_bounds(self, capsys):
-        code, _, err = run(capsys, "table", "T")
-        assert code == 2
-        assert "bounds" in err
+        # the two positionals are the only bounds: argparse's usage error
+        for argv in (["T"], ["T", "3"], ["T", "--max-m", "3", "--max-n", "3"]):
+            with pytest.raises(SystemExit) as exc:
+                main(["table", *argv])
+            assert exc.value.code == 2
+            assert capsys.readouterr().err.startswith("usage: supercat")
 
     def test_negative_bounds(self, capsys):
         code, _, _ = run(capsys, "table", "T", "-1", "3")
@@ -105,6 +105,33 @@ class TestVerify:
         code, _, err = run(capsys, "verify", "theorem1", "--max-sum", "19")
         assert code == 2
         assert "--force" in err
+
+    def test_refusal_prices_only_the_rows_it_needs(self, capsys):
+        # C(4999), the last row's price, is past the cap on its own
+        start = time.perf_counter()
+        code, out, err = run(capsys, "verify", "theorem1", "--max-sum", "5000")
+        assert time.perf_counter() - start < 2
+        assert code == 2
+        assert out == ""
+        assert "refusing a sweep over at least" in err and "--force" in err
+
+    def test_refusal_agrees_with_path_cost(self, capsys, monkeypatch):
+        from supercat import cli, verify
+
+        def passed(names, *, jobs, **bounds):
+            return [verify.VerificationReport(name, {}, (), 1) for name in names]
+
+        monkeypatch.setattr(verify, "run_identities", passed)
+        for name in verify.IDENTITIES:
+            for bound in range(25):
+                try:
+                    cost = verify.path_cost(name, max_sum=bound, max_m=bound, max_n=bound)
+                except DomainError:
+                    want = 1
+                else:
+                    want = 2 if cost > cli.ENUMERATION_CAP else 0
+                assert main(["verify", name, "--max", str(bound), "--jobs", "1"]) == want, (name, bound)
+        capsys.readouterr()
 
     def test_cap_is_a_path_budget(self):
         from supercat import cli, verify
@@ -410,7 +437,6 @@ class TestJobsEnvironment:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2}, raising=False)
 
     def test_default_counts_only_usable_cpus(self, monkeypatch, capsys, seen_jobs, pinned):
-        monkeypatch.delenv("SUPERCAT_JOBS", raising=False)
         assert main(["verify", "symmetry"]) == 0
         monkeypatch.delattr(os, "sched_getaffinity")
         assert main(["verify", "symmetry"]) == 0
@@ -418,7 +444,6 @@ class TestJobsEnvironment:
         assert seen_jobs == [2, 4]
 
     def test_default_is_one_job_without_fork(self, monkeypatch, capsys, seen_jobs, pinned):
-        monkeypatch.delenv("SUPERCAT_JOBS", raising=False)
         monkeypatch.delattr(os, "fork")
         assert main(["verify", "symmetry"]) == 0
         assert seen_jobs == [1]
@@ -433,36 +458,10 @@ class TestJobsEnvironment:
         assert main(["verify", "theorem4", "--max-n", "3", "--jobs", "1"]) == 0
         assert seen_jobs == [1]
 
-    def test_env_var_sets_default(self, monkeypatch, capsys, seen_jobs):
+    def test_environment_does_not_set_jobs(self, monkeypatch, capsys, seen_jobs, pinned):
+        # --jobs is the one way to choose a worker count
         monkeypatch.setenv("SUPERCAT_JOBS", "3")
-        assert main(["verify", "symmetry"]) == 0
-        assert seen_jobs == [3]
-
-    def test_flag_overrides_env(self, monkeypatch, capsys, seen_jobs):
-        monkeypatch.setenv("SUPERCAT_JOBS", "3")
-        assert main(["verify", "symmetry", "--jobs", "5"]) == 0
-        assert seen_jobs == [5]
-
-    def test_unparsable_env_warns_and_falls_back(self, monkeypatch, capsys, seen_jobs, pinned):
-        monkeypatch.setenv("SUPERCAT_JOBS", "abc")
-        assert main(["verify", "symmetry"]) == 0
-        assert seen_jobs == [2]
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1
-        assert "SUPERCAT_JOBS='abc'" in err
-
-    @pytest.mark.parametrize("value", ["0", "-2"])
-    def test_env_below_one_warns_and_falls_back(self, monkeypatch, capsys, seen_jobs, pinned, value):
-        monkeypatch.setenv("SUPERCAT_JOBS", value)
-        assert main(["verify", "symmetry"]) == 0
-        assert seen_jobs == [2]
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1
-        assert f"SUPERCAT_JOBS={value!r}" in err
-
-    def test_env_is_read_only_by_verify(self, monkeypatch, capsys):
-        monkeypatch.setenv("SUPERCAT_JOBS", "abc")
-        code, out, err = run(capsys, "table", "C", "0", "2")
+        code, _, err = run(capsys, "verify", "symmetry")
         assert code == 0
-        assert out == "1\t1\t2\n"
         assert err == ""
+        assert seen_jobs == [2]
