@@ -103,15 +103,15 @@ class DyckPair(NamedTuple):
 
 
 def _walk(path: LatticePath) -> _Walk:
-    """The steps a public map checks and their levels, never the cached ``levels``."""
-    return path.steps, _levels(path.steps)
+    """The steps a public map checks and the levels derived from them."""
+    return path.steps, path.levels
 
 
 _EMPTY_WALK = _walk(EMPTY_PATH)
 
 
 def _path_pair(first: _Walk, second: _Walk) -> DyckPair:
-    return DyckPair(LatticePath(*first), LatticePath(*second))
+    return DyckPair(LatticePath(first[0]), LatticePath(second[0]))
 
 
 def _require(cond: bool, message: str) -> None:
@@ -169,7 +169,7 @@ def motzkin_to_dyck(path: TwoMotzkinPath) -> DyckPath:
     level -1 that wavy steps introduce.
     """
     _require(is_motzkin2(path), "motzkin_to_dyck requires a valid 2-Motzkin path")
-    return LatticePath(*_motzkin_to_dyck(path.steps))
+    return LatticePath(_motzkin_to_dyck(path.steps)[0])
 
 
 def _motzkin_to_dyck(steps: str) -> _Walk:
@@ -183,10 +183,9 @@ def dyck_to_motzkin(path: DyckPath) -> TwoMotzkinPath:
     steps = path.steps
     inner = steps[1:-1]
     out = "".join(_PAIR_TO_STEP[inner[i : i + 2]] for i in range(0, len(inner), 2))
-    levels = _family_levels(out, _MOTZKIN2)
-    if levels is None:
+    if _family_levels(out, _MOTZKIN2) is None:
         raise AssertionError(f"internal: pair decoding of {steps!r} is not a 2-Motzkin path")
-    return LatticePath(out, levels)
+    return LatticePath(out)
 
 
 def weight(path: TwoMotzkinPath, m: int) -> int:
@@ -287,7 +286,7 @@ def injection_f(path: DyckPath) -> DyckPath:
     height-one path is never produced).
     """
     _require(classify_start(path) is StartClass.NSTAR, _AVOIDING)
-    return LatticePath(*_injection_f(_walk(path)))
+    return LatticePath(_injection_f(_walk(path))[0])
 
 
 def _injection_f(walk: _Walk) -> _Walk:
@@ -307,7 +306,7 @@ def injection_f_inverse(path: DyckPath) -> DyckPath:
     _require(is_dyck(path) and len(path) >= 2, "injection_f_inverse requires a nonempty valid Dyck path")
     walk = _walk(path)
     _require(_in_f_image(walk[1]), "height-one path is outside the image of injection_f")
-    return LatticePath(*_injection_f_inverse(walk))
+    return LatticePath(_injection_f_inverse(walk)[0])
 
 
 def _injection_f_inverse(walk: _Walk) -> _Walk:
@@ -331,7 +330,7 @@ def g_intermediate(path: DyckPath) -> LatticePath:
     maximum after it by at least 4.
     """
     _require(classify_start(path) is StartClass.NSTARSTAR, _ATTAINING)
-    return LatticePath(*_g_intermediate(_walk(path)))
+    return LatticePath(_g_intermediate(_walk(path))[0])
 
 
 def _g_intermediate(walk: _Walk) -> _Walk:
@@ -361,7 +360,7 @@ def injection_g(path: DyckPath) -> DyckPath:
     the pre-split maximum by at least 3.
     """
     _require(classify_start(path) is StartClass.NSTARSTAR, _ATTAINING)
-    return LatticePath(*_injection_g(_walk(path)))
+    return LatticePath(_injection_g(_walk(path))[0])
 
 
 def _injection_g(walk: _Walk) -> _Walk:
@@ -385,7 +384,7 @@ def injection_g_inverse(path: DyckPath) -> DyckPath:
         _in_g_image(walk[1]),
         "injection_g_inverse requires the post-split maximum to exceed the pre-split maximum by at least 3",
     )
-    return LatticePath(*_injection_g_inverse(walk))
+    return LatticePath(_injection_g_inverse(walk)[0])
 
 
 def _injection_g_inverse(walk: _Walk) -> _Walk:
@@ -411,7 +410,7 @@ def theorem4_census(n: int) -> int:
 def theorem4_paths(n: int) -> Iterator[DyckPath]:
     """The paths behind :func:`theorem4_census`, with the height-one path
     yielded twice."""
-    return starmap(LatticePath, _theorem4_walks(n))
+    return (LatticePath(steps) for steps, _ in _theorem4_walks(n))
 
 
 def _theorem4_walks(n: int) -> Iterator[_Walk]:
@@ -485,7 +484,7 @@ def from_pair(pair: DyckPair) -> DyckPath:
     first, second = _walk(first), _walk(second)
     _require(_close(max(first[1]), max(second[1])),
              "from_pair requires the pair heights to differ by at most 1")
-    return LatticePath(*_from_pair(first, second))
+    return LatticePath(_from_pair(first, second)[0])
 
 
 def _from_pair(first: _Walk, second: _Walk) -> _Walk:

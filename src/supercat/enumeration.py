@@ -10,7 +10,8 @@ steps from its end level, read from a table built once per call.  Order
 is lexicographic in the canonical step order U < D < S < W; two runs emit
 identical sequences.
 
-The public ``enum_*`` streams wrap each pair in a :class:`LatticePath`.
+The public ``enum_*`` streams wrap each pair's steps in a
+:class:`LatticePath`, which recomputes levels only if they are read.
 Callers that read only levels or steps (the row tallies, the m = 2 map
 rows, ``supercat enumerate``) take the private ``_*_walks`` streams and
 build no path.  :func:`_pair_walks` is the one pair stream: it feeds
@@ -21,7 +22,6 @@ recovery half.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from itertools import starmap
 
 from .errors import DomainError
 from .paths import DYCK_ALPHABET, MOTZKIN_ALPHABET, RISE, LatticePath
@@ -117,30 +117,30 @@ def _ballot_even_walks(length: int) -> Iterator[_Walk]:
 
 def enum_dyck(n: int) -> Iterator[LatticePath]:
     """Every Dyck path of length 2n exactly once; count is catalan(n)."""
-    return starmap(LatticePath, _dyck_walks(n))
+    return (LatticePath(steps) for steps, _ in _dyck_walks(n))
 
 
 def enum_motzkin2(length: int) -> Iterator[LatticePath]:
     """Every 2-Motzkin path of the given length; count is catalan(length+1)."""
-    return starmap(LatticePath, _motzkin2_walks(length))
+    return (LatticePath(steps) for steps, _ in _motzkin2_walks(length))
 
 
 def enum_ballot(n: int, r: int) -> Iterator[LatticePath]:
     """Every nonnegative up/down path of length 2n-1 ending at level 2r-1;
     count is ballot_number(n, r)."""
-    return starmap(LatticePath, _ballot_walks(n, r))
+    return (LatticePath(steps) for steps, _ in _ballot_walks(n, r))
 
 
 def enum_ballot_even(length: int) -> Iterator[LatticePath]:
     """Every nonnegative up/down path of the given even length ending at
     level 2 (the intermediate family of the two-stage injection)."""
-    return starmap(LatticePath, _ballot_even_walks(length))
+    return (LatticePath(steps) for steps, _ in _ballot_even_walks(length))
 
 
 def enum_pairs_total(n: int) -> Iterator[tuple[LatticePath, LatticePath]]:
     """All ordered pairs of (possibly empty) Dyck paths of total length 2n,
     grouped by the first component's length, ascending."""
-    return ((LatticePath(*first), LatticePath(*second)) for first, second in _pair_walks(n))
+    return ((LatticePath(first[0]), LatticePath(second[0])) for first, second in _pair_walks(n))
 
 
 def _pair_walks(n: int) -> Iterator[tuple[_Walk, _Walk]]:
@@ -149,9 +149,10 @@ def _pair_walks(n: int) -> Iterator[tuple[_Walk, _Walk]]:
 
     def gen() -> Iterator[tuple[_Walk, _Walk]]:
         for k in range(n + 1):
-            seconds = list(_dyck_walks(n - k))
+            # hold the seconds only when they are the smaller half: about C(n // 2) walks at most
+            seconds = list(_dyck_walks(n - k)) if 2 * k > n else None
             for first in _dyck_walks(k):
-                for second in seconds:
+                for second in seconds or _dyck_walks(n - k):
                     yield first, second
 
     return gen()

@@ -2,8 +2,8 @@
 
 Steps are single characters: ``U`` (up, +1), ``D`` (down, -1), ``S``
 (straight level step, 0) and ``W`` (wavy level step, 0).  A path is an
-immutable value: the step string plus a cached level profile, where
-``levels[x]`` is the y-coordinate after ``x`` steps and ``levels[0] == 0``.
+immutable step string; its level profile, computed on first use, has
+``levels[x]`` the y-coordinate after ``x`` steps and ``levels[0] == 0``.
 
 Family membership (Dyck, 2-Motzkin, ballot) is a predicate over this one
 type rather than a distinct runtime type: parsing is deliberately
@@ -24,6 +24,7 @@ the empty string is the empty path.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import accumulate
 from typing import NamedTuple
 
@@ -51,15 +52,10 @@ _MIRROR = str.maketrans("UD", "DU")
 
 @dataclass(frozen=True)
 class LatticePath:
-    """Immutable step sequence with its level profile.
-
-    Construct through :func:`parse_path` (or :func:`make_path`); the two
-    fields must stay consistent: ``len(levels) == len(steps) + 1`` and each
-    increment matches the step's rise.
-    """
+    """Immutable step sequence; :func:`parse_path` builds one over a checked
+    alphabet, and ``levels`` is derived from the steps on first use."""
 
     steps: str
-    levels: tuple[int, ...]
 
     def __len__(self) -> int:
         return len(self.steps)
@@ -70,6 +66,10 @@ class LatticePath:
     def __repr__(self) -> str:
         return f"LatticePath({self.steps!r})"
 
+    @cached_property
+    def levels(self) -> tuple[int, ...]:
+        return _levels(self.steps)
+
     @property
     def height(self) -> int:
         return max(self.levels)
@@ -79,14 +79,14 @@ class LatticePath:
 DyckPath = LatticePath
 TwoMotzkinPath = LatticePath
 
-EMPTY_PATH = LatticePath("", (0,))
+EMPTY_PATH = LatticePath("")
 
 
 def parse_path(text: str, alphabet: str) -> LatticePath:
     """Parse a path string over the ``"dyck"`` (U/D) or ``"motzkin"``
     (U/D/S/W) alphabet.
 
-    Computes the level profile but does not enforce nonnegativity or any
+    Checks the alphabet but does not enforce nonnegativity or any
     terminal condition; the ``is_*`` predicates check those.  Raises
     :class:`ParseError` naming the first offending index.
     """
@@ -97,7 +97,7 @@ def parse_path(text: str, alphabet: str) -> LatticePath:
     if foreign := text.translate(table):
         i = text.index(foreign[0])
         raise ParseError(f"unknown step {foreign[0]!r} at index {i}", index=i)
-    return LatticePath(text, _levels(text))
+    return LatticePath(text)
 
 
 def _levels(steps: str) -> tuple[int, ...]:
@@ -178,7 +178,7 @@ def markers(path: DyckPath) -> PathMarkers:
         raise DomainError("markers undefined for empty path")
     if not is_dyck(path):
         raise DomainError("markers require a valid Dyck path")
-    return _markers(_levels(path.steps))
+    return _markers(path.levels)
 
 
 def _reverse(steps: str) -> tuple[str, tuple[int, ...]]:
@@ -195,4 +195,4 @@ def reverse(path: TwoMotzkinPath) -> TwoMotzkinPath:
     exchanged, level steps kept.  An involution on valid 2-Motzkin paths."""
     if not is_motzkin2(path):
         raise DomainError("reverse requires a valid 2-Motzkin path")
-    return LatticePath(*_reverse(path.steps))
+    return LatticePath(_reverse(path.steps)[0])

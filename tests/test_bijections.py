@@ -39,7 +39,6 @@ from supercat.paths import (
     make_path,
     markers,
     parse_path,
-    reverse,
 )
 
 
@@ -145,58 +144,6 @@ class TestPublicMapsBuildPaths:
         for n in range(1, 7):
             p = parse_path("UD" * n, "dyck")
             assert to_pair_all(p) == (DyckPair(p, EMPTY_PATH), DyckPair(EMPTY_PATH, p))
-
-
-DYCK_UP_TO_5 = [path for n in range(6) for path in enum_dyck(n)]
-MOTZKIN_UP_TO_4 = [path for length in range(5) for path in enum_motzkin2(length)]
-
-
-def outcome(fn, *args):
-    """What a call returns, or the type and message of the DomainError it raises."""
-    try:
-        return fn(*args)
-    except DomainError as exc:
-        return type(exc), str(exc)
-
-
-def from_pair_beside(path):
-    """from_pair of the path beside each Dyck path of size <= 2, on either side."""
-    partners = [q for n in range(3) for q in enum_dyck(n)]
-    return [outcome(from_pair, pair) for q in partners for pair in (DyckPair(path, q), DyckPair(q, path))]
-
-
-class TestStaleLevels:
-    """Every public path function computes on the levels of the steps it
-    checks: a path carrying another path's ``levels`` gets the answer its
-    steps get."""
-
-    @pytest.mark.parametrize(
-        "fn,paths",
-        [
-            pytest.param(fn, paths, id=fn.__name__.removesuffix("_beside"))
-            for fn, paths in [
-                (markers, DYCK_UP_TO_5),
-                (classify_start, DYCK_UP_TO_5),
-                (injection_f, DYCK_UP_TO_5),
-                (injection_f_inverse, DYCK_UP_TO_5),
-                (g_intermediate, DYCK_UP_TO_5),
-                (injection_g, DYCK_UP_TO_5),
-                (injection_g_inverse, DYCK_UP_TO_5),
-                (to_pair, DYCK_UP_TO_5),
-                (to_pair_all, DYCK_UP_TO_5),
-                (from_pair_beside, DYCK_UP_TO_5),
-                (dyck_to_motzkin, DYCK_UP_TO_5),
-                (motzkin_to_dyck, MOTZKIN_UP_TO_4),
-                (reverse, MOTZKIN_UP_TO_4),
-            ]
-        ],
-    )
-    def test_levels_come_from_the_steps(self, fn, paths):
-        for path in paths:
-            for other in paths:
-                if len(other) == len(path):
-                    stale = LatticePath(path.steps, other.levels)
-                    assert outcome(fn, stale) == outcome(fn, path), (path.steps, other.steps)
 
 
 class TestWeight:

@@ -1,10 +1,13 @@
 import hashlib
+import tracemalloc
 from itertools import chain, islice
 
 import pytest
 
 from conftest import brute_family, brute_height, canon_key, ref_ballot, ref_catalan
 from supercat.enumeration import (
+    _dyck_walks,
+    _pair_walks,
     enum_ballot,
     enum_ballot_even,
     enum_dyck,
@@ -131,6 +134,30 @@ def test_pairs_filtered_by_height_gap():
         if abs(brute_height(a.steps) - brute_height(b.steps)) <= 1
     ]
     assert len(kept) == 6
+
+
+def test_pair_walks_are_every_first_by_every_second_in_order():
+    for n in range(1, 9):
+        want = [
+            (first, second)
+            for k in range(n + 1)
+            for first in list(_dyck_walks(k))
+            for second in list(_dyck_walks(n - k))
+        ]
+        assert list(_pair_walks(n)) == want, n
+
+
+def test_pair_walks_hold_no_whole_dyck_size():
+    # listing every second of n = 10 peaks near 7 MiB; the smaller half only
+    # about 0.2 MiB
+    tracemalloc.start()
+    try:
+        for _ in _pair_walks(10):
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
 
 
 def test_pairs_requires_positive_n():

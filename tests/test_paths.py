@@ -1,11 +1,13 @@
 import pickle
+from dataclasses import FrozenInstanceError
 from itertools import product
 
 import pytest
 from hypothesis import given
 
 from conftest import brute_family, dyck_paths, motzkin_paths
-from supercat.enumeration import enum_dyck
+from supercat.bijections import weight
+from supercat.enumeration import enum_dyck, enum_motzkin2
 from supercat.errors import DomainError, ParseError
 from supercat.paths import (
     _BALLOT_EVEN,
@@ -26,6 +28,7 @@ from supercat.paths import (
     parse_path,
     reverse,
 )
+from supercat.render import render_svg
 
 
 class TestParse:
@@ -80,6 +83,28 @@ class TestPathValue:
         path = make_path("UUDS")
         assert path.height == 2
 
+    def test_the_steps_are_the_only_field(self):
+        with pytest.raises(TypeError):
+            LatticePath("UD", (0, 1, 0))
+
+    def test_levels_cannot_be_assigned(self):
+        path = make_path("UD")
+        with pytest.raises(FrozenInstanceError):
+            path.levels = (0, 1, 1)
+
+    def test_a_path_built_from_its_steps_is_the_path(self):
+        streamed = [p for n in range(6) for p in enum_dyck(n)]
+        streamed += [p for length in range(5) for p in enum_motzkin2(length)]
+        for path in streamed:
+            rebuilt, parsed = LatticePath(path.steps), make_path(path.steps)
+            assert rebuilt == path and hash(rebuilt) == hash(path), path
+            for p in (path, rebuilt):
+                assert p.levels == parsed.levels and p.height == parsed.height, path
+                assert [weight(p, m) for m in range(1, len(p) + 2)] == [
+                    weight(parsed, m) for m in range(1, len(p) + 2)
+                ], path
+                assert render_svg(p) == render_svg(parsed), path
+
 
 class TestValidate:
     def test_dyck_true(self):
@@ -116,13 +141,10 @@ class TestValidate:
                     assert levels == make_path(steps).levels
 
     def test_a_foreign_step_is_in_no_family(self):
-        path = LatticePath("UXD", (0, 1, 1, 0))
+        path = LatticePath("UXD")
         assert not is_dyck(path)
         assert not is_motzkin2(path)
         assert not is_even_terminal_ballot(path)
-
-    def test_predicates_read_the_steps_not_the_cached_levels(self):
-        assert is_even_terminal_ballot(LatticePath("UU", (0, 1, 0)))
 
 
 class TestMarkers:
