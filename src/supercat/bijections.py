@@ -26,7 +26,6 @@ from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass
 from enum import Enum
 from itertools import islice, starmap
 from operator import itemgetter
@@ -68,8 +67,7 @@ _ATTAINING = "injection_g requires an up-up-up start attaining level one before 
 _BATCH = 2048
 
 
-@dataclass(frozen=True)
-class SignedCount:
+class SignedCount(NamedTuple):
     """Tally of positive and negative paths for one (m, n) cell."""
 
     positive: int

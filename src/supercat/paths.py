@@ -23,7 +23,6 @@ the empty string is the empty path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
 from typing import NamedTuple
@@ -50,12 +49,30 @@ _ALPHABETS = {"dyck": _DYCK[0], "motzkin": _MOTZKIN2[0]}
 _MIRROR = str.maketrans("UD", "DU")
 
 
-@dataclass(frozen=True)
 class LatticePath:
     """Immutable step sequence; :func:`parse_path` builds one over a checked
     alphabet, and ``levels`` is derived from the steps on first use."""
 
     steps: str
+
+    def __init__(self, steps: str) -> None:
+        object.__setattr__(self, "steps", steps)
+
+    def __eq__(self, other: object) -> bool:
+        return self.steps == other.steps if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.steps,))
+
+    def __setattr__(self, name: str, value: object) -> None:
+        from dataclasses import FrozenInstanceError  # deferred: only this error needs the module
+
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        from dataclasses import FrozenInstanceError
+
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     def __len__(self) -> int:
         return len(self.steps)

@@ -2,22 +2,20 @@
 parameter range and returns a :class:`VerificationReport`.
 
 :func:`run_identities` and :func:`run_identity` are the only runners.  They
-plan each named suite by its ``_REGISTRY`` plan, whose signature holds the
-default bounds (bounds checked, rows listed: each length m + n, or each n of
-the m = 2 suites, each row's independent parts and its price, the paths it
-enumerates), then run every (row, part) task of them all on one pool of
-forked worker processes, priciest row first; :func:`path_cost` sums the same
-prices.  Parts and rows merge per suite in order, so reports are identical
+plan each named suite by its ``_REGISTRY`` plan, whose keyword-only defaults
+are the default bounds (bounds checked, rows listed: each length m + n, or
+each n of the m = 2 suites, each row's independent parts and its price, the
+paths it enumerates), then run every (row, part) task of them all on one pool
+of forked worker processes, priciest row first; :func:`path_cost` sums the
+same prices.  Parts and rows merge per suite in order, so reports are identical
 for every worker count.  A 2-Motzkin row tallies its path family once and reads
 every (m, n) cell of its length off that pass.
 """
 
 from __future__ import annotations
 
-import inspect
 import os
 from collections.abc import Callable, Iterable, Iterator
-from dataclasses import dataclass
 from functools import partial
 from itertools import islice, product
 from typing import BinaryIO, NamedTuple
@@ -37,8 +35,7 @@ class Failure(NamedTuple):
     rhs: object
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     """Outcome of checking one identity over a parameter range."""
 
     identity: str
@@ -237,7 +234,7 @@ def _theorem1_row(s: int) -> Row:
     return failures, s - 1
 
 
-def _theorem1(max_sum: int = 14) -> _Plan:
+def _theorem1(*, max_sum: int = 14) -> _Plan:
     """P(m,n) - N(m,n) == T(m,n) for all m, n >= 1 with m + n <= max_sum,
     by exhausting the 2-Motzkin paths of each length."""
     return _rows("theorem1", 2, _theorem1_row, paths=lambda s: catalan(s - 1), max_sum=max_sum)
@@ -274,7 +271,7 @@ def _theorem1_dyck_row(s: int) -> Row:
     return failures + cell_failures, paths * (s - 1) + cells
 
 
-def _theorem1_dyck(max_sum: int = 12) -> _Plan:
+def _theorem1_dyck(*, max_sum: int = 12) -> _Plan:
     """The Dyck-path restatement: tallies by level mod 4 at the point after
     2m-1 steps agree componentwise with the 2-Motzkin tallies, and the
     level correspondence under the canonical bijection holds pathwise."""
@@ -300,7 +297,7 @@ def _reversal_row(s: int) -> Row:
     return failures, cases
 
 
-def _reversal(max_sum: int = 12) -> _Plan:
+def _reversal(*, max_sum: int = 12) -> _Plan:
     """Reading a path right to left preserves its sign: the weight at m of
     every 2-Motzkin path of length m+n-2 equals the weight at n of its reverse,
     whose levels are read from its mirrored steps; so T(m,n) = T(n,m)."""
@@ -320,7 +317,7 @@ def _grid(identity: str, sides: Callable[[int, int], tuple[int, int]], max_m: in
     return _rows(identity, max_n, partial(_grid_row, sides), max_m=max_m, max_n=max_n)
 
 
-def _rubenstein(max_m: int = 50, max_n: int = 50) -> _Plan:
+def _rubenstein(*, max_m: int = 50, max_n: int = 50) -> _Plan:
     """4 T(m,n) = T(m+1,n) + T(m,n+1) for all 1 <= m <= max_m,
     1 <= n <= max_n."""
     def sides(m: int, n: int) -> tuple[int, int]:
@@ -329,7 +326,7 @@ def _rubenstein(max_m: int = 50, max_n: int = 50) -> _Plan:
     return _grid("rubenstein", sides, max_m, max_n)
 
 
-def _ballot_sum(max_m: int = 30, max_n: int = 30) -> _Plan:
+def _ballot_sum(*, max_m: int = 30, max_n: int = 30) -> _Plan:
     """The alternating ballot-product sum equals T(m,n); termwise equality
     of its two printed forms is asserted inside the evaluation."""
     return _grid("ballot-sum", lambda m, n: (ballot_sum_identity(m, n), super_catalan_t(m, n)), max_m, max_n)
@@ -343,7 +340,7 @@ def _symmetry_row(max_sum: int) -> Row:
     )
 
 
-def _symmetry(max_sum: int = 100) -> _Plan:
+def _symmetry(*, max_sum: int = 100) -> _Plan:
     """Formula-level T(m,n) = T(n,m) for all m + n <= max_sum."""
     if max_sum < 1:
         raise DomainError("symmetry requires max_sum >= 1")
@@ -354,13 +351,13 @@ def _census_row(census: Callable[[int], int], n: int) -> Row:
     return _checked([((n,), census(n), super_catalan_t(2, n))])
 
 
-def _theorem4(max_n: int = 10) -> _Plan:
+def _theorem4(*, max_n: int = 10) -> _Plan:
     """The bounded-gap census over Dyck paths of length 2n (height-one path
     twice) equals T(2,n) for every 1 <= n <= max_n."""
     return _rows("theorem4", 1, partial(_census_row, bij.theorem4_census), paths=catalan, max_n=max_n)
 
 
-def _pairs(max_n: int = 9) -> _Plan:
+def _pairs(*, max_n: int = 9) -> _Plan:
     """The number of ordered Dyck-path pairs of total length 2n with height
     difference at most 1 equals T(2,n) for every 1 <= n <= max_n."""
     return _rows("pairs", 1, partial(_census_row, bij.pair_census),
@@ -410,7 +407,7 @@ def _injection_targets(name: str, forward: Callable[[_Walk], _Walk], inverse: Ca
     return failures, cases
 
 
-def _bijection_f(max_n: int = 8) -> _Plan:
+def _bijection_f(*, max_n: int = 8) -> _Plan:
     """Round-trips and image census of the first injection, for every
     2 <= n <= max_n: it is a bijection from the avoiding class onto the Dyck
     paths of height >= 2, missing exactly the height-one path."""
@@ -419,7 +416,7 @@ def _bijection_f(max_n: int = 8) -> _Plan:
                  partial(_injection_targets, "f", *maps), paths=lambda n: catalan(n + 1) + catalan(n), max_n=max_n)
 
 
-def _bijection_g(max_n: int = 8) -> _Plan:
+def _bijection_g(*, max_n: int = 8) -> _Plan:
     """Round-trips and image census of the two-stage injection, for every
     2 <= n <= max_n: it is a bijection from the attaining class onto the Dyck
     paths whose post-split maximum exceeds the pre-split maximum by at least
@@ -472,7 +469,7 @@ def _pair_map_recovery(n: int) -> Row:
     return failures, cases
 
 
-def _pair_map(max_n: int = 8) -> _Plan:
+def _pair_map(*, max_n: int = 8) -> _Plan:
     """The pair split and its inverse are mutually inverse, split heights
     match the pre/post maxima, and the pair multiset is counted by T(2,n).
     Row n is priced at its C(n) split walks and the C(n + 1) pairs it compares."""
@@ -481,7 +478,7 @@ def _pair_map(max_n: int = 8) -> _Plan:
 
 
 # Every identity, in the order `supercat verify all` runs them, and its plan.
-# Default bounds live only in the plan signatures.
+# Default bounds live only in the plans' keyword-only defaults.
 _REGISTRY: dict[str, Callable[..., _Plan]] = {
     "theorem1": _theorem1,
     "theorem1-dyck": _theorem1_dyck,
@@ -499,13 +496,12 @@ IDENTITIES = tuple(_REGISTRY)
 
 
 def _plan(name: str, **overrides: int | None) -> _Plan:
-    """The named suite's plan at its default bounds, each replaced by an
-    override it takes that is not None (an explicit 0 reaches the plan)."""
+    """The named suite's plan at its keyword-only default bounds, each replaced
+    by an override it takes that is not None (an explicit 0 reaches the plan)."""
     if name not in _REGISTRY:
         raise DomainError(f"unknown identity {name!r}")
     plan = _REGISTRY[name]
-    params = inspect.signature(plan).parameters
-    return plan(**{k: p.default if overrides.get(k) is None else overrides[k] for k, p in params.items()})
+    return plan(**{k: v if overrides.get(k) is None else overrides[k] for k, v in plan.__kwdefaults__.items()})
 
 
 def run_identities(names: Iterable[str], *, max_sum: int | None = None, max_m: int | None = None,

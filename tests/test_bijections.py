@@ -181,6 +181,8 @@ class TestSignedCount:
         cell = signed_count(2, 3)
         assert (cell.positive, cell.negative) == (10, 4)
         assert cell.difference == 6
+        assert repr(cell) == "SignedCount(positive=10, negative=4)"
+        assert cell == (10, 4)
 
     def test_m1_row_has_no_negatives(self):
         for n in range(1, 7):

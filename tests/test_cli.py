@@ -236,6 +236,18 @@ class TestVerify:
         assert result.returncode == 0, result.stderr
         assert result.stdout == "\n"
 
+    def test_import_loads_no_introspection_modules(self):
+        # the record types and plan defaults need neither dataclasses nor inspect;
+        # only modules the import adds count, so a site hook may preload any of them
+        probe = ("import sys; before = set(sys.modules); import supercat.cli; "
+                 "print(*sorted(set(sys.argv[1:]) & (set(sys.modules) - before)))")
+        heavy = ["dataclasses", "inspect", "ast", "dis", "tokenize"]
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+        result = subprocess.run([sys.executable, "-c", probe, *heavy], env=env, capture_output=True, text=True,
+                                timeout=60)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == "\n"
+
     def test_a_pooled_run_loads_no_pool_modules(self):
         # the forked pool needs only os, select and pickle
         probe = ("import sys; from supercat.cli import main; code = main(sys.argv[1:7]); "

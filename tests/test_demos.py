@@ -1,3 +1,4 @@
+import doctest
 import os
 import subprocess
 import sys
@@ -16,3 +17,11 @@ def test_demo_runs(demo):
         [sys.executable, str(demo)], cwd=ROOT, env=env, capture_output=True, text=True, timeout=60
     )
     assert result.returncode == 0, result.stderr
+
+
+def test_readme_examples_run():
+    # the library tour's >>> examples pin the public reprs
+    result = doctest.testfile(str(ROOT / "README.md"), module_relative=False,
+                              optionflags=doctest.NORMALIZE_WHITESPACE)
+    assert result.attempted >= 5
+    assert result.failed == 0

@@ -1,6 +1,8 @@
+import copy
 import pickle
 from dataclasses import FrozenInstanceError
 from itertools import product
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given
@@ -78,6 +80,19 @@ class TestPathValue:
     def test_equality_and_hash(self):
         assert make_path("UD") == parse_path("UD", "dyck")
         assert len({make_path("UD"), parse_path("UD", "dyck")}) == 1
+        assert hash(make_path("UD")) == hash(("UD",))
+        # only a path equals a path: same steps on another class is not enough
+        assert make_path("UD") != SimpleNamespace(steps="UD")
+        assert make_path("UD") != "UD"
+
+    def test_survives_pickle_and_copy(self):
+        fresh, read = make_path("UD"), make_path("UUDD")
+        assert read.levels == (0, 1, 2, 1, 0)
+        for path in (fresh, read):
+            for clone in (pickle.loads(pickle.dumps(path)), copy.copy(path)):
+                assert type(clone) is LatticePath
+                assert clone == path and hash(clone) == hash(path)
+                assert clone.levels == path.levels
 
     def test_height_and_final_level(self):
         path = make_path("UUDS")
@@ -91,6 +106,13 @@ class TestPathValue:
         path = make_path("UD")
         with pytest.raises(FrozenInstanceError):
             path.levels = (0, 1, 1)
+        assert path.levels == (0, 1, 0)
+        for name in ("steps", "levels"):
+            with pytest.raises(FrozenInstanceError):
+                setattr(path, name, "UD")
+            with pytest.raises(FrozenInstanceError):
+                delattr(path, name)
+        assert (path.steps, path.levels) == ("UD", (0, 1, 0))
 
     def test_a_path_built_from_its_steps_is_the_path(self):
         streamed = [p for n in range(6) for p in enum_dyck(n)]

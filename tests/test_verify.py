@@ -398,6 +398,13 @@ class TestVerificationReport:
         assert not broken.passed
         assert broken.failures[0].params == (1,)
 
+    def test_a_report_is_a_tuple_of_its_fields(self):
+        report = verify.VerificationReport("x", {"max": 1}, (), 1)
+        assert repr(report) == "VerificationReport(identity='x', bounds={'max': 1}, failures=(), cases=1)"
+        assert report == ("x", {"max": 1}, (), 1)
+        identity, bounds, failures, cases = report
+        assert (identity, bounds, failures, cases) == (report.identity, report.bounds, report.failures, report.cases)
+
 
 # Reports of a deliberately broken program: T(2,3) is off by one, so every
 # suite that compares against T fails exactly where that value is read.
