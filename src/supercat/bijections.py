@@ -10,12 +10,13 @@ Index conventions, used throughout this module:
   indices 1 and 2.
 
 Every public map validates its input's precondition (raising
-:class:`~supercat.errors.DomainError`) and then runs its private ``_`` core,
-which trusts input the enumeration engine or another map has already
-checked.  Public maps and cores alike check their output's family
-invariants with :func:`~supercat.paths._family_levels`, the one family test
-(an invalid output raises AssertionError: it means the implementation is
-wrong, never the caller).  The paper's sign rule is :func:`_sign` alone:
+:class:`~supercat.errors.DomainError`; a nonempty Dyck input only through
+:func:`_nonempty_dyck`) and then runs its private ``_`` core, which trusts
+input the enumeration engine or another map has already checked.  Public
+maps and cores alike check their output with the one family test,
+:func:`~supercat.paths._family_levels`, on the family value the engine
+walks (an invalid output raises AssertionError: it means the implementation
+is wrong, never the caller).  The paper's sign rule is :func:`_sign` alone:
 :func:`weight`, the signed tallies and the verify suites all read it.  Every
 core takes and returns checked ``(steps, levels)`` walks, the enumeration
 engine's type (the pair split a tuple of walk pairs); only the public maps
@@ -108,6 +109,12 @@ def _walk(path: LatticePath) -> _Walk:
 _EMPTY_WALK = _walk(EMPTY_PATH)
 
 
+def _nonempty_dyck(path: DyckPath, name: str) -> _Walk:
+    """The walk of a nonempty Dyck path: the one input check of the maps that need one."""
+    _require(is_dyck(path) and len(path) >= 2, f"{name} requires a nonempty valid Dyck path")
+    return _walk(path)
+
+
 def _path_pair(first: _Walk, second: _Walk) -> DyckPair:
     return DyckPair(LatticePath(first[0]), LatticePath(second[0]))
 
@@ -177,12 +184,10 @@ def _motzkin_to_dyck(steps: str) -> _Walk:
 def dyck_to_motzkin(path: DyckPath) -> TwoMotzkinPath:
     """Inverse of :func:`motzkin_to_dyck`: strip the outer wrap, then read
     the interior two steps at a time."""
-    _require(is_dyck(path) and len(path) >= 2, "dyck_to_motzkin requires a nonempty valid Dyck path")
-    steps = path.steps
+    steps = _nonempty_dyck(path, "dyck_to_motzkin")[0]
     inner = steps[1:-1]
     out = "".join(_PAIR_TO_STEP[inner[i : i + 2]] for i in range(0, len(inner), 2))
-    if _family_levels(out, _MOTZKIN2) is None:
-        raise AssertionError(f"internal: pair decoding of {steps!r} is not a 2-Motzkin path")
+    _check(_family_levels(out, _MOTZKIN2) is not None, f"pair decoding of {steps!r} is not a 2-Motzkin path")
     return LatticePath(out)
 
 
@@ -301,8 +306,7 @@ def injection_f_inverse(path: DyckPath) -> DyckPath:
     """Inverse of :func:`injection_f`: insert two up steps after the first
     step, then turn the up step entering the leftmost maximum into a down
     step."""
-    _require(is_dyck(path) and len(path) >= 2, "injection_f_inverse requires a nonempty valid Dyck path")
-    walk = _walk(path)
+    walk = _nonempty_dyck(path, "injection_f_inverse")
     _require(_in_f_image(walk[1]), "height-one path is outside the image of injection_f")
     return LatticePath(_injection_f_inverse(walk)[0])
 
@@ -376,8 +380,7 @@ def injection_g_inverse(path: DyckPath) -> DyckPath:
     first step and turn the two up steps leaving the intermediate's last
     level-one point into down steps.
     """
-    _require(is_dyck(path) and len(path) >= 2, "injection_g_inverse requires a nonempty valid Dyck path")
-    walk = _walk(path)
+    walk = _nonempty_dyck(path, "injection_g_inverse")
     _require(
         _in_g_image(walk[1]),
         "injection_g_inverse requires the post-split maximum to exceed the pre-split maximum by at least 3",
@@ -426,8 +429,7 @@ def _theorem4_walks(n: int) -> Iterator[_Walk]:
 
 
 def _split_markers(path: DyckPath, name: str) -> tuple[_Walk, PathMarkers]:
-    _require(is_dyck(path) and len(path) >= 2, f"{name} requires a nonempty valid Dyck path")
-    walk = _walk(path)
+    walk = _nonempty_dyck(path, name)
     mk = _markers(walk[1])
     _require(_bounded_gap(mk),
              "to_pair requires the post-split maximum to exceed the pre-split maximum by at most 2")

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from itertools import accumulate, islice
 from operator import itemgetter
@@ -38,14 +37,6 @@ ENUMERATION_CAP = verify.path_cost("theorem1", max_sum=18)
 
 def _dumps(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
-
-
-def _default_jobs() -> int:
-    if not hasattr(os, "fork"):
-        return 1  # the worker pool forks
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))  # the CPUs this process may run on
-    return os.cpu_count() or 1
 
 
 def _table_cell(kind: str, m: int, n: int) -> int | None:
@@ -117,9 +108,8 @@ def _flag(bound: str) -> str:
 
 
 def _cmd_verify(args) -> int:
-    jobs = _default_jobs() if args.jobs is None else args.jobs
     try:
-        verify._check_jobs(jobs)
+        jobs = verify._check_jobs(args.jobs)
     except DomainError as exc:
         print(exc, file=sys.stderr)
         return 2

@@ -1,14 +1,14 @@
 """Exhaustive, deterministic generation of path families.
 
-One engine, :func:`_walks`, hands out every nonnegative path of a family
-as a ``(steps, levels)`` pair, lazily and without recursion.  It runs an
-explicit-stack backtrack (after Knuth, TAOCP 4A §7.2.1.6, Algorithm P)
-over all but the last few steps, pruned by nonnegativity and by
-whether the terminal level is still reachable, so work stays linear in
-the output size.  Each prefix is joined to every tail of the remaining
-steps from its end level, read from a table built once per call.  Order
-is lexicographic in the canonical step order U < D < S < W; two runs emit
-identical sequences.
+One engine, :func:`_walks`, hands out every path of a family (one
+``(alphabet, table, end)`` value, which :func:`~supercat.paths._family_levels`
+tests) as a ``(steps, levels)`` pair, lazily and without recursion.  It runs
+an explicit-stack backtrack (after Knuth, TAOCP 4A §7.2.1.6, Algorithm P)
+over all but the last few steps, pruned by nonnegativity and by whether the
+terminal level is still reachable, so work stays linear in the output size.
+Each prefix is joined to every tail of the remaining steps from its end
+level, read from a table built once per call.  Order is lexicographic in the
+canonical step order U < D < S < W; two runs emit identical sequences.
 
 The public ``enum_*`` streams wrap each pair's steps in a
 :class:`LatticePath`, which recomputes levels only if they are read.
@@ -24,7 +24,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 
 from .errors import DomainError
-from .paths import DYCK_ALPHABET, MOTZKIN_ALPHABET, RISE, LatticePath
+from .paths import _BALLOT_EVEN, _DYCK, _MOTZKIN2, RISE, LatticePath, _Family
 
 _Walk = tuple[str, tuple[int, ...]]
 
@@ -53,8 +53,9 @@ def _tails(length: int, terminal: int, rises: list[tuple[str, int]]) -> dict[int
     return table
 
 
-def _walks(length: int, terminal: int, alphabet: tuple[str, ...]) -> Iterator[_Walk]:
-    """All nonnegative paths of ``length`` steps from 0 to ``terminal``."""
+def _walks(length: int, family: _Family) -> Iterator[_Walk]:
+    """All paths of ``length`` steps in the family, in canonical order."""
+    alphabet, _, terminal = family
     if terminal < 0 or terminal > length:
         return
     if all(RISE[c] for c in alphabet) and (length - terminal) % 2:
@@ -94,25 +95,25 @@ def _walks(length: int, terminal: int, alphabet: tuple[str, ...]) -> Iterator[_W
 def _dyck_walks(n: int) -> Iterator[_Walk]:
     if n < 0:
         raise DomainError("enum_dyck requires n >= 0")
-    return _walks(2 * n, 0, DYCK_ALPHABET)
+    return _walks(2 * n, _DYCK)
 
 
 def _motzkin2_walks(length: int) -> Iterator[_Walk]:
     if length < 0:
         raise DomainError("enum_motzkin2 requires length >= 0")
-    return _walks(length, 0, MOTZKIN_ALPHABET)
+    return _walks(length, _MOTZKIN2)
 
 
 def _ballot_walks(n: int, r: int) -> Iterator[_Walk]:
     if not 1 <= r <= n:
         raise DomainError(f"enum_ballot requires 1 <= r <= n, got n={n}, r={r}")
-    return _walks(2 * n - 1, 2 * r - 1, DYCK_ALPHABET)
+    return _walks(2 * n - 1, (*_DYCK[:2], 2 * r - 1))
 
 
 def _ballot_even_walks(length: int) -> Iterator[_Walk]:
     if length < 0:
         raise DomainError("enum_ballot_even requires length >= 0")
-    return _walks(length, 2, DYCK_ALPHABET)
+    return _walks(length, _BALLOT_EVEN)
 
 
 def enum_dyck(n: int) -> Iterator[LatticePath]:

@@ -9,10 +9,11 @@ Family membership (Dyck, 2-Motzkin, ballot) is a predicate over this one
 type rather than a distinct runtime type: parsing is deliberately
 permissive, so a freshly parsed path may be invalid for every family.
 ``DyckPath``/``TwoMotzkinPath`` are aliases used in signatures to say
-which family an operation expects or guarantees.  A family is a pair
-(delete table of its alphabet, end level), and :func:`_family_levels` is
-the one membership test: the ``is_*`` predicates, the maps' own output
-checks and :func:`parse_path`'s alphabet check all read it or its tables.
+which family an operation expects or guarantees.  A family is one value
+``(alphabet, table, end)``: its steps in canonical order, the table deleting
+them, its end level.  The enumeration engine walks it, and the one membership
+test, :func:`_family_levels`, tests it for the ``is_*`` predicates, the maps'
+own output checks and :func:`parse_path`'s alphabet check.
 The cores ``_markers`` and ``_reverse`` trust their input.  ``_reverse``
 returns a checked ``(steps, levels)`` walk, the enumeration engine's type,
 and no :class:`LatticePath`: a wrong mirror raises AssertionError.
@@ -29,22 +30,15 @@ from typing import NamedTuple
 
 from .errors import DomainError, ParseError
 
-UP = "U"
-DOWN = "D"
-STRAIGHT = "S"
-WAVY = "W"
+RISE = {"U": 1, "D": -1, "S": 0, "W": 0}
 
-RISE = {UP: 1, DOWN: -1, STRAIGHT: 0, WAVY: 0}
-
-# Canonical step order for enumeration and golden files.
-DYCK_ALPHABET = (UP, DOWN)
-MOTZKIN_ALPHABET = (UP, DOWN, STRAIGHT, WAVY)
-
-# Each family: the table deleting its alphabet, and the level it ends on.
-_DYCK = (str.maketrans("", "", "".join(DYCK_ALPHABET)), 0)
-_MOTZKIN2 = (str.maketrans("", "", "".join(MOTZKIN_ALPHABET)), 0)
-_BALLOT_EVEN = (_DYCK[0], 2)
-_ALPHABETS = {"dyck": _DYCK[0], "motzkin": _MOTZKIN2[0]}
+# Each family: its alphabet in the canonical step order of enumeration and
+# golden files, the table deleting that alphabet, and the level it ends on.
+_Family = tuple[str, dict[int, None], int]
+_DYCK: _Family = ("UD", str.maketrans("", "", "UD"), 0)
+_MOTZKIN2: _Family = ("UDSW", str.maketrans("", "", "UDSW"), 0)
+_BALLOT_EVEN: _Family = (*_DYCK[:2], 2)
+_ALPHABETS = {"dyck": _DYCK, "motzkin": _MOTZKIN2}
 
 _MIRROR = str.maketrans("UD", "DU")
 
@@ -108,7 +102,7 @@ def parse_path(text: str, alphabet: str) -> LatticePath:
     :class:`ParseError` naming the first offending index.
     """
     try:
-        table = _ALPHABETS[alphabet]
+        table = _ALPHABETS[alphabet][1]
     except KeyError:
         raise DomainError(f"unknown alphabet {alphabet!r}; expected 'dyck' or 'motzkin'") from None
     if foreign := text.translate(table):
@@ -129,10 +123,10 @@ def make_path(text: str) -> LatticePath:
     return parse_path(text, "motzkin")
 
 
-def _family_levels(steps: str, family: tuple[dict[int, None], int]) -> tuple[int, ...] | None:
+def _family_levels(steps: str, family: _Family) -> tuple[int, ...] | None:
     """The levels of steps over the family's alphabet that never go below the
     axis and end on the family's level, else None."""
-    table, end = family
+    _, table, end = family
     if steps.translate(table):
         return None
     levels = _levels(steps)

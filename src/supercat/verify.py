@@ -89,18 +89,28 @@ def _rows(identity: str, lo: int, *parts: Callable[..., Row],
 _Task = tuple[_Plan, int, Callable[[int], Row]]
 
 
-def _check_jobs(jobs: int) -> None:
-    """The one rule on a worker count, which the CLI checks too: at least 1, and 1 without ``os.fork``."""
+def _default_jobs() -> int:
+    """The worker count when none is given: the CPUs this process may run on, or 1 without ``os.fork``."""
+    if not hasattr(os, "fork"):
+        return 1
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+def _check_jobs(jobs: int | None) -> int:
+    """The worker count to run, :func:`_default_jobs` for None: the one rule on it, which the CLI checks too."""
+    if jobs is None:
+        return _default_jobs()
     if jobs < 1:
         raise DomainError(f"jobs must be at least 1, got {jobs}")
     if jobs > 1 and not hasattr(os, "fork"):
         raise DomainError(f"jobs must be 1 on a platform without os.fork, got {jobs}")
+    return jobs
 
 
 def _execute(plans: list[_Plan], jobs: int) -> list[VerificationReport]:
     """Every plan's report.  At one job, or for one task, tasks run in order
     in this process; else on :func:`_forked` workers, priciest row first."""
-    _check_jobs(jobs)
+    jobs = _check_jobs(jobs)
     tasks = [(plan, b, part) for plan in plans for b in plan.rows for part in plan.parts]
     if jobs == 1 or len(tasks) < 2:
         results = [part(b) for _, b, part in tasks]
@@ -240,22 +250,26 @@ def _theorem1(*, max_sum: int = 14) -> _Plan:
     return _rows("theorem1", 2, _theorem1_row, paths=lambda s: catalan(s - 1), max_sum=max_sum)
 
 
+def _pathwise(s: int, failures: list[Failure], sides: Callable[[str, tuple[int, ...]], tuple]) -> Iterator[_Walk]:
+    """Each 2-Motzkin walk of length s - 2, yielded once ``failures`` holds,
+    in order, every m = 1..s-1 at whose point the walk's two ``sides`` differ."""
+    for steps, levels in _motzkin2_walks(s - 2):
+        lhs, rhs = sides(steps, levels)
+        if lhs != rhs:
+            failures.extend(Failure((m, s - m, steps), a, b) for m, a, b in zip(range(1, s), lhs, rhs) if a != b)
+        yield steps, levels
+
+
 def _theorem1_dyck_row(s: int) -> Row:
-    failures, ms = [], range(1, s)
-    memo: dict[tuple[int, ...], tuple[int, ...]] = {}
+    failures, memo = [], {}  # memo: each distinct level profile, doubled
 
-    def pathwise() -> Iterator[tuple[str, tuple[int, ...]]]:
-        # the canonical bijection's odd points against the doubled profile, on the histogram's stream
-        for steps, levels in _motzkin2_walks(s - 2):
-            got = bij._motzkin_to_dyck(steps)[1][1::2]
-            if levels not in memo:
-                memo[levels] = tuple(2 * level + 1 for level in levels)
-            want = memo[levels]
-            if got != want:  # then every m whose sides differ, in order
-                failures.extend(Failure((m, s - m, steps), a, b) for m, a, b in zip(ms, got, want) if a != b)
-            yield steps, levels
+    def sides(steps: str, levels: tuple[int, ...]) -> tuple[tuple, tuple]:
+        # the canonical bijection's odd points against the doubled profile
+        if levels not in memo:
+            memo[levels] = tuple(2 * level + 1 for level in levels)
+        return bij._motzkin_to_dyck(steps)[1][1::2], memo[levels]
 
-    hist = bij._level_histogram(pathwise(), s - 2)
+    hist = bij._level_histogram(_pathwise(s, failures, sides), s - 2)
     paths = hist[0][0]  # every path starts at level 0
     # independent tally on the Dyck side: levels at each odd point, read mod 4
     dyck_hist = bij._level_histogram(_dyck_walks(s - 1), 2 * s - 2, slice(1, None, 2))
@@ -281,20 +295,15 @@ def _theorem1_dyck(*, max_sum: int = 12) -> _Plan:
 def _reversal_row(s: int) -> Row:
     """Each path's signs at m = 1..s-1 against its mirror's at s-m, reversed:
     the mirror is built per path, the signs once per level profile."""
-    failures, cases, ms = [], 0, range(1, s)
-    memo: dict[tuple[int, ...], tuple[int, ...]] = {}
+    failures, memo = [], {}  # memo: each distinct level profile's signs
 
     def signs(levels: tuple[int, ...]) -> tuple[int, ...]:
         if levels not in memo:  # one _sign call per point of each distinct profile
             memo[levels] = tuple(map(bij._sign, levels))
         return memo[levels]
 
-    for steps, levels in _motzkin2_walks(s - 2):
-        lhs, rhs = signs(levels), signs(_reverse(steps)[1])[::-1]
-        if lhs != rhs:  # then every m whose sides differ, in order
-            failures.extend(Failure((m, s - m, steps), a, b) for m, a, b in zip(ms, lhs, rhs) if a != b)
-        cases += s - 1
-    return failures, cases
+    walks = _pathwise(s, failures, lambda steps, levels: (signs(levels), signs(_reverse(steps)[1])[::-1]))
+    return failures, sum(1 for _ in walks) * (s - 1)
 
 
 def _reversal(*, max_sum: int = 12) -> _Plan:
@@ -407,13 +416,18 @@ def _injection_targets(name: str, forward: Callable[[_Walk], _Walk], inverse: Ca
     return failures, cases
 
 
+def _injection(identity: str, name: str, start: bij.StartClass, max_n: int, *maps: Callable) -> _Plan:
+    """Rows 2..max_n: the sources of length 2n + 2, then the targets of length 2n, priced at both."""
+    return _rows(identity, 2, partial(_injection_sources, start, *maps), partial(_injection_targets, name, *maps),
+                 paths=lambda n: catalan(n + 1) + catalan(n), max_n=max_n)
+
+
 def _bijection_f(*, max_n: int = 8) -> _Plan:
     """Round-trips and image census of the first injection, for every
     2 <= n <= max_n: it is a bijection from the avoiding class onto the Dyck
     paths of height >= 2, missing exactly the height-one path."""
-    maps = bij._injection_f, bij._injection_f_inverse, bij._in_f_image
-    return _rows("bijection-f", 2, partial(_injection_sources, bij.StartClass.NSTAR, *maps),
-                 partial(_injection_targets, "f", *maps), paths=lambda n: catalan(n + 1) + catalan(n), max_n=max_n)
+    return _injection("bijection-f", "f", bij.StartClass.NSTAR, max_n,
+                      bij._injection_f, bij._injection_f_inverse, bij._in_f_image)
 
 
 def _bijection_g(*, max_n: int = 8) -> _Plan:
@@ -422,9 +436,8 @@ def _bijection_g(*, max_n: int = 8) -> _Plan:
     paths whose post-split maximum exceeds the pre-split maximum by at least
     3.  Its even-terminal intermediate's gap of at least 4 is asserted inside
     :func:`~supercat.bijections.g_intermediate`."""
-    maps = bij._injection_g, bij._injection_g_inverse, bij._in_g_image
-    return _rows("bijection-g", 2, partial(_injection_sources, bij.StartClass.NSTARSTAR, *maps),
-                 partial(_injection_targets, "g", *maps), paths=lambda n: catalan(n + 1) + catalan(n), max_n=max_n)
+    return _injection("bijection-g", "g", bij.StartClass.NSTARSTAR, max_n,
+                      bij._injection_g, bij._injection_g_inverse, bij._in_g_image)
 
 
 def _pair_map_split(n: int) -> Row:

@@ -9,7 +9,7 @@ from hypothesis import given
 
 from conftest import brute_family, dyck_paths, motzkin_paths
 from supercat.bijections import weight
-from supercat.enumeration import enum_dyck, enum_motzkin2
+from supercat.enumeration import _walks, enum_dyck, enum_motzkin2
 from supercat.errors import DomainError, ParseError
 from supercat.paths import (
     _BALLOT_EVEN,
@@ -150,17 +150,19 @@ class TestValidate:
         assert not is_even_terminal_ballot(make_path("UUU"))
         assert not is_even_terminal_ballot(make_path("USU"))
 
-    @pytest.mark.parametrize(
-        "family,alphabet,end", [(_DYCK, "UD", 0), (_MOTZKIN2, "UDSW", 0), (_BALLOT_EVEN, "UD", 2)]
-    )
-    def test_family_levels_accepts_exactly_the_brute_force_family(self, family, alphabet, end):
+    @pytest.mark.parametrize("family", [_DYCK, _MOTZKIN2, _BALLOT_EVEN], ids=["dyck", "motzkin2", "ballot"])
+    def test_family_levels_accepts_exactly_the_brute_force_family(self, family):
+        # one family value drives both the membership test and the engine
+        alphabet, _, end = family
         for length in range(9):
-            members = set(brute_family(length, end, alphabet))
+            members = brute_family(length, end, alphabet)  # in the alphabet's order: canonical
+            in_family = set(members)
             for steps in map("".join, product("UDSW", repeat=length)):
                 levels = _family_levels(steps, family)
-                assert (levels is not None) == (steps in members), steps
+                assert (levels is not None) == (steps in in_family), steps
                 if levels is not None:
                     assert levels == make_path(steps).levels
+            assert list(_walks(length, family)) == [(steps, _family_levels(steps, family)) for steps in members]
 
     def test_a_foreign_step_is_in_no_family(self):
         path = LatticePath("UXD")

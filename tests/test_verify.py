@@ -244,6 +244,9 @@ def test_jobs_above_one_need_fork(monkeypatch):
     with pytest.raises(DomainError, match="^jobs must be 1 on a platform without os.fork, got 2$"):
         verify.run_identity("theorem4", max_n=3, jobs=2)
     assert verify.run_identity("theorem4", max_n=3, jobs=1).passed
+    # no worker count is the default one, which is 1 here
+    assert verify._check_jobs(None) == 1
+    assert verify.run_identity("theorem4", max_n=3, jobs=None).passed
 
 
 def test_reports_carry_bounds():
@@ -479,6 +482,25 @@ def test_failing_theorem1_dyck_report_is_pinned(monkeypatch):
     report = verify.run_identity("theorem1-dyck", max_sum=6)
     assert report.cases == 301
     assert report.failures == (((2, 4, "UUDD"), 1, 3), ((3, 3, "UUDD"), 1, 5), ((4, 2, "UUDD"), 1, 3))
+
+
+def test_pathwise_yields_every_walk_after_its_failures():
+    from supercat.enumeration import _motzkin2_walks
+
+    def sides(steps, levels):
+        # one walk's sides differ at points 0 and 2, that is at m = 1 and m = 3
+        return levels, (9, levels[1], 9) if steps == "SW" else levels
+
+    failures, seen = [], []
+    for steps, levels in verify._pathwise(4, failures, sides):
+        seen.append((steps, levels, list(failures)))
+    walks = list(_motzkin2_walks(2))
+    assert [steps for steps, _, _ in seen] == ["UD", "SS", "SW", "WS", "WW"] == [steps for steps, _ in walks]
+    assert [levels for _, levels, _ in seen] == [levels for _, levels in walks]
+    want = [((1, 3, "SW"), 0, 9), ((3, 1, "SW"), 0, 9)]
+    # a walk's failures are in the list by the time it is yielded
+    assert [held for _, _, held in seen] == [[], [], want, want, want]
+    assert failures == want
 
 
 def test_failing_reversal_report_is_pinned(monkeypatch):
