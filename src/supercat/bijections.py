@@ -52,6 +52,30 @@ from .paths import (
     is_motzkin2,
 )
 
+__all__ = [
+    "DyckPair",
+    "SignedCount",
+    "StartClass",
+    "classify_start",
+    "dyck_to_motzkin",
+    "from_pair",
+    "g_intermediate",
+    "injection_f",
+    "injection_f_inverse",
+    "injection_g",
+    "injection_g_inverse",
+    "motzkin_to_dyck",
+    "pair_census",
+    "signed_count",
+    "signed_count_dyck",
+    "start_class_sizes",
+    "theorem4_census",
+    "theorem4_paths",
+    "to_pair",
+    "to_pair_all",
+    "weight",
+]
+
 _DOUBLE = {"U": "UU", "D": "DD", "S": "UD", "W": "DU"}
 _M2D = str.maketrans(_DOUBLE)
 _PAIR_TO_STEP = {pair: step for step, pair in _DOUBLE.items()}

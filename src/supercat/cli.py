@@ -76,31 +76,27 @@ def _cmd_table(args) -> int:
     return 0
 
 
-def _report_lines(report: VerificationReport) -> list[str]:
-    bounds = ",".join(f"{k}={v}" for k, v in report.bounds.items())
-    lines = [
-        f"identity\t{report.identity}",
-        f"bounds\t{bounds}",
-        f"cases\t{report.cases}",
-        f"failures\t{len(report.failures)}",
-        f"passed\t{str(report.passed).lower()}",
-    ]
-    for failure in report.failures:
-        lines.append(f"failure\t{failure.params}\tlhs={failure.lhs}\trhs={failure.rhs}")
-    return lines
-
-
 def _report_json(report: VerificationReport) -> dict:
     return {
         "identity": report.identity,
         "bounds": report.bounds,
         "cases": report.cases,
         "passed": report.passed,
-        "failures": [
-            {"params": str(f.params), "lhs": str(f.lhs), "rhs": str(f.rhs)}
-            for f in report.failures
-        ],
+        "failures": [{field: str(value) for field, value in f._asdict().items()} for f in report.failures],
     }
+
+
+def _report_lines(record: dict) -> list[str]:
+    """The TSV lines of one :func:`_report_json` record."""
+    bounds = ",".join(f"{k}={v}" for k, v in record["bounds"].items())
+    return [
+        f"identity\t{record['identity']}",
+        f"bounds\t{bounds}",
+        f"cases\t{record['cases']}",
+        f"failures\t{len(record['failures'])}",
+        f"passed\t{str(record['passed']).lower()}",
+        *(f"failure\t{f['params']}\tlhs={f['lhs']}\trhs={f['rhs']}" for f in record["failures"]),
+    ]
 
 
 def _flag(bound: str) -> str:
@@ -136,16 +132,12 @@ def _cmd_verify(args) -> int:
                 file=sys.stderr,
             )
             return 2
-    reports = verify.run_identities(names, **bounds, jobs=jobs)
+    records = [_report_json(r) for r in verify.run_identities(names, **bounds, jobs=jobs)]
     if args.format == "json":
-        payload = [_report_json(r) for r in reports]
-        print(_dumps(payload[0] if args.identity != "all" else payload))
+        print(_dumps(records[0] if args.identity != "all" else records))
     else:
-        for i, report in enumerate(reports):
-            if i:
-                print()
-            print("\n".join(_report_lines(report)))
-    return 0 if all(r.passed for r in reports) else 1
+        print("\n\n".join("\n".join(_report_lines(r)) for r in records))
+    return 0 if all(r["passed"] for r in records) else 1
 
 
 # Each map kind: the alphabet of each path it reads, and the map.  A map

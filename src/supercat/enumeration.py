@@ -26,6 +26,14 @@ from collections.abc import Iterator
 from .errors import DomainError
 from .paths import _BALLOT_EVEN, _DYCK, _MOTZKIN2, RISE, LatticePath, _Family
 
+__all__ = [
+    "enum_ballot",
+    "enum_ballot_even",
+    "enum_dyck",
+    "enum_motzkin2",
+    "enum_pairs_total",
+]
+
 _Walk = tuple[str, tuple[int, ...]]
 
 # Steps left to the tail table, by alphabet size: long enough that the

@@ -1,5 +1,11 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "DomainError",
+    "ParseError",
+    "SupercatError",
+]
+
 
 class SupercatError(Exception):
     """Base class for all errors raised by this package."""

@@ -12,6 +12,15 @@ from functools import lru_cache
 
 from .errors import DomainError
 
+__all__ = [
+    "ballot_number",
+    "ballot_sum_identity",
+    "ballot_sum_terms",
+    "catalan",
+    "super_catalan_s",
+    "super_catalan_t",
+]
+
 # Memoized so table emission does not recompute large factorials per cell.
 _fact = lru_cache(maxsize=None)(math.factorial)
 

@@ -30,6 +30,21 @@ from typing import NamedTuple
 
 from .errors import DomainError, ParseError
 
+__all__ = [
+    "EMPTY_PATH",
+    "DyckPath",
+    "LatticePath",
+    "PathMarkers",
+    "TwoMotzkinPath",
+    "is_dyck",
+    "is_even_terminal_ballot",
+    "is_motzkin2",
+    "make_path",
+    "markers",
+    "parse_path",
+    "reverse",
+]
+
 RISE = {"U": 1, "D": -1, "S": 0, "W": 0}
 
 # Each family: its alphabet in the canonical step order of enumeration and

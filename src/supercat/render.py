@@ -13,6 +13,10 @@ from __future__ import annotations
 
 from .paths import LatticePath, markers
 
+__all__ = [
+    "render_svg",
+]
+
 _STEP_CLASS = {"U": "step-up", "D": "step-down", "S": "step-straight", "W": "step-wavy"}
 
 _UNIT = 40  # pixels per step and per level

@@ -244,10 +244,10 @@ def _theorem1_row(s: int) -> Row:
     return failures, s - 1
 
 
-def _theorem1(*, max_sum: int = 14) -> _Plan:
+def _theorem1(identity: str, *, max_sum: int = 14) -> _Plan:
     """P(m,n) - N(m,n) == T(m,n) for all m, n >= 1 with m + n <= max_sum,
     by exhausting the 2-Motzkin paths of each length."""
-    return _rows("theorem1", 2, _theorem1_row, paths=lambda s: catalan(s - 1), max_sum=max_sum)
+    return _rows(identity, 2, _theorem1_row, paths=lambda s: catalan(s - 1), max_sum=max_sum)
 
 
 def _pathwise(s: int, failures: list[Failure], sides: Callable[[str, tuple[int, ...]], tuple]) -> Iterator[_Walk]:
@@ -285,11 +285,11 @@ def _theorem1_dyck_row(s: int) -> Row:
     return failures + cell_failures, paths * (s - 1) + cells
 
 
-def _theorem1_dyck(*, max_sum: int = 12) -> _Plan:
+def _theorem1_dyck(identity: str, *, max_sum: int = 12) -> _Plan:
     """The Dyck-path restatement: tallies by level mod 4 at the point after
     2m-1 steps agree componentwise with the 2-Motzkin tallies, and the
     level correspondence under the canonical bijection holds pathwise."""
-    return _rows("theorem1-dyck", 2, _theorem1_dyck_row, paths=lambda s: 2 * catalan(s - 1), max_sum=max_sum)
+    return _rows(identity, 2, _theorem1_dyck_row, paths=lambda s: 2 * catalan(s - 1), max_sum=max_sum)
 
 
 def _reversal_row(s: int) -> Row:
@@ -306,11 +306,11 @@ def _reversal_row(s: int) -> Row:
     return failures, sum(1 for _ in walks) * (s - 1)
 
 
-def _reversal(*, max_sum: int = 12) -> _Plan:
+def _reversal(identity: str, *, max_sum: int = 12) -> _Plan:
     """Reading a path right to left preserves its sign: the weight at m of
     every 2-Motzkin path of length m+n-2 equals the weight at n of its reverse,
     whose levels are read from its mirrored steps; so T(m,n) = T(n,m)."""
-    return _rows("reversal", 2, _reversal_row, paths=lambda s: catalan(s - 1), max_sum=max_sum)
+    return _rows(identity, 2, _reversal_row, paths=lambda s: catalan(s - 1), max_sum=max_sum)
 
 
 def _grid_row(sides: Callable[[int, int], tuple[int, int]], max_m: int, max_n: int) -> Row:
@@ -326,19 +326,19 @@ def _grid(identity: str, sides: Callable[[int, int], tuple[int, int]], max_m: in
     return _rows(identity, max_n, partial(_grid_row, sides), max_m=max_m, max_n=max_n)
 
 
-def _rubenstein(*, max_m: int = 50, max_n: int = 50) -> _Plan:
+def _rubenstein(identity: str, *, max_m: int = 50, max_n: int = 50) -> _Plan:
     """4 T(m,n) = T(m+1,n) + T(m,n+1) for all 1 <= m <= max_m,
     1 <= n <= max_n."""
     def sides(m: int, n: int) -> tuple[int, int]:
         return 4 * super_catalan_t(m, n), super_catalan_t(m + 1, n) + super_catalan_t(m, n + 1)
 
-    return _grid("rubenstein", sides, max_m, max_n)
+    return _grid(identity, sides, max_m, max_n)
 
 
-def _ballot_sum(*, max_m: int = 30, max_n: int = 30) -> _Plan:
+def _ballot_sum(identity: str, *, max_m: int = 30, max_n: int = 30) -> _Plan:
     """The alternating ballot-product sum equals T(m,n); termwise equality
     of its two printed forms is asserted inside the evaluation."""
-    return _grid("ballot-sum", lambda m, n: (ballot_sum_identity(m, n), super_catalan_t(m, n)), max_m, max_n)
+    return _grid(identity, lambda m, n: (ballot_sum_identity(m, n), super_catalan_t(m, n)), max_m, max_n)
 
 
 def _symmetry_row(max_sum: int) -> Row:
@@ -349,27 +349,27 @@ def _symmetry_row(max_sum: int) -> Row:
     )
 
 
-def _symmetry(*, max_sum: int = 100) -> _Plan:
+def _symmetry(identity: str, *, max_sum: int = 100) -> _Plan:
     """Formula-level T(m,n) = T(n,m) for all m + n <= max_sum."""
     if max_sum < 1:
-        raise DomainError("symmetry requires max_sum >= 1")
-    return _rows("symmetry", max_sum, _symmetry_row, max_sum=max_sum)
+        raise DomainError(f"{identity} requires max_sum >= 1")
+    return _rows(identity, max_sum, _symmetry_row, max_sum=max_sum)
 
 
 def _census_row(census: Callable[[int], int], n: int) -> Row:
     return _checked([((n,), census(n), super_catalan_t(2, n))])
 
 
-def _theorem4(*, max_n: int = 10) -> _Plan:
+def _theorem4(identity: str, *, max_n: int = 10) -> _Plan:
     """The bounded-gap census over Dyck paths of length 2n (height-one path
     twice) equals T(2,n) for every 1 <= n <= max_n."""
-    return _rows("theorem4", 1, partial(_census_row, bij.theorem4_census), paths=catalan, max_n=max_n)
+    return _rows(identity, 1, partial(_census_row, bij.theorem4_census), paths=catalan, max_n=max_n)
 
 
-def _pairs(*, max_n: int = 9) -> _Plan:
+def _pairs(identity: str, *, max_n: int = 9) -> _Plan:
     """The number of ordered Dyck-path pairs of total length 2n with height
     difference at most 1 equals T(2,n) for every 1 <= n <= max_n."""
-    return _rows("pairs", 1, partial(_census_row, bij.pair_census),
+    return _rows(identity, 1, partial(_census_row, bij.pair_census),
                  paths=lambda n: sum(map(catalan, range(n + 1))), max_n=max_n)
 
 
@@ -422,21 +422,21 @@ def _injection(identity: str, name: str, start: bij.StartClass, max_n: int, *map
                  paths=lambda n: catalan(n + 1) + catalan(n), max_n=max_n)
 
 
-def _bijection_f(*, max_n: int = 8) -> _Plan:
+def _bijection_f(identity: str, *, max_n: int = 8) -> _Plan:
     """Round-trips and image census of the first injection, for every
     2 <= n <= max_n: it is a bijection from the avoiding class onto the Dyck
     paths of height >= 2, missing exactly the height-one path."""
-    return _injection("bijection-f", "f", bij.StartClass.NSTAR, max_n,
+    return _injection(identity, "f", bij.StartClass.NSTAR, max_n,
                       bij._injection_f, bij._injection_f_inverse, bij._in_f_image)
 
 
-def _bijection_g(*, max_n: int = 8) -> _Plan:
+def _bijection_g(identity: str, *, max_n: int = 8) -> _Plan:
     """Round-trips and image census of the two-stage injection, for every
     2 <= n <= max_n: it is a bijection from the attaining class onto the Dyck
     paths whose post-split maximum exceeds the pre-split maximum by at least
     3.  Its even-terminal intermediate's gap of at least 4 is asserted inside
     :func:`~supercat.bijections.g_intermediate`."""
-    return _injection("bijection-g", "g", bij.StartClass.NSTARSTAR, max_n,
+    return _injection(identity, "g", bij.StartClass.NSTARSTAR, max_n,
                       bij._injection_g, bij._injection_g_inverse, bij._in_g_image)
 
 
@@ -482,16 +482,17 @@ def _pair_map_recovery(n: int) -> Row:
     return failures, cases
 
 
-def _pair_map(*, max_n: int = 8) -> _Plan:
+def _pair_map(identity: str, *, max_n: int = 8) -> _Plan:
     """The pair split and its inverse are mutually inverse, split heights
     match the pre/post maxima, and the pair multiset is counted by T(2,n).
     Row n is priced at its C(n) split walks and the C(n + 1) pairs it compares."""
-    return _rows("pair-map", 1, _pair_map_split, _pair_map_recovery,
+    return _rows(identity, 1, _pair_map_split, _pair_map_recovery,
                  paths=lambda n: catalan(n) + catalan(n + 1), max_n=max_n)
 
 
 # Every identity, in the order `supercat verify all` runs them, and its plan.
-# Default bounds live only in the plans' keyword-only defaults.
+# Default bounds live only in the plans' keyword-only defaults, and each name
+# only in its key, which :func:`_plan` passes to the plan.
 _REGISTRY: dict[str, Callable[..., _Plan]] = {
     "theorem1": _theorem1,
     "theorem1-dyck": _theorem1_dyck,
@@ -509,12 +510,12 @@ IDENTITIES = tuple(_REGISTRY)
 
 
 def _plan(name: str, **overrides: int | None) -> _Plan:
-    """The named suite's plan at its keyword-only default bounds, each replaced
-    by an override it takes that is not None (an explicit 0 reaches the plan)."""
+    """The named suite's plan, given its name, at its keyword-only default bounds,
+    each replaced by an override it takes that is not None (an explicit 0 reaches the plan)."""
     if name not in _REGISTRY:
         raise DomainError(f"unknown identity {name!r}")
     plan = _REGISTRY[name]
-    return plan(**{k: v if overrides.get(k) is None else overrides[k] for k, v in plan.__kwdefaults__.items()})
+    return plan(name, **{k: v if overrides.get(k) is None else overrides[k] for k, v in plan.__kwdefaults__.items()})
 
 
 def run_identities(names: Iterable[str], *, max_sum: int | None = None, max_m: int | None = None,

@@ -17,6 +17,15 @@ from supercat.paths import RISE, make_path
 
 STEP_ORDER = {"U": 0, "D": 1, "S": 2, "W": 3}
 
+# The mutants of the sign rule that the ROADMAP's mutation sweep found alive.
+SIGN_MUTANTS = {
+    "return 2": lambda level: 2 if level % 2 == 0 else -1,
+    "else -2": lambda level: 1 if level % 2 == 0 else -2,
+    "% 3": lambda level: 1 if level % 3 == 0 else -1,
+    "!= 0": lambda level: 1 if level % 2 != 0 else -1,
+    "== 1": lambda level: 1 if level % 2 == 1 else -1,
+}
+
 
 def canon_key(steps: str) -> tuple[int, ...]:
     """Sort key for the canonical U < D < S < W order."""

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import SIGN_MUTANTS
 from supercat.cli import main
 from supercat.errors import DomainError
 
@@ -270,6 +271,23 @@ class TestVerify:
         assert code == 0
         assert out.count("identity\t") == 11
         assert out.count("passed\ttrue") == 11
+
+    def test_tsv_failure_lines_match_the_json_report(self, capsys, monkeypatch):
+        from supercat import bijections
+
+        monkeypatch.setattr(bijections, "_sign", SIGN_MUTANTS["% 3"])
+        argv = ("verify", "theorem1", "--max-sum", "6", "--jobs", "1")
+        code, tsv, _ = run(capsys, *argv)
+        json_code, out, _ = run(capsys, *argv, "--format", "json")
+        assert code == json_code == 1
+        report = json.loads(out)
+        assert report["failures"] == [{"params": "(3, 3)", "lhs": "8", "rhs": "10"}]
+        lines = tsv.splitlines()
+        assert lines[:5] == ["identity\ttheorem1", "bounds\tmax_sum=6", f"cases\t{report['cases']}",
+                             f"failures\t{len(report['failures'])}", "passed\tfalse"]
+        assert [line.split("\t") for line in lines[5:]] == [
+            ["failure", f["params"], f"lhs={f['lhs']}", f"rhs={f['rhs']}"] for f in report["failures"]
+        ]
 
     def test_json_report(self, capsys):
         code, out, _ = run(capsys, "verify", "symmetry", "--max-sum", "12", "--format", "json")

@@ -45,6 +45,11 @@ def test_dyck_counts():
 def test_dyck_rejects_negative():
     with pytest.raises(DomainError):
         enum_dyck(-1)
+    # and the two families sized by length
+    with pytest.raises(DomainError, match="^enum_motzkin2 requires length >= 0$"):
+        enum_motzkin2(-1)
+    with pytest.raises(DomainError, match="^enum_ballot_even requires length >= 0$"):
+        enum_ballot_even(-1)
 
 
 def test_motzkin_empty_case():

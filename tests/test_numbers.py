@@ -54,6 +54,8 @@ class TestSuperCatalanT:
     def test_origin_rejected(self):
         with pytest.raises(DomainError, match=r"T\(0,0\) is not integral"):
             super_catalan_t(0, 0)
+        with pytest.raises(DomainError, match="^super_catalan_t requires m, n >= 0$"):
+            super_catalan_t(-1, 2)
 
 
 class TestCatalan:

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import SIGN_MUTANTS, ref_catalan, ref_super_catalan_s
 from supercat import verify
 from supercat.errors import DomainError, ParseError
 from supercat.numbers import catalan
@@ -219,16 +220,6 @@ def test_a_dead_worker_or_an_interrupt_reaps_every_worker(how, seen):
                             timeout=60)
     assert result.returncode == 0, result.stderr
     assert result.stdout.splitlines() == [seen, "reaped"]
-
-
-# The mutants of the sign rule that the ROADMAP's mutation sweep found alive.
-SIGN_MUTANTS = {
-    "return 2": lambda level: 2 if level % 2 == 0 else -1,
-    "else -2": lambda level: 1 if level % 2 == 0 else -2,
-    "% 3": lambda level: 1 if level % 3 == 0 else -1,
-    "!= 0": lambda level: 1 if level % 2 != 0 else -1,
-    "== 1": lambda level: 1 if level % 2 == 1 else -1,
-}
 
 
 @pytest.mark.parametrize("mutant", SIGN_MUTANTS)
@@ -482,6 +473,25 @@ def test_failing_theorem1_dyck_report_is_pinned(monkeypatch):
     report = verify.run_identity("theorem1-dyck", max_sum=6)
     assert report.cases == 301
     assert report.failures == (((2, 4, "UUDD"), 1, 3), ((3, 3, "UUDD"), 1, 5), ((4, 2, "UUDD"), 1, 3))
+
+
+def test_theorem1_dyck_reports_a_tally_mismatch_per_cell(monkeypatch):
+    from supercat import bijections
+
+    true_split = bijections._mod4_split
+    monkeypatch.setattr(bijections, "_mod4_split", lambda counts: true_split(counts)[::-1])
+    report = verify.run_identity("theorem1-dyck", max_sum=5, jobs=1)
+    want = []
+    for s in range(2, 6):
+        for m in range(1, s):
+            # the C(s - 1) paths of a cell split into P - N = T(m, n) and P + N = C(s - 1)
+            t, total = ref_super_catalan_s(m, s - m) // 2, ref_catalan(s - 1)
+            p, n = (total + t) // 2, (total - t) // 2
+            want.append(((m, s - m), (n, p), (p, n)))
+    assert len(want) == 10
+    # a mismatched cell reports its tallies only, never its T(m, n) check
+    assert report.failures == tuple(want)
+    assert report.cases == 86
 
 
 def test_pathwise_yields_every_walk_after_its_failures():
