@@ -17,7 +17,10 @@ maps and cores alike check their output with the one family test,
 :func:`~supercat.paths._family_levels`, on the family value the engine
 walks (an invalid output raises AssertionError: it means the implementation
 is wrong, never the caller).  The paper's sign rule is :func:`_sign` alone:
-:func:`weight`, the signed tallies and the verify suites all read it.  Every
+:func:`weight`, the signed tallies and the verify suites all read it.  The
+m = 2 maps find their split point only through :func:`~supercat.paths._split`,
+the one scan for a Dyck path's rightmost maximum and the last level-one point
+before it; :func:`_bounded_gap` is the one statement of the gap rule.  Every
 core takes and returns checked ``(steps, levels)`` walks, the enumeration
 engine's type (the pair split a tuple of walk pairs); only the public maps
 build a :class:`~supercat.paths.LatticePath` or a :class:`DyckPair` of two.
@@ -47,7 +50,7 @@ from .paths import (
     _family_levels,
     _levels,
     _markers,
-    _rightmost,
+    _split,
     is_dyck,
     is_motzkin2,
 )
@@ -153,10 +156,11 @@ def _check(cond: bool, message: str) -> None:
         raise AssertionError(f"internal: {message}")
 
 
-def _bounded_gap(mk: PathMarkers) -> bool:
-    """The post-split maximum exceeds the pre-split maximum by at most 2:
-    the family theorem 4 counts and the pair split reads."""
-    return mk.h_plus <= mk.h_minus + 2
+def _bounded_gap(levels: tuple[int, ...]) -> bool:
+    """The post-split maximum (the height) exceeds the pre-split maximum by at
+    most 2: the family theorem 4 counts and the pair split reads."""
+    h, _, x = _split(levels)
+    return h <= max(levels[: x + 1]) + 2
 
 
 def _in_f_image(levels: tuple[int, ...]) -> bool:
@@ -166,12 +170,16 @@ def _in_f_image(levels: tuple[int, ...]) -> bool:
 
 def _in_g_image(levels: tuple[int, ...]) -> bool:
     """The image of :func:`injection_g`: the complement of :func:`_bounded_gap`."""
-    return not _bounded_gap(_markers(levels))
+    return not _bounded_gap(levels)
 
 
 def _close(a: int, b: int) -> bool:
     """Two heights differing by at most 1, as in a counted pair."""
     return abs(a - b) <= 1
+
+
+def _rightmost(levels: tuple[int, ...], level: int) -> int:
+    return len(levels) - 1 - levels[::-1].index(level)
 
 
 def _flip(steps: str, i: int, expect: str, to: str) -> str:
@@ -298,10 +306,10 @@ def _start_class(steps: str, levels: tuple[int, ...]) -> StartClass:
         return StartClass.A
     if prefix == "UUD":
         return StartClass.B
-    # a Dyck path of length >= 6 opening with neither of those opens UUU
-    if 1 in levels[4 : _rightmost(levels, max(levels))]:
-        return StartClass.NSTARSTAR
-    return StartClass.NSTAR
+    # a Dyck path of length >= 6 opening with neither of those opens UUU, so
+    # its only level-one point before point 4 is point 1, and its rightmost
+    # maximum is at level 3 or higher, past point 3
+    return StartClass.NSTARSTAR if _split(levels)[2] > 1 else StartClass.NSTAR
 
 
 def injection_f(path: DyckPath) -> DyckPath:
@@ -318,7 +326,7 @@ def injection_f(path: DyckPath) -> DyckPath:
 
 def _injection_f(walk: _Walk) -> _Walk:
     steps, levels = walk
-    rightmost = _rightmost(levels, max(levels))
+    rightmost = _split(levels)[1]
     shrunk = steps[0] + steps[3:]
     # dropping string indices 1 and 2 shifts the flip target left by 2
     result = _dyck_walk(_flip(shrunk, rightmost - 2, "D", "U"))
@@ -414,7 +422,7 @@ def injection_g_inverse(path: DyckPath) -> DyckPath:
 
 def _injection_g_inverse(walk: _Walk) -> _Walk:
     steps, levels = walk
-    ballot = _flip(steps, _rightmost(levels, max(levels)), "D", "U")
+    ballot = _flip(steps, _split(levels)[1], "D", "U")
     x = _rightmost(_levels(ballot), 1)  # grown's own check covers ballot's steps
     grown = ballot[0] + "UU" + ballot[1:]
     # the two steps leaving x were at indices x and x+1; insertion shifts
@@ -429,35 +437,31 @@ def theorem4_census(n: int) -> int:
     """Count Dyck paths of length 2n whose post-split maximum exceeds the
     pre-split maximum by at most 2, with the height-one path counted twice;
     equals the super Catalan number T(2,n)."""
+    _require(n >= 1, "theorem4_census requires n >= 1")
     return sum(1 for _ in _theorem4_walks(n))
 
 
 def theorem4_paths(n: int) -> Iterator[DyckPath]:
     """The paths behind :func:`theorem4_census`, with the height-one path
     yielded twice."""
+    _require(n >= 1, "theorem4_paths requires n >= 1")
     return (LatticePath(steps) for steps, _ in _theorem4_walks(n))
 
 
 def _theorem4_walks(n: int) -> Iterator[_Walk]:
-    _require(n >= 1, "theorem4_paths requires n >= 1")
-
-    def gen() -> Iterator[_Walk]:
-        for walk in _dyck_walks(n):
-            mk = _markers(walk[1])
-            if _bounded_gap(mk):
+    height_one = "UD" * n
+    for walk in _dyck_walks(n):
+        if _bounded_gap(walk[1]):
+            yield walk
+            if walk[0] == height_one:
                 yield walk
-                if mk.height == 1:
-                    yield walk
-
-    return gen()
 
 
 def _split_markers(path: DyckPath, name: str) -> tuple[_Walk, PathMarkers]:
     walk = _nonempty_dyck(path, name)
-    mk = _markers(walk[1])
-    _require(_bounded_gap(mk),
+    _require(_bounded_gap(walk[1]),
              "to_pair requires the post-split maximum to exceed the pre-split maximum by at most 2")
-    return walk, mk
+    return walk, _markers(walk[1])
 
 
 def to_pair(path: DyckPath) -> DyckPair:
@@ -522,8 +526,7 @@ def _from_pair(first: _Walk, second: _Walk) -> _Walk:
     out = _flip(first[0] + second[0], junction - 1, "D", "U")
     out = _flip(out, junction + leftmost - 1, "U", "D")
     result = _dyck_walk(out)
-    mk = _markers(result[1])
-    _check(mk.height > 1 and _bounded_gap(mk), "joined path left the bounded-gap family")
+    _check(max(result[1]) > 1 and _bounded_gap(result[1]), "joined path left the bounded-gap family")
     return result
 
 

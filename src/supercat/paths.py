@@ -14,9 +14,12 @@ which family an operation expects or guarantees.  A family is one value
 them, its end level.  The enumeration engine walks it, and the one membership
 test, :func:`_family_levels`, tests it for the ``is_*`` predicates, the maps'
 own output checks and :func:`parse_path`'s alphabet check.
-The cores ``_markers`` and ``_reverse`` trust their input.  ``_reverse``
-returns a checked ``(steps, levels)`` walk, the enumeration engine's type,
-and no :class:`LatticePath`: a wrong mirror raises AssertionError.
+:func:`_split` is the one split-point scan of a Dyck path (its height,
+rightmost maximum and last level-one point before it): ``_markers`` and the
+m = 2 maps read it.  The cores ``_split``, ``_markers`` and ``_reverse``
+trust their input.  ``_reverse`` returns a checked ``(steps, levels)``
+walk, the enumeration engine's type, and no :class:`LatticePath`: a wrong
+mirror raises AssertionError.
 
 The text format is a single line over ``{U,D,S,W}`` with no separators;
 the empty string is the empty path.
@@ -145,7 +148,8 @@ def _family_levels(steps: str, family: _Family) -> tuple[int, ...] | None:
     if steps.translate(table):
         return None
     levels = _levels(steps)
-    return levels if min(levels) >= 0 and levels[-1] == end else None
+    # steps move by at most one level, so a path below the axis passes -1
+    return levels if -1 not in levels and levels[-1] == end else None
 
 
 def is_dyck(path: LatticePath) -> bool:
@@ -166,10 +170,6 @@ def is_even_terminal_ballot(path: LatticePath) -> bool:
     return _family_levels(path.steps, _BALLOT_EVEN) is not None
 
 
-def _rightmost(levels: tuple[int, ...], level: int) -> int:
-    return len(levels) - 1 - levels[::-1].index(level)
-
-
 class PathMarkers(NamedTuple):
     """Distinguished points and split statistics of a nonempty Dyck path.
 
@@ -187,13 +187,20 @@ class PathMarkers(NamedTuple):
     h_plus: int
 
 
+def _split(levels: tuple[int, ...]) -> tuple[int, int, int]:
+    """``(height, rightmost_max, last_level_one)`` of a checked nonempty Dyck
+    path's levels: the one scan for the point the m = 2 maps split at."""
+    h = max(levels)
+    rev = levels[::-1]
+    r = rev.index(h)
+    # a nonempty Dyck path starts with U, so point 1 is at level one and the
+    # second search cannot fail
+    return h, len(levels) - 1 - r, len(levels) - 1 - rev.index(1, r)
+
+
 def _markers(levels: tuple[int, ...]) -> PathMarkers:
     """:class:`PathMarkers` from the levels of a checked nonempty Dyck path."""
-    h = max(levels)
-    rightmost = _rightmost(levels, h)
-    # a nonempty Dyck path starts with U, so x=1 is always a level-one
-    # candidate and the search below cannot fail
-    x = rightmost - levels[rightmost::-1].index(1)
+    h, rightmost, x = _split(levels)
     # the suffix from x holds the rightmost maximum, so its maximum is h
     return PathMarkers(h, levels.index(h), rightmost, x, max(levels[: x + 1]), h)
 

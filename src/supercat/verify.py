@@ -448,9 +448,9 @@ def _pair_map_split(n: int) -> Row:
     cases = 0
     for walk in _dyck_walks(n):
         steps, levels = walk
-        mk = _markers(levels)
-        if not bij._bounded_gap(mk):
+        if not bij._bounded_gap(levels):
             continue
+        mk = _markers(levels)
         pairs = bij._to_pair_all(walk, mk)
         for pair in pairs:
             cases += 1

@@ -13,7 +13,7 @@ import math
 
 from hypothesis import strategies as st
 
-from supercat.paths import RISE, make_path
+from supercat.paths import RISE, PathMarkers, make_path
 
 STEP_ORDER = {"U": 0, "D": 1, "S": 2, "W": 3}
 
@@ -55,6 +55,35 @@ def brute_height(steps: str) -> int:
         level += RISE[ch]
         top = max(top, level)
     return top
+
+
+def reference_markers(steps: str) -> PathMarkers:
+    """PathMarkers of a nonempty Dyck path by plain loops over its docstring."""
+    levels = [0]
+    for ch in steps:
+        levels.append(levels[-1] + RISE[ch])
+    height = 0
+    for level in levels:
+        height = max(height, level)
+    leftmost = rightmost = None
+    for x, level in enumerate(levels):
+        if level == height:
+            if leftmost is None:
+                leftmost = x
+            rightmost = x
+    # the last point at level one up to and including the rightmost maximum
+    anchor = None
+    for x in range(rightmost + 1):
+        if levels[x] == 1:
+            anchor = x
+    # maxima over the prefix up to the anchor and the suffix from it
+    h_minus = h_plus = 0
+    for x, level in enumerate(levels):
+        if x <= anchor:
+            h_minus = max(h_minus, level)
+        if x >= anchor:
+            h_plus = max(h_plus, level)
+    return PathMarkers(height, leftmost, rightmost, anchor, h_minus, h_plus)
 
 
 def ref_super_catalan_s(m: int, n: int) -> int:

@@ -4,7 +4,7 @@ from itertools import product
 import pytest
 from hypothesis import given
 
-from conftest import dyck_paths, motzkin_paths, ref_catalan, ref_super_catalan_s
+from conftest import dyck_paths, motzkin_paths, ref_catalan, ref_super_catalan_s, reference_markers
 from supercat import bijections
 from supercat.bijections import (
     DyckPair,
@@ -271,6 +271,19 @@ class TestClassifyStart:
         assert mk.rightmost_max == 3
         assert classify_start(dyck("UUUDDDUD")) is StartClass.NSTAR
 
+    def test_core_matches_the_definition(self):
+        # the UUU classes by their plain reading: a level-one point strictly
+        # between point 3 and the rightmost maximum
+        for n in range(3, 10):
+            for steps, levels in _dyck_walks(n):
+                if steps[:3] == "UUU":
+                    rightmost = reference_markers(steps).rightmost_max
+                    attains = any(levels[x] == 1 for x in range(4, rightmost))
+                    expected = StartClass.NSTARSTAR if attains else StartClass.NSTAR
+                else:
+                    expected = {"UDU": StartClass.A, "UUD": StartClass.B}[steps[:3]]
+                assert bijections._start_class(steps, levels) is expected
+
     def test_short_path_rejected(self):
         with pytest.raises(DomainError):
             classify_start(dyck("UUDD"))
@@ -439,8 +452,17 @@ class TestTheorem4Census:
             assert theorem4_census(n) == super_catalan_t(2, n)
 
     def test_requires_positive(self):
-        with pytest.raises(DomainError):
+        # each public census names itself
+        with pytest.raises(DomainError, match=r"^theorem4_census requires n >= 1$"):
             theorem4_census(0)
+        with pytest.raises(DomainError, match=r"^theorem4_paths requires n >= 1$"):
+            theorem4_paths(0)
+
+    def test_bounded_gap_matches_the_definition(self):
+        for n in range(1, 10):
+            for steps, levels in _dyck_walks(n):
+                mk = reference_markers(steps)
+                assert bijections._bounded_gap(levels) == (mk.h_plus <= mk.h_minus + 2)
 
 
 class TestPairMap:

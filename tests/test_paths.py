@@ -7,7 +7,7 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given
 
-from conftest import brute_family, dyck_paths, motzkin_paths
+from conftest import brute_family, dyck_paths, motzkin_paths, reference_markers
 from supercat.bijections import weight
 from supercat.enumeration import _walks, enum_dyck, enum_motzkin2
 from supercat.errors import DomainError, ParseError
@@ -16,12 +16,12 @@ from supercat.paths import (
     _DYCK,
     _MOTZKIN2,
     EMPTY_PATH,
-    RISE,
     LatticePath,
     PathMarkers,
     _family_levels,
     _markers,
     _reverse,
+    _split,
     is_dyck,
     is_even_terminal_ballot,
     is_motzkin2,
@@ -202,11 +202,13 @@ class TestMarkers:
             markers(parse_path("DU", "dyck"))
 
     def test_core_matches_the_definition(self):
-        # _markers, which markers and the m = 2 suites share, against a
-        # plain-loop reading of the PathMarkers docstring
+        # _markers and _split, which markers and the m = 2 suites share,
+        # against a plain-loop reading of the PathMarkers docstring
         for n in range(1, 10):
             for path in enum_dyck(n):
-                assert _markers(path.levels) == reference_markers(path.steps)
+                mk = reference_markers(path.steps)
+                assert _markers(path.levels) == mk
+                assert _split(path.levels) == (mk.height, mk.rightmost_max, mk.last_level_one)
 
     def test_named_tuple_keeps_the_public_behaviour(self):
         mk = markers(parse_path("UUDUDD", "dyck"))
@@ -226,34 +228,6 @@ class TestMarkers:
             for steps in brute_family(2 * n, 0, "UD"):
                 mk = markers(parse_path(steps, "dyck"))
                 assert mk.h_minus <= mk.h_plus == mk.height
-
-
-def reference_markers(steps: str) -> PathMarkers:
-    levels = [0]
-    for ch in steps:
-        levels.append(levels[-1] + RISE[ch])
-    height = 0
-    for level in levels:
-        height = max(height, level)
-    leftmost = rightmost = None
-    for x, level in enumerate(levels):
-        if level == height:
-            if leftmost is None:
-                leftmost = x
-            rightmost = x
-    # the last point at level one up to and including the rightmost maximum
-    anchor = None
-    for x in range(rightmost + 1):
-        if levels[x] == 1:
-            anchor = x
-    # maxima over the prefix up to the anchor and the suffix from it
-    h_minus = h_plus = 0
-    for x, level in enumerate(levels):
-        if x <= anchor:
-            h_minus = max(h_minus, level)
-        if x >= anchor:
-            h_plus = max(h_plus, level)
-    return PathMarkers(height, leftmost, rightmost, anchor, h_minus, h_plus)
 
 
 class TestReverse:

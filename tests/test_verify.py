@@ -670,6 +670,31 @@ def test_m2_rows_build_no_path(monkeypatch):
     assert built == []
 
 
+def test_m2_gap_tests_build_no_markers(monkeypatch):
+    # a walk only tested for the gap gets no PathMarkers: theorem4 and
+    # bijection-g build none, and pair-map's split half one per walk it splits
+    from supercat import bijections, paths
+    from supercat.numbers import super_catalan_t
+
+    built = []
+    core = paths._markers
+
+    def counted(levels):
+        built.append(levels)
+        return core(levels)
+
+    for module in (paths, bijections, verify):
+        monkeypatch.setattr(module, "_markers", counted)
+    assert verify.run_identity("theorem4", max_n=8).passed
+    assert verify.run_identity("bijection-g", max_n=6).passed
+    assert built == []
+    for n in range(1, 8):
+        built.clear()
+        assert verify._pair_map_split(n) == ([], super_catalan_t(2, n))
+        # the height-one walk is one bounded-gap walk and two pairs
+        assert len(built) == super_catalan_t(2, n) - 1
+
+
 def test_pair_map_recovers_the_close_pairs_in_order(monkeypatch):
     from supercat import bijections
     from supercat.enumeration import enum_pairs_total
