@@ -42,14 +42,11 @@ from .paths import (
     EMPTY_PATH,
     DyckPath,
     LatticePath,
-    PathMarkers,
     TwoMotzkinPath,
     _BALLOT_EVEN,
     _DYCK,
     _MOTZKIN2,
     _family_levels,
-    _levels,
-    _markers,
     _split,
     is_dyck,
     is_motzkin2,
@@ -82,8 +79,6 @@ __all__ = [
 _DOUBLE = {"U": "UU", "D": "DD", "S": "UD", "W": "DU"}
 _M2D = str.maketrans(_DOUBLE)
 _PAIR_TO_STEP = {pair: step for step, pair in _DOUBLE.items()}
-_AVOIDING = "injection_f requires an up-up-up start avoiding level one before the rightmost maximum"
-_ATTAINING = "injection_g requires an up-up-up start attaining level one before the rightmost maximum"
 
 # Walks whose level profiles are counted (in C) before each distinct profile
 # is folded into the per-point tallies.  S and W give the same levels, so
@@ -176,10 +171,6 @@ def _in_g_image(levels: tuple[int, ...]) -> bool:
 def _close(a: int, b: int) -> bool:
     """Two heights differing by at most 1, as in a counted pair."""
     return abs(a - b) <= 1
-
-
-def _rightmost(levels: tuple[int, ...], level: int) -> int:
-    return len(levels) - 1 - levels[::-1].index(level)
 
 
 def _flip(steps: str, i: int, expect: str, to: str) -> str:
@@ -295,9 +286,19 @@ def classify_start(path: DyckPath) -> StartClass:
     "Between the third step and the rightmost maximum" is read strictly:
     a level-one point at some x with 3 < x < rightmost_max.
     """
-    _require(is_dyck(path), "classify_start requires a valid Dyck path")
-    _require(len(path) >= 6, "classify_start requires length >= 6")
-    return _start_class(*_walk(path))
+    return _start_class(*_start_walk(path, "classify_start"))
+
+
+def _start_walk(path: DyckPath, name: str, start: StartClass | None = None) -> _Walk:
+    """The walk of a Dyck path of length >= 6, in the class ``start`` if one is
+    given: the one input check of :func:`classify_start` and the maps defined
+    on one class, raised in the caller's name."""
+    _require(is_dyck(path), f"{name} requires a valid Dyck path")
+    _require(len(path) >= 6, f"{name} requires length >= 6")
+    reach = "avoiding" if start is StartClass.NSTAR else "attaining"
+    _require(start is None or _start_class(*_walk(path)) is start,
+             f"{name} requires an up-up-up start {reach} level one before the rightmost maximum")
+    return _walk(path)
 
 
 def _start_class(steps: str, levels: tuple[int, ...]) -> StartClass:
@@ -320,8 +321,7 @@ def injection_f(path: DyckPath) -> DyckPath:
     Length drops by 2; the image is every Dyck path of height >= 2 (the
     height-one path is never produced).
     """
-    _require(classify_start(path) is StartClass.NSTAR, _AVOIDING)
-    return LatticePath(_injection_f(_walk(path))[0])
+    return LatticePath(_injection_f(_start_walk(path, "injection_f", StartClass.NSTAR))[0])
 
 
 def _injection_f(walk: _Walk) -> _Walk:
@@ -363,8 +363,7 @@ def g_intermediate(path: DyckPath) -> LatticePath:
     level 2, and the maximum before its last level-one point trails the
     maximum after it by at least 4.
     """
-    _require(classify_start(path) is StartClass.NSTARSTAR, _ATTAINING)
-    return LatticePath(_g_intermediate(_walk(path))[0])
+    return LatticePath(_g_intermediate(_start_walk(path, "g_intermediate", StartClass.NSTARSTAR))[0])
 
 
 def _g_intermediate(walk: _Walk) -> _Walk:
@@ -378,7 +377,7 @@ def _g_intermediate(walk: _Walk) -> _Walk:
     out = _flip(out, y - 3, "D", "U")
     inter = _family_levels(out, _BALLOT_EVEN)
     _check(inter is not None, "stage one did not produce an even-terminal ballot path")
-    x = _rightmost(inter, 1)
+    x = len(inter) - 1 - inter[::-1].index(1)
     gap = max(inter[x:]) - max(inter[: x + 1])
     if gap < 4:
         raise AssertionError(f"internal: stage one of {steps!r} left a maximum gap of {gap}, below 4")
@@ -393,8 +392,7 @@ def injection_g(path: DyckPath) -> DyckPath:
     The image is exactly the Dyck paths whose post-split maximum exceeds
     the pre-split maximum by at least 3.
     """
-    _require(classify_start(path) is StartClass.NSTARSTAR, _ATTAINING)
-    return LatticePath(_injection_g(_walk(path))[0])
+    return LatticePath(_injection_g(_start_walk(path, "injection_g", StartClass.NSTARSTAR))[0])
 
 
 def _injection_g(walk: _Walk) -> _Walk:
@@ -422,8 +420,10 @@ def injection_g_inverse(path: DyckPath) -> DyckPath:
 
 def _injection_g_inverse(walk: _Walk) -> _Walk:
     steps, levels = walk
-    ballot = _flip(steps, _split(levels)[1], "D", "U")
-    x = _rightmost(_levels(ballot), 1)  # grown's own check covers ballot's steps
+    _, rightmost, x = _split(levels)
+    # the flip lifts every point after the rightmost maximum by 2, so x, the
+    # last level-one point before it, is the ballot path's last level-one point
+    ballot = _flip(steps, rightmost, "D", "U")
     grown = ballot[0] + "UU" + ballot[1:]
     # the two steps leaving x were at indices x and x+1; insertion shifts
     # them to x+2 and x+3
@@ -457,11 +457,12 @@ def _theorem4_walks(n: int) -> Iterator[_Walk]:
                 yield walk
 
 
-def _split_markers(path: DyckPath, name: str) -> tuple[_Walk, PathMarkers]:
+def _bounded_gap_walk(path: DyckPath, name: str) -> _Walk:
+    """The walk of a bounded-gap Dyck path: the one input check of the pair split."""
     walk = _nonempty_dyck(path, name)
     _require(_bounded_gap(walk[1]),
-             "to_pair requires the post-split maximum to exceed the pre-split maximum by at most 2")
-    return walk, _markers(walk[1])
+             f"{name} requires the post-split maximum to exceed the pre-split maximum by at most 2")
+    return walk
 
 
 def to_pair(path: DyckPath) -> DyckPair:
@@ -473,25 +474,25 @@ def to_pair(path: DyckPath) -> DyckPair:
     The pair heights are the input's pre-split maximum and post-split
     maximum minus one, so they differ by at most 1.
     """
-    walk, mk = _split_markers(path, "to_pair")
-    _require(mk.height > 1,
+    walk = _bounded_gap_walk(path, "to_pair")
+    _require(max(walk[1]) > 1,
              "height-one path maps to two pairs (path, empty) and (empty, path); see to_pair_all")
-    return _path_pair(*_to_pair_all(walk, mk)[0])
+    return _path_pair(*_to_pair_all(walk)[0])
 
 
 def to_pair_all(path: DyckPath) -> tuple[DyckPair, ...]:
     """All pairs a bounded-gap Dyck path accounts for: one for height > 1,
     and for the height-one path the two tagged pairs (path, empty) and
     (empty, path), in that order."""
-    return tuple(starmap(_path_pair, _to_pair_all(*_split_markers(path, "to_pair_all"))))
+    return tuple(starmap(_path_pair, _to_pair_all(_bounded_gap_walk(path, "to_pair_all"))))
 
 
-def _to_pair_all(walk: _Walk, mk: PathMarkers) -> tuple[tuple[_Walk, _Walk], ...]:
-    if mk.height == 1:
+def _to_pair_all(walk: _Walk) -> tuple[tuple[_Walk, _Walk], ...]:
+    h, rightmost, x = _split(walk[1])
+    if h == 1:
         return ((walk, _EMPTY_WALK), (_EMPTY_WALK, walk))
-    x = mk.last_level_one
     out = _flip(walk[0], x, "U", "D")
-    out = _flip(out, mk.rightmost_max, "D", "U")
+    out = _flip(out, rightmost, "D", "U")
     first = _dyck_walk(out[: x + 1])
     second = _dyck_walk(out[x + 1 :])
     _check(_close(max(first[1]), max(second[1])), "pair heights drifted by more than one")

@@ -15,8 +15,9 @@ them, its end level.  The enumeration engine walks it, and the one membership
 test, :func:`_family_levels`, tests it for the ``is_*`` predicates, the maps'
 own output checks and :func:`parse_path`'s alphabet check.
 :func:`_split` is the one split-point scan of a Dyck path (its height,
-rightmost maximum and last level-one point before it): ``_markers`` and the
-m = 2 maps read it.  The cores ``_split``, ``_markers`` and ``_reverse``
+rightmost maximum and last level-one point before it) and its only internal
+form: the m = 2 maps and suites read it, and only the public :func:`markers`
+builds a :class:`PathMarkers` from it.  The cores ``_split`` and ``_reverse``
 trust their input.  ``_reverse`` returns a checked ``(steps, levels)``
 walk, the enumeration engine's type, and no :class:`LatticePath`: a wrong
 mirror raises AssertionError.
@@ -198,20 +199,16 @@ def _split(levels: tuple[int, ...]) -> tuple[int, int, int]:
     return h, len(levels) - 1 - r, len(levels) - 1 - rev.index(1, r)
 
 
-def _markers(levels: tuple[int, ...]) -> PathMarkers:
-    """:class:`PathMarkers` from the levels of a checked nonempty Dyck path."""
-    h, rightmost, x = _split(levels)
-    # the suffix from x holds the rightmost maximum, so its maximum is h
-    return PathMarkers(h, levels.index(h), rightmost, x, max(levels[: x + 1]), h)
-
-
 def markers(path: DyckPath) -> PathMarkers:
     """Compute :class:`PathMarkers` for a valid, nonempty Dyck path."""
     if len(path) == 0:
         raise DomainError("markers undefined for empty path")
     if not is_dyck(path):
         raise DomainError("markers require a valid Dyck path")
-    return _markers(path.levels)
+    levels = path.levels
+    h, rightmost, x = _split(levels)
+    # the suffix from x holds the rightmost maximum, so its maximum is h
+    return PathMarkers(h, levels.index(h), rightmost, x, max(levels[: x + 1]), h)
 
 
 def _reverse(steps: str) -> tuple[str, tuple[int, ...]]:

@@ -24,7 +24,7 @@ from . import bijections as bij
 from .enumeration import _dyck_walks, _motzkin2_walks, _pair_walks, _Walk
 from .errors import DomainError
 from .numbers import ballot_number, ballot_sum_identity, catalan, super_catalan_t
-from .paths import _markers, _reverse
+from .paths import _reverse, _split
 
 
 class Failure(NamedTuple):
@@ -450,16 +450,16 @@ def _pair_map_split(n: int) -> Row:
         steps, levels = walk
         if not bij._bounded_gap(levels):
             continue
-        mk = _markers(levels)
-        pairs = bij._to_pair_all(walk, mk)
+        pairs = bij._to_pair_all(walk)
         for pair in pairs:
             cases += 1
             if bij._from_pair(*pair) != walk:
                 failures.append(Failure((n, steps), "from_pair(to_pair) != id", steps))
-        if mk.height > 1:
-            heights = (max(pairs[0][0][1]), max(pairs[0][1][1]))
-            if heights != (mk.h_minus, mk.h_plus - 1):
-                failures.append(Failure((n, steps), heights, (mk.h_minus, mk.h_plus - 1)))
+        h, _, x = _split(levels)
+        heights = (max(pairs[0][0][1]), max(pairs[0][1][1]))
+        h_minus = max(levels[: x + 1])
+        if h > 1 and heights != (h_minus, h - 1):
+            failures.append(Failure((n, steps), heights, (h_minus, h - 1)))
     expected = super_catalan_t(2, n)
     if cases != expected:
         failures.append(Failure((n, "pair count"), cases, expected))
@@ -477,7 +477,7 @@ def _pair_map_recovery(n: int) -> Row:
             continue
         cases += 1
         joined = bij._from_pair(first, second)
-        if pair not in bij._to_pair_all(joined, _markers(joined[1])):
+        if pair not in bij._to_pair_all(joined):
             failures.append(Failure((n, first[0], second[0]), joined[0], "pair not recovered"))
     return failures, cases
 

@@ -402,6 +402,28 @@ class TestInjectionG:
                 x = max(i for i, lv in enumerate(inter.levels) if lv == 1)
                 assert max(inter.levels[x:]) - max(inter.levels[: x + 1]) >= 4
 
+    def test_inverse_splits_at_the_ballot_paths_last_level_one_point(self):
+        # the lemma behind injection_g_inverse: turning the down step leaving
+        # the rightmost maximum into an up step lifts every later point by 2,
+        # so the split point _split reads is the ballot path's last level-one point
+        checked = 0
+        for n in range(1, 10):
+            for steps, levels in _dyck_walks(n):
+                if not bijections._in_g_image(levels):
+                    continue
+                rightmost = reference_markers(steps).rightmost_max
+                assert steps[rightmost] == "D"
+                ballot = steps[:rightmost] + "U" + steps[rightmost + 1 :]
+                level, last = 0, None
+                for x, step in enumerate(ballot, start=1):
+                    level += 1 if step == "U" else -1
+                    if level == 1:
+                        last = x
+                assert bijections._split(levels)[2] == last
+                checked += 1
+        # g is a bijection from the attaining class onto its image
+        assert checked == sum(start_class_sizes(n + 1)[StartClass.NSTARSTAR] for n in range(2, 10))
+
     def test_output_markers(self):
         for n in range(2, 8):
             for path in enum_dyck(n + 1):
@@ -435,6 +457,43 @@ class TestInjectionG:
         mk = markers(path)
         if mk.h_plus >= mk.h_minus + 3:
             assert injection_g(injection_g_inverse(path)) == path
+
+
+@pytest.mark.parametrize(
+    "name,steps,text",
+    [
+        ("classify_start", "", "classify_start requires length >= 6"),
+        ("classify_start", "UD", "classify_start requires length >= 6"),
+        ("classify_start", "DU", "classify_start requires a valid Dyck path"),
+        ("injection_f", "", "injection_f requires length >= 6"),
+        ("injection_f", "UD", "injection_f requires length >= 6"),
+        ("injection_f", "DU", "injection_f requires a valid Dyck path"),
+        ("injection_f", "UUUDDUUDDD",
+         "injection_f requires an up-up-up start avoiding level one before the rightmost maximum"),
+        ("injection_g", "", "injection_g requires length >= 6"),
+        ("injection_g", "UD", "injection_g requires length >= 6"),
+        ("injection_g", "DU", "injection_g requires a valid Dyck path"),
+        ("injection_g", "UUUDDDUD",
+         "injection_g requires an up-up-up start attaining level one before the rightmost maximum"),
+        ("g_intermediate", "", "g_intermediate requires length >= 6"),
+        ("g_intermediate", "UD", "g_intermediate requires length >= 6"),
+        ("g_intermediate", "DU", "g_intermediate requires a valid Dyck path"),
+        ("g_intermediate", "UUUDDDUD",
+         "g_intermediate requires an up-up-up start attaining level one before the rightmost maximum"),
+        ("to_pair", "", "to_pair requires a nonempty valid Dyck path"),
+        ("to_pair", "DU", "to_pair requires a nonempty valid Dyck path"),
+        ("to_pair", "UUUUDDDD",
+         "to_pair requires the post-split maximum to exceed the pre-split maximum by at most 2"),
+        ("to_pair_all", "", "to_pair_all requires a nonempty valid Dyck path"),
+        ("to_pair_all", "DU", "to_pair_all requires a nonempty valid Dyck path"),
+        ("to_pair_all", "UUUUDDDD",
+         "to_pair_all requires the post-split maximum to exceed the pre-split maximum by at most 2"),
+    ],
+)
+def test_each_public_map_names_itself(name, steps, text):
+    # one input check per family of maps, raised in the public caller's name
+    with pytest.raises(DomainError, match=f"^{text}$"):
+        getattr(bijections, name)(make_path(steps))
 
 
 class TestTheorem4Census:

@@ -356,6 +356,10 @@ class TestMap:
         assert code == 1
         assert "up-up-up" in err
 
+    def test_short_path_error_names_the_map(self, capsys):
+        code, out, err = run(capsys, "map", "f", "UD")
+        assert (code, out, err) == (1, "", "error: injection_f requires length >= 6\n")
+
     def test_parse_error_is_failure(self, capsys):
         code, _, err = run(capsys, "map", "f", "UXD")
         assert code == 1

@@ -19,7 +19,6 @@ from supercat.paths import (
     LatticePath,
     PathMarkers,
     _family_levels,
-    _markers,
     _reverse,
     _split,
     is_dyck,
@@ -202,12 +201,12 @@ class TestMarkers:
             markers(parse_path("DU", "dyck"))
 
     def test_core_matches_the_definition(self):
-        # _markers and _split, which markers and the m = 2 suites share,
+        # markers and _split, the scan it shares with the m = 2 suites,
         # against a plain-loop reading of the PathMarkers docstring
         for n in range(1, 10):
             for path in enum_dyck(n):
                 mk = reference_markers(path.steps)
-                assert _markers(path.levels) == mk
+                assert markers(path) == mk
                 assert _split(path.levels) == (mk.height, mk.rightmost_max, mk.last_level_one)
 
     def test_named_tuple_keeps_the_public_behaviour(self):

@@ -670,29 +670,29 @@ def test_m2_rows_build_no_path(monkeypatch):
     assert built == []
 
 
-def test_m2_gap_tests_build_no_markers(monkeypatch):
-    # a walk only tested for the gap gets no PathMarkers: theorem4 and
-    # bijection-g build none, and pair-map's split half one per walk it splits
-    from supercat import bijections, paths
+def test_m2_rows_build_no_markers(monkeypatch):
+    # the m = 2 rows read the split point from paths._split alone: only the
+    # public markers builds a PathMarkers, and no row calls it
     from supercat.numbers import super_catalan_t
+    from supercat.paths import PathMarkers, make_path, markers
 
     built = []
-    core = paths._markers
+    new = PathMarkers.__new__
 
-    def counted(levels):
-        built.append(levels)
-        return core(levels)
+    def counted(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
 
-    for module in (paths, bijections, verify):
-        monkeypatch.setattr(module, "_markers", counted)
-    assert verify.run_identity("theorem4", max_n=8).passed
-    assert verify.run_identity("bijection-g", max_n=6).passed
-    assert built == []
+    monkeypatch.setattr(PathMarkers, "__new__", counted)
+    for name in ("theorem4", "bijection-f", "bijection-g"):
+        assert verify.run_identity(name, max_n=7).passed
     for n in range(1, 8):
-        built.clear()
         assert verify._pair_map_split(n) == ([], super_catalan_t(2, n))
-        # the height-one walk is one bounded-gap walk and two pairs
-        assert len(built) == super_catalan_t(2, n) - 1
+        assert verify._pair_map_recovery(n)[0] == []
+    assert built == []
+    # the count sees every construction: the public view builds one
+    markers(make_path("UD"))
+    assert built == [(1, 1, 1, 1, 1, 1)]
 
 
 def test_pair_map_recovers_the_close_pairs_in_order(monkeypatch):
@@ -727,8 +727,8 @@ def test_failing_pair_map_report_is_pinned(monkeypatch):
 
     true_to_pair_all = bijections._to_pair_all
 
-    def swapped(walk, mk):
-        pairs = true_to_pair_all(walk, mk)
+    def swapped(walk):
+        pairs = true_to_pair_all(walk)
         return ((pairs[0][1], pairs[0][0]),) if walk[0] == "UUDUDD" else pairs
 
     monkeypatch.setattr(bijections, "_to_pair_all", swapped)
