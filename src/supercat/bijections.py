@@ -29,13 +29,13 @@ build a :class:`~supercat.paths.LatticePath` or a :class:`DyckPair` of two.
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Sequence
 from enum import Enum
 from itertools import islice, starmap
 from operator import itemgetter
 from typing import NamedTuple
 
-from .enumeration import _dyck_walks, _motzkin2_walks, _Walk
+from .enumeration import _dyck_walks, _profiles, _Walk
 from .errors import DomainError
 from .numbers import catalan
 from .paths import (
@@ -80,13 +80,15 @@ _DOUBLE = {"U": "UU", "D": "DD", "S": "UD", "W": "DU"}
 _M2D = str.maketrans(_DOUBLE)
 _PAIR_TO_STEP = {pair: step for step, pair in _DOUBLE.items()}
 
-# Walks whose level profiles are counted (in C) before each distinct profile
-# is folded into the per-point tallies.  S and W give the same levels, so
-# the 742,900 paths of length 12 have only 15,511 profiles; a batch of 2,048
-# folds 79,639 times there.  Bounded so peak memory stays flat: `verify all`
-# peaks near 19 MB, and one Counter of a whole row's profiles added about
-# 2.9 MB to that, a batch of 4,096 0.6 MB and one of 2,048 0.3 MB, all at
-# the same speed.
+# Level profiles counted (in C) before each distinct profile is folded into
+# the per-point tallies.  S and W give the same levels, so the 742,900 paths
+# of length 12 have only 15,511 profiles; a batch of 2,048 folds 79,639 times
+# there.  Bounded so peak memory stays flat: `verify all` peaks near 15.3 MB,
+# and that length's histogram held about 1.3 MB at its peak with one Counter
+# of the whole row's bytes profiles, 185 KB with batches of 8,192 and 70 KB
+# with batches of 2,048.  Batches of 4,096 and 8,192 tallied that row faster
+# alone, but raised the `verify all` peak by about 0.1 MB for no steady gain
+# in its wall time.
 _BATCH = 2048
 
 
@@ -232,15 +234,15 @@ def _sign(level: int) -> int:
     return 1 if level % 2 == 0 else -1
 
 
-def _level_histogram(walks: Iterable[_Walk], length: int, points: slice = slice(None)) -> list[list[int]]:
-    """For the ``(steps, levels)`` walks of paths of the given length below
-    level ``length // 2 + 1``: entry ``[i][l]`` counts the paths at level
-    ``l`` at the ``i``-th of ``points`` (every point by default).  Each
+def _level_histogram(profiles: Iterable[Sequence[int]], length: int, points: slice = slice(None)) -> list[list[int]]:
+    """For the level profiles (one level per point, such as the engine's
+    :func:`~supercat.enumeration._profiles`) of paths of the given length
+    below level ``length // 2 + 1``: entry ``[i][l]`` counts the paths at
+    level ``l`` at the ``i``-th of ``points`` (every point by default).  Each
     batch's distinct profiles at those points are counted, then folded in
-    once with their multiplicities; every walk is consumed."""
+    once with their multiplicities; every profile is consumed."""
     hist = [[0] * (length // 2 + 1) for _ in range(length + 1)][points]
-    profiles = map(itemgetter(1), walks)
-    if points != slice(None):  # a second map layer costs theorem1 about a sixth of its fold
+    if points != slice(None):  # slicing every whole profile would add a map layer to theorem1's fold
         profiles = map(itemgetter(points), profiles)
     while batch := Counter(islice(profiles, _BATCH)):
         for levels, count in batch.items():
@@ -267,7 +269,7 @@ def signed_count(m: int, n: int) -> SignedCount:
     """Exhaustively tally 2-Motzkin paths of length m+n-2 by sign; the
     difference equals the super Catalan number T(m,n)."""
     _require(m >= 1 and n >= 1, "signed_count requires m, n >= 1")
-    hist = _level_histogram(_motzkin2_walks(m + n - 2), m + n - 2)
+    hist = _level_histogram(_profiles(m + n - 2, _MOTZKIN2), m + n - 2)
     return SignedCount(*_sign_split(hist[m - 1]))
 
 
@@ -276,7 +278,7 @@ def signed_count_dyck(m: int, n: int) -> SignedCount:
     2m-1 steps sits at level 1 (mod 4) for positive paths and 3 (mod 4) for
     negative ones."""
     _require(m >= 1 and n >= 1, "signed_count_dyck requires m, n >= 1")
-    hist = _level_histogram(_dyck_walks(m + n - 1), 2 * (m + n - 1), slice(1, None, 2))
+    hist = _level_histogram(_profiles(2 * (m + n - 1), _DYCK), 2 * (m + n - 1), slice(1, None, 2))
     return SignedCount(*_mod4_split(hist[m - 1]))
 
 

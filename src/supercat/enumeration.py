@@ -1,27 +1,32 @@
 """Exhaustive, deterministic generation of path families.
 
-One engine, :func:`_walks`, hands out every path of a family (one
+One backtrack, :func:`_prefixes`, walks every path of a family (one
 ``(alphabet, table, end)`` value, which :func:`~supercat.paths._family_levels`
-tests) as a ``(steps, levels)`` pair, lazily and without recursion.  It runs
-an explicit-stack backtrack (after Knuth, TAOCP 4A §7.2.1.6, Algorithm P)
-over all but the last few steps, pruned by nonnegativity and by whether the
-terminal level is still reachable, so work stays linear in the output size.
-Each prefix is joined to every tail of the remaining steps from its end
-level, read from a table built once per call.  Order is lexicographic in the
-canonical step order U < D < S < W; two runs emit identical sequences.
+tests), lazily and without recursion.  It is an explicit-stack backtrack
+(after Knuth, TAOCP 4A §7.2.1.6, Algorithm P) over all but the last few
+steps, pruned by nonnegativity and by whether the terminal level is still
+reachable, so work stays linear in the output size.  It hands out each
+prefix with every tail of the remaining steps from its end level, read from
+a table built once per call.  Two joins complete the paths: :func:`_walks`
+yields ``(steps, levels)`` pairs, and :func:`_profiles` yields only each
+path's levels as ``bytes``, one per point, joining a prefix packed once to
+tails packed once per call and building no steps.  Order is lexicographic
+in the canonical step order U < D < S < W; two runs emit identical
+sequences, and both joins emit them in the same order.
 
 The public ``enum_*`` streams wrap each pair's steps in a
 :class:`LatticePath`, which recomputes levels only if they are read.
-Callers that read only levels or steps (the row tallies, the m = 2 map
-rows, ``supercat enumerate``) take the private ``_*_walks`` streams and
-build no path.  :func:`_pair_walks` is the one pair stream: it feeds
-``enum_pairs_total``, ``supercat enumerate pairs`` and pair-map's
-recovery half.
+Callers that read steps (the m = 2 map rows, the pathwise checks,
+``supercat enumerate``) take the private ``_*_walks`` streams and build no
+path; the level histograms that read no steps (theorem1's rows, the Dyck
+side of theorem1-dyck's, the signed counts) take :func:`_profiles`.
+:func:`_pair_walks` is the one pair stream: it feeds ``enum_pairs_total``,
+``supercat enumerate pairs`` and pair-map's recovery half.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 
 from .errors import DomainError
 from .paths import _BALLOT_EVEN, _DYCK, _MOTZKIN2, RISE, LatticePath, _Family
@@ -61,8 +66,12 @@ def _tails(length: int, terminal: int, rises: list[tuple[str, int]]) -> dict[int
     return table
 
 
-def _walks(length: int, family: _Family) -> Iterator[_Walk]:
-    """All paths of ``length`` steps in the family, in canonical order."""
+def _prefixes(length: int, family: _Family,
+              pack: Callable[[list[_Walk]], list] = list) -> Iterator[tuple[list[str], list[int], list]]:
+    """The one backtrack: each prefix, all but the tail of ``length`` steps,
+    of the family's paths in canonical order, as its live ``steps`` and
+    ``levels`` buffers with the tails from its end level.  ``pack`` turns
+    each start level's tails into the form the join reads, once per call."""
     alphabet, _, terminal = family
     if terminal < 0 or terminal > length:
         return
@@ -71,7 +80,7 @@ def _walks(length: int, family: _Family) -> Iterator[_Walk]:
         return
     rises = [(c, RISE[c]) for c in alphabet]
     cut = max(length - _TAIL[len(rises)], 0)
-    tails = _tails(length - cut, terminal, rises)
+    tails = {start: pack(walks) for start, walks in _tails(length - cut, terminal, rises).items()}
     steps = [""] * cut
     levels = [0] * (cut + 1)
     # choice[pos]: index into rises of the next step to try at pos
@@ -79,9 +88,7 @@ def _walks(length: int, family: _Family) -> Iterator[_Walk]:
     pos = 0
     while pos >= 0:
         if pos == cut:
-            head, lead = "".join(steps), tuple(levels)
-            for tail_steps, tail_levels in tails[levels[cut]]:
-                yield head + tail_steps, lead + tail_levels
+            yield steps, levels, tails[levels[cut]]
             pos -= 1
             continue
         level = levels[pos]
@@ -98,6 +105,24 @@ def _walks(length: int, family: _Family) -> Iterator[_Walk]:
         else:
             choice[pos] = 0
             pos -= 1
+
+
+def _walks(length: int, family: _Family) -> Iterator[_Walk]:
+    """All paths of ``length`` steps in the family, in canonical order."""
+    for steps, levels, tails in _prefixes(length, family):
+        head, lead = "".join(steps), tuple(levels)
+        for tail_steps, tail_levels in tails:
+            yield head + tail_steps, lead + tail_levels
+
+
+def _profiles(length: int, family: _Family) -> Iterator[bytes]:
+    """The level profile of every path of ``length`` steps in the family, in
+    canonical order, one byte per point; refused past a byte's reach."""
+    if length > 255:  # no level of a path exceeds its length
+        raise DomainError(f"byte level profiles require length <= 255, got {length}")
+    prefixes = _prefixes(length, family, lambda tails: [bytes(levels) for _, levels in tails])
+    heads = ((bytes(levels), tails) for _, levels, tails in prefixes)
+    return (head + tail for head, tails in heads for tail in tails)
 
 
 def _dyck_walks(n: int) -> Iterator[_Walk]:

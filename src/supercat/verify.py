@@ -21,10 +21,10 @@ from itertools import islice, product
 from typing import BinaryIO, NamedTuple
 
 from . import bijections as bij
-from .enumeration import _dyck_walks, _motzkin2_walks, _pair_walks, _Walk
+from .enumeration import _dyck_walks, _motzkin2_walks, _pair_walks, _profiles, _Walk
 from .errors import DomainError
 from .numbers import ballot_number, ballot_sum_identity, catalan, super_catalan_t
-from .paths import _reverse, _split
+from .paths import _DYCK, _MOTZKIN2, _reverse, _split
 
 
 class Failure(NamedTuple):
@@ -218,8 +218,8 @@ def _serve(tasks: list[_Task], task_r: int, result_w: int) -> None:
 
 
 def _theorem1_row(s: int) -> Row:
-    """All cells with m + n == s, read off one level histogram of the
-    2-Motzkin paths of length s - 2.
+    """All cells with m + n == s, read off one level histogram of the byte
+    level profiles of the 2-Motzkin paths of length s - 2 (no steps built).
 
     At the point after m - 1 steps a path joins a walk from 0 to some level
     l and a reversed walk from l back to 0, so B(m, l+1) B(n, l+1) paths sit
@@ -227,7 +227,7 @@ def _theorem1_row(s: int) -> Row:
     reporting both sides as ``(level, count)`` pairs, and then its signed sum,
     each level's count times that level's sign, against T(m, n); a cell counts
     as one case."""
-    hist = bij._level_histogram(_motzkin2_walks(s - 2), s - 2)
+    hist = bij._level_histogram(_profiles(s - 2, _MOTZKIN2), s - 2)
     failures = []
     for m in range(1, s):
         n = s - m
@@ -269,10 +269,10 @@ def _theorem1_dyck_row(s: int) -> Row:
             memo[levels] = tuple(2 * level + 1 for level in levels)
         return bij._motzkin_to_dyck(steps)[1][1::2], memo[levels]
 
-    hist = bij._level_histogram(_pathwise(s, failures, sides), s - 2)
+    hist = bij._level_histogram((levels for _, levels in _pathwise(s, failures, sides)), s - 2)
     paths = hist[0][0]  # every path starts at level 0
     # independent tally on the Dyck side: levels at each odd point, read mod 4
-    dyck_hist = bij._level_histogram(_dyck_walks(s - 1), 2 * s - 2, slice(1, None, 2))
+    dyck_hist = bij._level_histogram(_profiles(2 * s - 2, _DYCK), 2 * s - 2, slice(1, None, 2))
 
     def cell(m: int) -> tuple[tuple, object, object]:
         dyck = bij._mod4_split(dyck_hist[m - 1])

@@ -28,10 +28,12 @@ from supercat.bijections import (
     to_pair_all,
     weight,
 )
-from supercat.enumeration import _dyck_walks, _motzkin2_walks, enum_dyck, enum_motzkin2
+from supercat.enumeration import _dyck_walks, _profiles, _walks, enum_dyck, enum_motzkin2
 from supercat.errors import DomainError
 from supercat.numbers import super_catalan_t
 from supercat.paths import (
+    _DYCK,
+    _MOTZKIN2,
     EMPTY_PATH,
     LatticePath,
     is_dyck,
@@ -210,17 +212,17 @@ class TestSignedCount:
         if batch is not None:
             monkeypatch.setattr(bijections, "_BATCH", batch)
         # each 2-Motzkin length at every point, and each Dyck length at its odd points
-        families = [(_motzkin2_walks, length, length, slice(None)) for length in range(11)]
-        families += [(_dyck_walks, n, 2 * n, slice(1, None, 2)) for n in range(8)]
-        for walks, param, length, points in families:
+        families = [(_MOTZKIN2, length, slice(None)) for length in range(11)]
+        families += [(_DYCK, 2 * n, slice(1, None, 2)) for n in range(8)]
+        for family, length, points in families:
             plain = [Counter() for _ in range(length + 1)][points]
-            for _, levels in walks(param):
+            for _, levels in _walks(length, family):
                 for x, level in enumerate(levels[points]):
                     plain[x][level] += 1
             if points == slice(None):
-                hist = bijections._level_histogram(walks(param), length)
+                hist = bijections._level_histogram(_profiles(length, family), length)
             else:
-                hist = bijections._level_histogram(walks(param), length, points)
+                hist = bijections._level_histogram(_profiles(length, family), length, points)
             assert [Counter({lv: c for lv, c in enumerate(row) if c}) for row in hist] == plain
 
     def test_mod4_split_refuses_an_even_level(self):

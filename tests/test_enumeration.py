@@ -8,14 +8,17 @@ from conftest import brute_family, brute_height, canon_key, ref_ballot, ref_cata
 from supercat.enumeration import (
     _dyck_walks,
     _pair_walks,
+    _profiles,
+    _walks,
     enum_ballot,
     enum_ballot_even,
     enum_dyck,
     enum_motzkin2,
     enum_pairs_total,
 )
+from supercat.bijections import signed_count, signed_count_dyck
 from supercat.errors import DomainError
-from supercat.paths import is_dyck, is_motzkin2, parse_path
+from supercat.paths import _BALLOT_EVEN, _DYCK, _MOTZKIN2, is_dyck, is_motzkin2, parse_path
 
 
 def test_dyck_empty_case():
@@ -163,6 +166,36 @@ def test_pair_walks_hold_no_whole_dyck_size():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20, peak
+
+
+@pytest.mark.parametrize(
+    "family,lengths",
+    [
+        (_DYCK, range(17)),
+        (_MOTZKIN2, range(10)),
+        (_BALLOT_EVEN, range(17)),
+        *(((*_DYCK[:2], 2 * r - 1), range(17)) for r in (1, 2, 4, 6)),
+    ],
+    ids=["dyck", "motzkin2", "ballot-even", "ballot-1", "ballot-2", "ballot-4", "ballot-6"],
+)
+def test_profiles_are_the_walks_levels_in_order(family, lengths):
+    # both joins read one backtrack: from length 0, through the lengths of the
+    # wrong parity or below the end level that yield nothing, to past the tail
+    # table's length (10 up/down or 5 four-letter steps), where every path
+    # joins a prefix to a tail
+    for length in lengths:
+        assert list(_profiles(length, family)) == [bytes(levels) for _, levels in _walks(length, family)], length
+
+
+def test_profiles_refuse_a_level_past_a_byte():
+    # a length-255 stream is only built, never walked; one step more is refused before any path
+    _profiles(255, _DYCK)
+    with pytest.raises(DomainError, match=r"^byte level profiles require length <= 255, got 256$"):
+        _profiles(256, _DYCK)
+    with pytest.raises(DomainError, match=r"^byte level profiles require length <= 255, got 598$"):
+        signed_count_dyck(200, 100)
+    with pytest.raises(DomainError, match=r"^byte level profiles require length <= 255, got 256$"):
+        signed_count(129, 129)
 
 
 def test_pairs_requires_positive_n():

@@ -291,17 +291,8 @@ def test_path_cost_counts_enumerated_paths():
 )
 def test_path_cost_matches_the_paths_enumerated(monkeypatch, name, bounds):
     # pair-map is priced in paths plus the pairs it compares
-    from supercat import enumeration
-
-    walks = enumeration._walks
     yielded = []
-
-    def counted(*args):
-        for walk in walks(*args):
-            yielded.append(None)
-            yield walk
-
-    monkeypatch.setattr(enumeration, "_walks", counted)
+    count_paths(monkeypatch, yielded)
     assert verify.run_identity(name, **bounds).passed
     assert len(yielded) == verify.path_cost(name, **bounds)
 
@@ -314,6 +305,15 @@ def counted_stream(stream, pulled):
             yield item
 
     return counted
+
+
+def count_paths(monkeypatch, pulled):
+    """Append each path either join of the engine yields to ``pulled``: the
+    walks, and the level profiles the row tallies read."""
+    from supercat import enumeration
+
+    monkeypatch.setattr(enumeration, "_walks", counted_stream(enumeration._walks, pulled))
+    monkeypatch.setattr(verify, "_profiles", counted_stream(verify._profiles, pulled))
 
 
 @pytest.mark.parametrize(
@@ -330,10 +330,8 @@ def counted_stream(stream, pulled):
 )
 def test_each_row_enumerates_its_price(monkeypatch, name, bounds):
     # the pool's queue orders tasks by each row's price, so each must be exact
-    from supercat import enumeration
-
     pulled = []
-    monkeypatch.setattr(enumeration, "_walks", counted_stream(enumeration._walks, pulled))
+    count_paths(monkeypatch, pulled)
     plan = verify._plan(name, **bounds)
     for b in plan.rows:
         pulled.clear()
