@@ -157,7 +157,8 @@ def _bounded_gap(levels: tuple[int, ...]) -> bool:
     """The post-split maximum (the height) exceeds the pre-split maximum by at
     most 2: the family theorem 4 counts and the pair split reads."""
     h, _, x = _split(levels)
-    return h <= max(levels[: x + 1]) + 2
+    # exact: a walk from level 0 passes every level up to its maximum, so max(levels[:x + 1]) >= h - 2
+    return h < 3 or h - 2 in levels[: x + 1]
 
 
 def _in_f_image(levels: tuple[int, ...]) -> bool:

@@ -59,13 +59,16 @@ def _cmd_table(args) -> int:
     if max_m < 0 or max_n < 0:
         print("table bounds must be >= 0", file=sys.stderr)
         return 2
-    rows = []
-    for m in range(max_m + 1):
-        row = []
-        for n in range(max_n + 1):
-            cell = _table_cell(args.kind, m, n)
-            row.append("-" if cell is None else str(cell))
-        rows.append(row)
+    # the exact values are the product: lift Python's int-to-str digit limit (3.10.7 on) for them alone
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "set_int_max_str_digits") else 0
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        rows = [["-" if (cell := _table_cell(args.kind, m, n)) is None else str(cell) for n in range(max_n + 1)]
+                for m in range(max_m + 1)]
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
     if args.kind == "T":
         print("warning: T(0,0) is not integral; cell rendered as '-'", file=sys.stderr)
     if args.format == "json":
@@ -126,8 +129,9 @@ def _cmd_verify(args) -> int:
         # last row down, refuses without pricing the whole sweep
         over = (cost for cost in accumulate(map(plan.paths, reversed(plan.rows))) if cost > ENUMERATION_CAP)
         if not args.force and (cost := next(over, 0)):
+            count = f"{cost:,}" if cost < 10**30 else f"2^{cost.bit_length() - 1}"  # int-to-str has a digit limit
             print(
-                f"{name}: refusing a sweep over at least {cost:,} paths, more than the "
+                f"{name}: refusing a sweep over at least {count} paths, more than the "
                 f"{ENUMERATION_CAP:,} budget; pass --force to run it anyway",
                 file=sys.stderr,
             )

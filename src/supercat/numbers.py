@@ -25,10 +25,10 @@ __all__ = [
 _fact = lru_cache(maxsize=None)(math.factorial)
 
 
-def _exact_div(num: int, den: int, what: str) -> int:
+def _exact_div(num: int, den: int, what: str, *args: int) -> int:
     quotient, remainder = divmod(num, den)
     if remainder:
-        raise AssertionError(f"internal: {what} evaluated to non-integer {num}/{den}")
+        raise AssertionError(f"internal: {what % args} evaluated to non-integer {num}/{den}")
     return quotient
 
 
@@ -37,7 +37,7 @@ def super_catalan_s(m: int, n: int) -> int:
     if m < 0 or n < 0:
         raise DomainError("super_catalan_s requires m, n >= 0")
     num, den = _fact(2 * m) * _fact(2 * n), _fact(m) * _fact(n) * _fact(m + n)
-    return _exact_div(num, den, f"S({m},{n})")
+    return _exact_div(num, den, "S(%s,%s)", m, n)
 
 
 def super_catalan_t(m: int, n: int) -> int:
@@ -59,7 +59,7 @@ def catalan(n: int) -> int:
     """(2n)! / (n! (n+1)!)."""
     if n < 0:
         raise DomainError("catalan requires n >= 0")
-    return _exact_div(_fact(2 * n), _fact(n) * _fact(n + 1), f"C({n})")
+    return _exact_div(_fact(2 * n), _fact(n) * _fact(n + 1), "C(%s)", n)
 
 
 def ballot_number(n: int, r: int) -> int:
@@ -67,7 +67,7 @@ def ballot_number(n: int, r: int) -> int:
     ending at level 2r-1."""
     if not 1 <= r <= n:
         raise DomainError(f"ballot_number requires 1 <= r <= n, got n={n}, r={r}")
-    return _exact_div(r * math.comb(2 * n, n + r), n, f"B({n},{r})")
+    return _exact_div(r * math.comb(2 * n, n + r), n, "B(%s,%s)", n, r)
 
 
 def ballot_sum_terms(m: int, n: int) -> list[tuple[int, int, int]]:
@@ -85,7 +85,7 @@ def ballot_sum_terms(m: int, n: int) -> list[tuple[int, int, int]]:
         product_form = ballot_number(m, r) * ballot_number(n, r)
         binomial_form = _exact_div(
             r * r * math.comb(2 * m, m + r) * math.comb(2 * n, n + r), m * n,
-            f"ballot-sum term r={r} of ({m},{n})",
+            "ballot-sum term r=%s of (%s,%s)", r, m, n,
         )
         if product_form != binomial_form:
             raise AssertionError(

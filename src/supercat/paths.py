@@ -50,6 +50,7 @@ __all__ = [
 ]
 
 RISE = {"U": 1, "D": -1, "S": 0, "W": 0}
+_RISES = bytes.maketrans("".join(RISE).encode(), bytes(rise & 0xFF for rise in RISE.values()))
 
 # Each family: its alphabet in the canonical step order of enumeration and
 # golden files, the table deleting that alphabet, and the level it ends on.
@@ -98,6 +99,8 @@ class LatticePath:
 
     @cached_property
     def levels(self) -> tuple[int, ...]:
+        if foreign := self.steps.translate(_MOTZKIN2[1]):  # the byte kernel would read it as a rise
+            raise KeyError(foreign[0])
         return _levels(self.steps)
 
     @property
@@ -131,10 +134,10 @@ def parse_path(text: str, alphabet: str) -> LatticePath:
 
 
 def _levels(steps: str) -> tuple[int, ...]:
-    """The level profile of steps over U/D/S/W, unchecked."""
-    # a tuple built straight from an iterator is over-allocated; one built
-    # from a list is exact-size
-    return tuple(list(accumulate(map(RISE.__getitem__, steps), initial=0)))
+    """The level profile of steps over U/D/S/W, unchecked: the one level rule."""
+    # each step becomes its signed-byte rise in C; a tuple built straight from
+    # an iterator is over-allocated, one built from a list is exact-size
+    return tuple(list(accumulate(memoryview(steps.encode().translate(_RISES)).cast("b"), initial=0)))
 
 
 def make_path(text: str) -> LatticePath:

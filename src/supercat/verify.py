@@ -265,9 +265,9 @@ def _theorem1_dyck_row(s: int) -> Row:
 
     def sides(steps: str, levels: tuple[int, ...]) -> tuple[tuple, tuple]:
         # the canonical bijection's odd points against the doubled profile
-        if levels not in memo:
-            memo[levels] = tuple(2 * level + 1 for level in levels)
-        return bij._motzkin_to_dyck(steps)[1][1::2], memo[levels]
+        if (doubled := memo.get(levels)) is None:
+            doubled = memo[levels] = tuple(2 * level + 1 for level in levels)
+        return bij._motzkin_to_dyck(steps)[1][1::2], doubled
 
     hist = bij._level_histogram((levels for _, levels in _pathwise(s, failures, sides)), s - 2)
     paths = hist[0][0]  # every path starts at level 0
@@ -295,15 +295,17 @@ def _theorem1_dyck(identity: str, *, max_sum: int = 12) -> _Plan:
 def _reversal_row(s: int) -> Row:
     """Each path's signs at m = 1..s-1 against its mirror's at s-m, reversed:
     the mirror is built per path, the signs once per level profile."""
-    failures, memo = [], {}  # memo: each distinct level profile's signs
+    failures, memo = [], {}  # memo: each distinct level profile's signs, one _sign call per point
 
-    def signs(levels: tuple[int, ...]) -> tuple[int, ...]:
-        if levels not in memo:  # one _sign call per point of each distinct profile
-            memo[levels] = tuple(map(bij._sign, levels))
-        return memo[levels]
+    def sides(steps: str, levels: tuple[int, ...]) -> tuple[tuple, tuple]:
+        mirrored = _reverse(steps)[1]
+        if (signs := memo.get(levels)) is None:
+            signs = memo[levels] = tuple(map(bij._sign, levels))
+        if (mirror_signs := memo.get(mirrored)) is None:
+            mirror_signs = memo[mirrored] = tuple(map(bij._sign, mirrored))
+        return signs, mirror_signs[::-1]
 
-    walks = _pathwise(s, failures, lambda steps, levels: (signs(levels), signs(_reverse(steps)[1])[::-1]))
-    return failures, sum(1 for _ in walks) * (s - 1)
+    return failures, sum(1 for _ in _pathwise(s, failures, sides)) * (s - 1)
 
 
 def _reversal(identity: str, *, max_sum: int = 12) -> _Plan:

@@ -11,6 +11,7 @@ import pytest
 from conftest import SIGN_MUTANTS
 from supercat.cli import main
 from supercat.errors import DomainError
+from supercat.numbers import catalan
 
 
 def run(capsys, *argv):
@@ -47,6 +48,20 @@ class TestTable:
         code, out, _ = run(capsys, "table", "S", "1", "1")
         assert code == 0
         assert out.splitlines() == ["1\t2", "2\t2"]
+
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str digit limit")
+    def test_table_prints_values_past_the_int_to_str_digit_limit(self, capsys):
+        # C(1100) has 657 digits, past the least limit Python allows (640), as
+        # C(8000) is past the default 4300; the limit is lifted for the table alone
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            code, out, _ = run(capsys, "table", "C", "0", "1100", "--format", "json")
+            assert sys.get_int_max_str_digits() == 640
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert code == 0
+        assert int(json.loads(out)["rows"][0][1100]) == catalan(1100)
 
     def test_ballot_table_domain_shape(self, capsys):
         code, out, _ = run(capsys, "table", "B", "3", "3")
@@ -115,6 +130,17 @@ class TestVerify:
         assert code == 2
         assert out == ""
         assert "refusing a sweep over at least" in err and "--force" in err
+
+    @pytest.mark.parametrize("max_sum", [5000, 8000])
+    def test_refusal_of_a_huge_sweep_is_one_short_line(self, capsys, max_sum):
+        # the last row's price alone, C(max_sum - 1), passes the cap; past 30
+        # digits it is given as the power of two below it, and at 8000 its
+        # decimal text would pass Python's int-to-str digit limit
+        code, out, err = run(capsys, "verify", "theorem1", "--max-sum", str(max_sum))
+        assert code == 2
+        assert out == ""
+        assert f"refusing a sweep over at least 2^{catalan(max_sum - 1).bit_length() - 1} paths" in err
+        assert err.count("\n") == 1 and len(err) < 160
 
     def test_refusal_agrees_with_path_cost(self, capsys, monkeypatch):
         from supercat import cli, verify

@@ -1,8 +1,11 @@
+import math
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import ref_ballot, ref_catalan, ref_super_catalan_s
+from supercat import numbers
 from supercat.enumeration import enum_ballot, enum_dyck
 from supercat.errors import DomainError
 from supercat.numbers import (
@@ -139,6 +142,37 @@ class TestBallotSum:
     def test_requires_positive(self):
         with pytest.raises(DomainError):
             ballot_sum_identity(0, 3)
+
+
+class TestInexactDivision:
+    """A non-integral evaluation raises AssertionError naming the formula and its arguments."""
+
+    def test_super_catalan_s(self, monkeypatch):
+        monkeypatch.setattr(numbers, "_fact", lambda k: k + 2)
+        with pytest.raises(AssertionError) as info:
+            super_catalan_s(1, 2)
+        # (4 * 6) / (3 * 4 * 5)
+        assert str(info.value) == "internal: S(1,2) evaluated to non-integer 24/60"
+
+    def test_catalan(self, monkeypatch):
+        monkeypatch.setattr(numbers, "_fact", lambda k: k + 2)
+        with pytest.raises(AssertionError) as info:
+            catalan(3)
+        assert str(info.value) == "internal: C(3) evaluated to non-integer 8/30"
+
+    def test_ballot_number(self, monkeypatch):
+        monkeypatch.setattr(math, "comb", lambda n, k: 1)
+        with pytest.raises(AssertionError) as info:
+            ballot_number(4, 3)
+        assert str(info.value) == "internal: B(4,3) evaluated to non-integer 3/4"
+
+    def test_ballot_sum_term(self, monkeypatch):
+        # product forms that pass, so the binomial form is the one evaluated inexactly
+        monkeypatch.setattr(numbers, "ballot_number", lambda n, r: 1)
+        monkeypatch.setattr(math, "comb", lambda n, k: 1)
+        with pytest.raises(AssertionError) as info:
+            ballot_sum_terms(2, 3)
+        assert str(info.value) == "internal: ballot-sum term r=1 of (2,3) evaluated to non-integer 1/6"
 
 
 class TestAlgebraicProperties:

@@ -19,6 +19,7 @@ from supercat.paths import (
     LatticePath,
     PathMarkers,
     _family_levels,
+    _levels,
     _reverse,
     _split,
     is_dyck,
@@ -163,11 +164,38 @@ class TestValidate:
                     assert levels == make_path(steps).levels
             assert list(_walks(length, family)) == [(steps, _family_levels(steps, family)) for steps in members]
 
+    def test_level_kernel_matches_a_plain_loop(self):
+        # every word over U/D/S/W, in each family or not: below the axis, off
+        # the end level, or with steps outside the family's alphabet
+        rises = {"U": 1, "D": -1, "S": 0, "W": 0}
+        for length in range(9):
+            for steps in map("".join, product("UDSW", repeat=length)):
+                levels = [0]
+                for step in steps:
+                    levels.append(levels[-1] + rises[step])
+                expected = tuple(levels)
+                assert _levels(steps) == expected, steps
+                for family in (_DYCK, _MOTZKIN2, _BALLOT_EVEN):
+                    alphabet, _, end = family
+                    valid = set(steps) <= set(alphabet) and min(levels) >= 0 and levels[-1] == end
+                    assert _family_levels(steps, family) == (expected if valid else None), (steps, alphabet, end)
+
     def test_a_foreign_step_is_in_no_family(self):
         path = LatticePath("UXD")
         assert not is_dyck(path)
         assert not is_motzkin2(path)
         assert not is_even_terminal_ballot(path)
+
+    # the byte kernel would read a control byte as its own rise ("\x01" as an
+    # up step, "\x00" as a level step) and a non-ASCII step as several bytes
+    @pytest.mark.parametrize("steps", ["UX", "ud", "\x01D", "U\x00D", "U\xffD", "U\u00e9D", "U\U0001f600D"])
+    def test_a_foreign_or_non_ascii_step_has_no_levels_and_no_family(self, steps):
+        path = LatticePath(steps)
+        assert not is_dyck(path)
+        assert not is_motzkin2(path)
+        assert not is_even_terminal_ballot(path)
+        with pytest.raises(KeyError):
+            path.levels
 
 
 class TestMarkers:
