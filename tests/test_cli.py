@@ -51,7 +51,7 @@ class TestTable:
 
     @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str digit limit")
     def test_table_prints_values_past_the_int_to_str_digit_limit(self, capsys):
-        # C(1100) has 657 digits, past the least limit Python allows (640), as
+        # C(1100) has 658 digits, past the least limit Python allows (640), as
         # C(8000) is past the default 4300; the limit is lifted for the table alone
         limit = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(640)
