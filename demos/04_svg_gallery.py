@@ -7,14 +7,14 @@ before/after of the two-stage injection.
 
 from pathlib import Path
 
-from supercat import injection_g, make_path, parse_path, render_svg
+from supercat import injection_g, parse_path, render_svg
 
 out_dir = Path(__file__).parent / "out"
 out_dir.mkdir(exist_ok=True)
 
 gallery = {
     "dyck_markers.svg": (parse_path("UUDUDUDDUD", "dyck"), True),
-    "motzkin_steps.svg": (make_path("USWUDDSW"), False),
+    "motzkin_steps.svg": (parse_path("USWUDDSW", "motzkin"), False),
     "before_injection.svg": (parse_path("UUUDDUUDDD", "dyck"), True),
     "after_injection.svg": (injection_g(parse_path("UUUDDUUDDD", "dyck")), True),
 }

@@ -18,12 +18,13 @@ maps and cores alike check their output with the one family test,
 walks (an invalid output raises AssertionError: it means the implementation
 is wrong, never the caller).  The paper's sign rule is :func:`_sign` alone:
 :func:`weight`, the signed tallies and the verify suites all read it.  The
-m = 2 maps find their split point only through :func:`~supercat.paths._split`,
-the one scan for a Dyck path's rightmost maximum and the last level-one point
-before it; :func:`_bounded_gap` is the one statement of the gap rule.  Every
-core takes and returns checked ``(steps, levels)`` walks, the enumeration
-engine's type (the pair split a tuple of walk pairs); only the public maps
-build a :class:`~supercat.paths.LatticePath` or a :class:`DyckPair` of two.
+m = 2 maps find their split point only through :func:`~supercat.paths._split`;
+only :func:`_g_intermediate` scans for a last level-one point of its own: its
+intermediate's, a different point.  :func:`_bounded_gap` is the one statement
+of the gap rule.  Every core takes and returns checked ``(steps, levels)``
+walks, the enumeration engine's type (the pair split a tuple of walk pairs);
+only the public maps build a :class:`~supercat.paths.LatticePath` or a
+:class:`DyckPair` of two.
 """
 
 from __future__ import annotations

@@ -56,10 +56,10 @@ def super_catalan_t(m: int, n: int) -> int:
 
 
 def catalan(n: int) -> int:
-    """(2n)! / (n! (n+1)!)."""
+    """binom(2n, n) / (n+1)."""
     if n < 0:
         raise DomainError("catalan requires n >= 0")
-    return _exact_div(_fact(2 * n), _fact(n) * _fact(n + 1), "C(%s)", n)
+    return _exact_div(math.comb(2 * n, n), n + 1, "C(%s)", n)
 
 
 def ballot_number(n: int, r: int) -> int:

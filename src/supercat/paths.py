@@ -43,7 +43,6 @@ __all__ = [
     "is_dyck",
     "is_even_terminal_ballot",
     "is_motzkin2",
-    "make_path",
     "markers",
     "parse_path",
     "reverse",
@@ -138,11 +137,6 @@ def _levels(steps: str) -> tuple[int, ...]:
     # each step becomes its signed-byte rise in C; a tuple built straight from
     # an iterator is over-allocated, one built from a list is exact-size
     return tuple(list(accumulate(memoryview(steps.encode().translate(_RISES)).cast("b"), initial=0)))
-
-
-def make_path(text: str) -> LatticePath:
-    """Parse over the full U/D/S/W alphabet."""
-    return parse_path(text, "motzkin")
 
 
 def _family_levels(steps: str, family: _Family) -> tuple[int, ...] | None:

@@ -13,7 +13,7 @@ import math
 
 from hypothesis import strategies as st
 
-from supercat.paths import RISE, PathMarkers, make_path
+from supercat.paths import RISE, PathMarkers, parse_path
 
 STEP_ORDER = {"U": 0, "D": 1, "S": 2, "W": 3}
 
@@ -119,7 +119,7 @@ def motzkin_paths(draw, max_len: int = 10):
         ch = draw(st.sampled_from(options))
         steps.append(ch)
         level += RISE[ch]
-    return make_path("".join(steps))
+    return parse_path("".join(steps), "motzkin")
 
 
 @st.composite
@@ -133,4 +133,4 @@ def dyck_paths(draw, max_n: int = 7, min_n: int = 0):
         ch = draw(st.sampled_from(options))
         steps.append(ch)
         level += RISE[ch]
-    return make_path("".join(steps))
+    return parse_path("".join(steps), "motzkin")

@@ -38,7 +38,6 @@ from supercat.paths import (
     LatticePath,
     is_dyck,
     is_even_terminal_ballot,
-    make_path,
     markers,
     parse_path,
 )
@@ -51,7 +50,7 @@ def dyck(steps: str):
 class TestCanonicalBijection:
     @pytest.mark.parametrize("motzkin,image", [("", "UD"), ("S", "UUDD"), ("W", "UDUD")])
     def test_frozen_forward(self, motzkin, image):
-        assert motzkin_to_dyck(make_path(motzkin)).steps == image
+        assert motzkin_to_dyck(parse_path(motzkin, "motzkin")).steps == image
 
     @pytest.mark.parametrize("image,motzkin", [("UD", ""), ("UUDD", "S")])
     def test_frozen_backward(self, image, motzkin):
@@ -78,11 +77,11 @@ class TestCanonicalBijection:
         # the caller's: AssertionError, never ParseError
         monkeypatch.setattr(bijections, "_M2D", str.maketrans({**bijections._DOUBLE, "U": "US"}))
         with pytest.raises(AssertionError, match="not a valid Dyck path"):
-            motzkin_to_dyck(make_path("UD"))
+            motzkin_to_dyck(parse_path("UD", "motzkin"))
 
     def test_rejects_invalid_input(self):
         with pytest.raises(DomainError):
-            motzkin_to_dyck(make_path("WDU"))
+            motzkin_to_dyck(parse_path("WDU", "motzkin"))
         with pytest.raises(DomainError):
             dyck_to_motzkin(EMPTY_PATH)
         with pytest.raises(DomainError):
@@ -93,8 +92,8 @@ class TestDyckOutputCheck:
     def test_accepts_exactly_the_dyck_paths(self):
         for length in range(7):
             for steps in map("".join, product("UDSW", repeat=length)):
-                if is_dyck(make_path(steps)):
-                    assert bijections._dyck_walk(steps) == (steps, make_path(steps).levels)
+                if is_dyck(parse_path(steps, "motzkin")):
+                    assert bijections._dyck_walk(steps) == (steps, parse_path(steps, "motzkin").levels)
                 else:
                     with pytest.raises(AssertionError, match="not a valid Dyck path"):
                         bijections._dyck_walk(steps)
@@ -103,6 +102,11 @@ class TestDyckOutputCheck:
     def test_a_foreign_step_is_an_internal_error(self, steps):
         with pytest.raises(AssertionError, match="not a valid Dyck path"):
             bijections._dyck_walk(steps)
+
+    def test_a_flip_of_the_wrong_step_is_an_internal_error(self):
+        with pytest.raises(AssertionError) as info:
+            bijections._flip("UD", 0, "D", "U")
+        assert str(info.value) == "internal: step at index 0 is 'U', expected 'D'"
 
 
 class TestPublicMapsBuildPaths:
@@ -150,8 +154,8 @@ class TestPublicMapsBuildPaths:
 
 class TestWeight:
     def test_frozen(self):
-        assert weight(make_path("SUD"), 2) == 1
-        assert weight(make_path("UDS"), 2) == -1
+        assert weight(parse_path("SUD", "motzkin"), 2) == 1
+        assert weight(parse_path("UDS", "motzkin"), 2) == -1
 
     @given(motzkin_paths())
     def test_first_step_always_positive(self, path):
@@ -159,13 +163,13 @@ class TestWeight:
 
     def test_defined_at_one_past_the_end(self):
         # the point after m-1 steps exists even when the m-th step does not
-        assert weight(make_path("UD"), 3) == 1
+        assert weight(parse_path("UD", "motzkin"), 3) == 1
 
     def test_too_short_rejected(self):
         with pytest.raises(DomainError):
-            weight(make_path("UD"), 4)
+            weight(parse_path("UD", "motzkin"), 4)
         with pytest.raises(DomainError):
-            weight(make_path("UD"), 0)
+            weight(parse_path("UD", "motzkin"), 0)
 
     def test_sign_is_the_parity_of_the_level(self):
         assert [bijections._sign(level) for level in range(8)] == [1, -1, 1, -1, 1, -1, 1, -1]
@@ -292,7 +296,7 @@ class TestClassifyStart:
 
     def test_invalid_path_rejected(self):
         with pytest.raises(DomainError):
-            classify_start(make_path("DUUUDD"))
+            classify_start(parse_path("DUUUDD", "motzkin"))
 
     def test_partition_and_class_sizes(self):
         for n in range(2, 8):
@@ -395,6 +399,13 @@ class TestInjectionG:
         with pytest.raises(DomainError):
             injection_g_inverse(dyck("UUDUDD"))
 
+    def test_an_intermediate_gap_below_four_is_an_internal_error(self):
+        # UUUDDD avoids level one before its rightmost maximum, so no public map
+        # hands it to the core; stage one leaves UUUD, whose gap is 3 - 1
+        with pytest.raises(AssertionError) as info:
+            bijections._g_intermediate(("UUUDDD", (0, 1, 2, 3, 2, 1, 0)))
+        assert str(info.value) == "internal: stage one of 'UUUDDD' left a maximum gap of 2, below 4"
+
     def test_intermediate_gap_at_least_four(self):
         for n in range(2, 8):
             for path in enum_dyck(n + 1):
@@ -495,7 +506,7 @@ class TestInjectionG:
 def test_each_public_map_names_itself(name, steps, text):
     # one input check per family of maps, raised in the public caller's name
     with pytest.raises(DomainError, match=f"^{text}$"):
-        getattr(bijections, name)(make_path(steps))
+        getattr(bijections, name)(parse_path(steps, "motzkin"))
 
 
 class TestTheorem4Census:

@@ -155,10 +155,10 @@ class TestInexactDivision:
         assert str(info.value) == "internal: S(1,2) evaluated to non-integer 24/60"
 
     def test_catalan(self, monkeypatch):
-        monkeypatch.setattr(numbers, "_fact", lambda k: k + 2)
+        monkeypatch.setattr(math, "comb", lambda n, k: 1)
         with pytest.raises(AssertionError) as info:
             catalan(3)
-        assert str(info.value) == "internal: C(3) evaluated to non-integer 8/30"
+        assert str(info.value) == "internal: C(3) evaluated to non-integer 1/4"
 
     def test_ballot_number(self, monkeypatch):
         monkeypatch.setattr(math, "comb", lambda n, k: 1)
@@ -173,6 +173,23 @@ class TestInexactDivision:
         with pytest.raises(AssertionError) as info:
             ballot_sum_terms(2, 3)
         assert str(info.value) == "internal: ballot-sum term r=1 of (2,3) evaluated to non-integer 1/6"
+
+
+class TestInternalChecks:
+    """A failed consistency check on exact values raises AssertionError naming them."""
+
+    def test_odd_super_catalan_s(self, monkeypatch):
+        monkeypatch.setattr(numbers, "_fact", lambda k: 1)
+        with pytest.raises(AssertionError) as info:
+            super_catalan_t(1, 2)
+        assert str(info.value) == "internal: S(1,2) = 1 is odd"
+
+    def test_ballot_sum_term_mismatch(self, monkeypatch):
+        # the binomial form of r = 1 at (2,3) is 1 * 4 * 15 / 6 = 10
+        monkeypatch.setattr(numbers, "ballot_number", lambda n, r: 1)
+        with pytest.raises(AssertionError) as info:
+            ballot_sum_terms(2, 3)
+        assert str(info.value) == "internal: ballot-sum term mismatch at (m=2, n=3, r=1): 1 != 10"
 
 
 class TestAlgebraicProperties:

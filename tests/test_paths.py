@@ -25,7 +25,6 @@ from supercat.paths import (
     is_dyck,
     is_even_terminal_ballot,
     is_motzkin2,
-    make_path,
     markers,
     parse_path,
     reverse,
@@ -73,20 +72,20 @@ class TestParse:
 
 class TestPathValue:
     def test_str_and_repr(self):
-        path = make_path("UWD")
+        path = parse_path("UWD", "motzkin")
         assert str(path) == "UWD"
         assert repr(path) == "LatticePath('UWD')"
 
     def test_equality_and_hash(self):
-        assert make_path("UD") == parse_path("UD", "dyck")
-        assert len({make_path("UD"), parse_path("UD", "dyck")}) == 1
-        assert hash(make_path("UD")) == hash(("UD",))
+        assert parse_path("UD", "motzkin") == parse_path("UD", "dyck")
+        assert len({parse_path("UD", "motzkin"), parse_path("UD", "dyck")}) == 1
+        assert hash(parse_path("UD", "motzkin")) == hash(("UD",))
         # only a path equals a path: same steps on another class is not enough
-        assert make_path("UD") != SimpleNamespace(steps="UD")
-        assert make_path("UD") != "UD"
+        assert parse_path("UD", "motzkin") != SimpleNamespace(steps="UD")
+        assert parse_path("UD", "motzkin") != "UD"
 
     def test_survives_pickle_and_copy(self):
-        fresh, read = make_path("UD"), make_path("UUDD")
+        fresh, read = parse_path("UD", "motzkin"), parse_path("UUDD", "motzkin")
         assert read.levels == (0, 1, 2, 1, 0)
         for path in (fresh, read):
             for clone in (pickle.loads(pickle.dumps(path)), copy.copy(path)):
@@ -95,7 +94,7 @@ class TestPathValue:
                 assert clone.levels == path.levels
 
     def test_height_and_final_level(self):
-        path = make_path("UUDS")
+        path = parse_path("UUDS", "motzkin")
         assert path.height == 2
 
     def test_the_steps_are_the_only_field(self):
@@ -103,7 +102,7 @@ class TestPathValue:
             LatticePath("UD", (0, 1, 0))
 
     def test_levels_cannot_be_assigned(self):
-        path = make_path("UD")
+        path = parse_path("UD", "motzkin")
         with pytest.raises(FrozenInstanceError):
             path.levels = (0, 1, 1)
         assert path.levels == (0, 1, 0)
@@ -118,7 +117,7 @@ class TestPathValue:
         streamed = [p for n in range(6) for p in enum_dyck(n)]
         streamed += [p for length in range(5) for p in enum_motzkin2(length)]
         for path in streamed:
-            rebuilt, parsed = LatticePath(path.steps), make_path(path.steps)
+            rebuilt, parsed = LatticePath(path.steps), parse_path(path.steps, "motzkin")
             assert rebuilt == path and hash(rebuilt) == hash(path), path
             for p in (path, rebuilt):
                 assert p.levels == parsed.levels and p.height == parsed.height, path
@@ -139,16 +138,16 @@ class TestValidate:
         assert not is_dyck(parse_path("UUD", "dyck"))
 
     def test_motzkin_level_steps(self):
-        assert is_motzkin2(make_path("SUWD"))
-        assert not is_motzkin2(make_path("WDU"))
+        assert is_motzkin2(parse_path("SUWD", "motzkin"))
+        assert not is_motzkin2(parse_path("WDU", "motzkin"))
 
     def test_dyck_rejects_level_steps(self):
-        assert not is_dyck(make_path("SS"))
+        assert not is_dyck(parse_path("SS", "motzkin"))
 
     def test_even_terminal_ballot(self):
-        assert is_even_terminal_ballot(make_path("UUUUUDDD"))
-        assert not is_even_terminal_ballot(make_path("UUU"))
-        assert not is_even_terminal_ballot(make_path("USU"))
+        assert is_even_terminal_ballot(parse_path("UUUUUDDD", "motzkin"))
+        assert not is_even_terminal_ballot(parse_path("UUU", "motzkin"))
+        assert not is_even_terminal_ballot(parse_path("USU", "motzkin"))
 
     @pytest.mark.parametrize("family", [_DYCK, _MOTZKIN2, _BALLOT_EVEN], ids=["dyck", "motzkin2", "ballot"])
     def test_family_levels_accepts_exactly_the_brute_force_family(self, family):
@@ -161,7 +160,7 @@ class TestValidate:
                 levels = _family_levels(steps, family)
                 assert (levels is not None) == (steps in in_family), steps
                 if levels is not None:
-                    assert levels == make_path(steps).levels
+                    assert levels == parse_path(steps, "motzkin").levels
             assert list(_walks(length, family)) == [(steps, _family_levels(steps, family)) for steps in members]
 
     def test_level_kernel_matches_a_plain_loop(self):
@@ -260,11 +259,11 @@ class TestMarkers:
 class TestReverse:
     @pytest.mark.parametrize("steps,expected", [("SUD", "UDS"), ("", ""), ("UWD", "UWD")])
     def test_frozen(self, steps, expected):
-        assert reverse(make_path(steps)).steps == expected
+        assert reverse(parse_path(steps, "motzkin")).steps == expected
 
     def test_requires_valid_path(self):
         with pytest.raises(DomainError):
-            reverse(make_path("DU"))
+            reverse(parse_path("DU", "motzkin"))
 
     @given(motzkin_paths())
     def test_involution(self, path):
@@ -278,13 +277,13 @@ class TestReverse:
 
     def test_output_valid(self):
         for steps in brute_family(6, 0, "UDSW"):
-            assert is_motzkin2(reverse(make_path(steps)))
+            assert is_motzkin2(reverse(parse_path(steps, "motzkin")))
 
     def test_core_check_matches_the_predicate(self):
         # the core's lean check on its mirror raises exactly where is_motzkin2 fails
         for length in range(7):
             for steps in map("".join, product("UDSW", repeat=length)):
-                mirror = make_path(steps[::-1].translate(str.maketrans("UD", "DU")))
+                mirror = parse_path(steps[::-1].translate(str.maketrans("UD", "DU")), "motzkin")
                 if is_motzkin2(mirror):
                     assert _reverse(steps) == (mirror.steps, mirror.levels)
                 else:
@@ -293,9 +292,9 @@ class TestReverse:
 
     def test_public_map_returns_the_parsed_path(self):
         for steps in brute_family(5, 0, "UDSW"):
-            mirrored = reverse(make_path(steps))
+            mirrored = reverse(parse_path(steps, "motzkin"))
             assert type(mirrored) is LatticePath
-            assert mirrored == make_path(mirrored.steps)
+            assert mirrored == parse_path(mirrored.steps, "motzkin")
 
 
 @given(motzkin_paths())

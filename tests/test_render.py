@@ -1,7 +1,7 @@
 import pytest
 
 from supercat.errors import DomainError
-from supercat.paths import make_path, parse_path
+from supercat.paths import parse_path
 from supercat.render import render_svg
 
 
@@ -13,7 +13,7 @@ def test_standalone_document():
 
 
 def test_one_element_per_step():
-    svg = render_svg(make_path("UDSWUD"))
+    svg = render_svg(parse_path("UDSWUD", "motzkin"))
     assert svg.count('class="step ') == 6
     assert svg.count("step-wavy") == 1
     assert svg.count("step-straight") == 1
@@ -26,7 +26,7 @@ def test_grid_covers_negative_levels():
 
 
 def test_empty_path_renders():
-    svg = render_svg(make_path(""))
+    svg = render_svg(parse_path("", "motzkin"))
     assert "</svg>" in svg
 
 
@@ -40,6 +40,6 @@ def test_markers():
 
 def test_markers_require_valid_dyck():
     with pytest.raises(DomainError):
-        render_svg(make_path("SS"), show_markers=True)
+        render_svg(parse_path("SS", "motzkin"), show_markers=True)
     with pytest.raises(DomainError):
-        render_svg(make_path(""), show_markers=True)
+        render_svg(parse_path("", "motzkin"), show_markers=True)

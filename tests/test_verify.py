@@ -672,7 +672,7 @@ def test_m2_rows_build_no_markers(monkeypatch):
     # the m = 2 rows read the split point from paths._split alone: only the
     # public markers builds a PathMarkers, and no row calls it
     from supercat.numbers import super_catalan_t
-    from supercat.paths import PathMarkers, make_path, markers
+    from supercat.paths import PathMarkers, markers, parse_path
 
     built = []
     new = PathMarkers.__new__
@@ -689,7 +689,7 @@ def test_m2_rows_build_no_markers(monkeypatch):
         assert verify._pair_map_recovery(n)[0] == []
     assert built == []
     # the count sees every construction: the public view builds one
-    markers(make_path("UD"))
+    markers(parse_path("UD", "motzkin"))
     assert built == [(1, 1, 1, 1, 1, 1)]
 
 
