@@ -30,9 +30,9 @@ only the public maps build a :class:`~supercat.paths.LatticePath` or a
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator
 from enum import Enum
-from itertools import islice, starmap
+from itertools import starmap
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -81,16 +81,13 @@ _DOUBLE = {"U": "UU", "D": "DD", "S": "UD", "W": "DU"}
 _M2D = str.maketrans(_DOUBLE)
 _PAIR_TO_STEP = {pair: step for step, pair in _DOUBLE.items()}
 
-# Level profiles counted (in C) before each distinct profile is folded into
-# the per-point tallies.  S and W give the same levels, so the 742,900 paths
-# of length 12 have only 15,511 profiles; a batch of 2,048 folds 79,639 times
-# there.  Bounded so peak memory stays flat: `verify all` peaks near 15.3 MB,
-# and that length's histogram held about 1.3 MB at its peak with one Counter
-# of the whole row's bytes profiles, 185 KB with batches of 8,192 and 70 KB
-# with batches of 2,048.  Batches of 4,096 and 8,192 tallied that row faster
-# alone, but raised the `verify all` peak by about 0.1 MB for no steady gain
-# in its wall time.
-_BATCH = 2048
+# Bytes of packed level profiles joined before each counted point's column
+# is sliced out and counted by level (in C).  A byte budget, since an engine
+# block holds anywhere from one profile to a few hundred.  16 KiB keeps
+# the peak flat: `verify theorem1-dyck --jobs 1` peaked at 15.09 MB with
+# budgets of 8, 16 and 32 KiB and at 15.21 MB with 48 KiB, and neither it
+# nor `verify all` ran steadily faster with a bigger budget.
+_BATCH = 16 * 1024
 
 
 class SignedCount(NamedTuple):
@@ -236,20 +233,34 @@ def _sign(level: int) -> int:
     return 1 if level % 2 == 0 else -1
 
 
-def _level_histogram(profiles: Iterable[Sequence[int]], length: int, points: slice = slice(None)) -> list[list[int]]:
-    """For the level profiles (one level per point, such as the engine's
-    :func:`~supercat.enumeration._profiles`) of paths of the given length
-    below level ``length // 2 + 1``: entry ``[i][l]`` counts the paths at
-    level ``l`` at the ``i``-th of ``points`` (every point by default).  Each
-    batch's distinct profiles at those points are counted, then folded in
-    once with their multiplicities; every profile is consumed."""
-    hist = [[0] * (length // 2 + 1) for _ in range(length + 1)][points]
-    if points != slice(None):  # slicing every whole profile would add a map layer to theorem1's fold
-        profiles = map(itemgetter(points), profiles)
-    while batch := Counter(islice(profiles, _BATCH)):
-        for levels, count in batch.items():
-            for point, level in zip(hist, levels):
-                point[level] += count
+def _level_histogram(blocks: Iterable[bytes], length: int, points: slice = slice(None)) -> list[list[int]]:
+    """For blocks of packed level profiles (such as the engine's
+    :func:`~supercat.enumeration._profiles`) of paths from level 0 back to 0:
+    entry ``[i][l]`` counts the paths at level ``l`` at the ``i``-th of
+    ``points`` (every point by default).  Blocks are joined up to ``_BATCH``
+    bytes, and each point ``x``'s column of the join is counted at its levels,
+    0 to ``min(x, length - x)``; a torn profile or a level past them is an
+    internal error, never a dropped path."""
+    width = length + 1
+    hist = [[0] * (length // 2 + 1) for _ in range(width)][points]
+    columns = [(x, range(min(x, length - x) + 1), counts) for x, counts in zip(range(width)[points], hist)]
+
+    def fold(joined: bytearray) -> None:
+        paths, torn = divmod(len(joined), width)
+        _check(not torn, f"{len(joined)} profile bytes are not whole profiles of {width} points")
+        for x, levels, counts in columns:
+            column = joined[x::width]
+            found = [column.count(level) for level in levels]
+            _check(sum(found) == paths, f"point {x} has a level above {levels[-1]}")
+            counts[:len(found)] = map(int.__add__, counts, found)
+
+    joined = bytearray()
+    for block in blocks:
+        joined += block
+        if len(joined) >= _BATCH:
+            fold(joined)
+            joined.clear()
+    fold(joined)
     return hist
 
 

@@ -8,11 +8,12 @@ steps, pruned by nonnegativity and by whether the terminal level is still
 reachable, so work stays linear in the output size.  It hands out each
 prefix with every tail of the remaining steps from its end level, read from
 a table built once per call.  Two joins complete the paths: :func:`_walks`
-yields ``(steps, levels)`` pairs, and :func:`_profiles` yields only each
-path's levels as ``bytes``, one per point, joining a prefix packed once to
-tails packed once per call and building no steps.  Order is lexicographic
-in the canonical step order U < D < S < W; two runs emit identical
-sequences, and both joins emit them in the same order.
+yields ``(steps, levels)`` pairs, and :func:`_profiles` yields only the
+paths' levels as ``bytes``, one per point, in one packed block per prefix:
+the prefix's levels packed once, joined in C to each of its tails' levels,
+packed once per call, and building no steps.  Order is lexicographic in the
+canonical step order U < D < S < W; two runs emit identical sequences, and
+both joins emit them in the same order.
 
 The public ``enum_*`` streams wrap each pair's steps in a
 :class:`LatticePath`, which recomputes levels only if they are read.
@@ -116,13 +117,14 @@ def _walks(length: int, family: _Family) -> Iterator[_Walk]:
 
 
 def _profiles(length: int, family: _Family) -> Iterator[bytes]:
-    """The level profile of every path of ``length`` steps in the family, in
-    canonical order, one byte per point; refused past a byte's reach."""
+    """The level profiles of the family's paths of ``length`` steps, one byte
+    per point, end to end in canonical order, packed in one block per engine
+    prefix (a nonempty multiple of ``length + 1`` bytes); refused past a byte."""
     if length > 255:  # no level of a path exceeds its length
         raise DomainError(f"byte level profiles require length <= 255, got {length}")
-    prefixes = _prefixes(length, family, lambda tails: [bytes(levels) for _, levels in tails])
-    heads = ((bytes(levels), tails) for _, levels, tails in prefixes)
-    return (head + tail for head, tails in heads for tail in tails)
+    # head.join([b"", t1, t2, ...]) == head + t1 + head + t2 + ...: every path's profile, in one C join
+    prefixes = _prefixes(length, family, lambda tails: [b"", *(bytes(levels) for _, levels in tails)])
+    return (bytes(levels).join(tails) for _, levels, tails in prefixes)
 
 
 def _dyck_walks(n: int) -> Iterator[_Walk]:

@@ -21,8 +21,10 @@ __all__ = [
     "super_catalan_t",
 ]
 
-# Memoized so table emission does not recompute large factorials per cell.
-_fact = lru_cache(maxsize=None)(math.factorial)
+# Memoized so a table does not recompute large factorials per cell, and bounded
+# so a wide one does not keep them all: 1,024 sits above the working set of
+# `table T 200 200` (0! to 400!) and of each formula suite (451, symmetry's).
+_fact = lru_cache(maxsize=1024)(math.factorial)
 
 
 def _exact_div(num: int, den: int, what: str, *args: int) -> int:

@@ -269,7 +269,8 @@ def _theorem1_dyck_row(s: int) -> Row:
             doubled = memo[levels] = tuple(2 * level + 1 for level in levels)
         return bij._motzkin_to_dyck(steps)[1][1::2], doubled
 
-    hist = bij._level_histogram((levels for _, levels in _pathwise(s, failures, sides)), s - 2)
+    levels = (levels for _, levels in _pathwise(s, failures, sides))  # one pass for the checks and the tally
+    hist = bij._level_histogram(iter(lambda: b"".join(map(bytes, islice(levels, 256))), b""), s - 2)
     paths = hist[0][0]  # every path starts at level 0
     # independent tally on the Dyck side: levels at each odd point, read mod 4
     dyck_hist = bij._level_histogram(_profiles(2 * s - 2, _DYCK), 2 * s - 2, slice(1, None, 2))

@@ -211,8 +211,8 @@ class TestSignedCount:
 
     @pytest.mark.parametrize("batch", [None, 7])
     def test_level_histogram_matches_a_plain_count(self, monkeypatch, batch):
-        # None keeps the real batch size; 7 puts batch boundaries inside the
-        # stream of every length from 3 on
+        # None keeps the real byte budget; 7 bytes, no wider than a profile of
+        # any length the engine splits into blocks, folds each block alone
         if batch is not None:
             monkeypatch.setattr(bijections, "_BATCH", batch)
         # each 2-Motzkin length at every point, and each Dyck length at its odd points
@@ -228,6 +228,14 @@ class TestSignedCount:
             else:
                 hist = bijections._level_histogram(_profiles(length, family), length, points)
             assert [Counter({lv: c for lv, c in enumerate(row) if c}) for row in hist] == plain
+
+    def test_level_histogram_drops_no_profile(self):
+        # a level above length // 2 and a block torn inside a profile each
+        # fail the fold instead of being dropped from the counts
+        with pytest.raises(AssertionError, match=r"^internal: point 1 has a level above 1$"):
+            bijections._level_histogram([bytes([0, 1, 0, 0, 2, 0])], 2)
+        with pytest.raises(AssertionError, match=r"^internal: 5 profile bytes are not whole profiles of 3 points$"):
+            bijections._level_histogram([bytes([0, 1, 0]), bytes([0, 1])], 2)
 
     def test_mod4_split_refuses_an_even_level(self):
         assert bijections._mod4_split([0, 3, 0, 2, 0, 5]) == (8, 2)

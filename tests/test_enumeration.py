@@ -182,9 +182,11 @@ def test_profiles_are_the_walks_levels_in_order(family, lengths):
     # both joins read one backtrack: from length 0, through the lengths of the
     # wrong parity or below the end level that yield nothing, to past the tail
     # table's length (10 up/down or 5 four-letter steps), where every path
-    # joins a prefix to a tail
+    # joins a prefix to a tail; each prefix's block packs whole profiles
     for length in lengths:
-        assert list(_profiles(length, family)) == [bytes(levels) for _, levels in _walks(length, family)], length
+        blocks = list(_profiles(length, family))
+        assert b"".join(blocks) == b"".join(bytes(levels) for _, levels in _walks(length, family)), length
+        assert all(block and len(block) % (length + 1) == 0 for block in blocks), length
 
 
 def test_profiles_refuse_a_level_past_a_byte():

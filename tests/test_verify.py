@@ -309,11 +309,16 @@ def counted_stream(stream, pulled):
 
 def count_paths(monkeypatch, pulled):
     """Append each path either join of the engine yields to ``pulled``: the
-    walks, and the level profiles the row tallies read."""
+    walks, and each profile in the packed blocks the row tallies read."""
     from supercat import enumeration
 
+    def profiles(length, family, stream=verify._profiles):
+        for block in stream(length, family):
+            pulled.extend([block] * (len(block) // (length + 1)))
+            yield block
+
     monkeypatch.setattr(enumeration, "_walks", counted_stream(enumeration._walks, pulled))
-    monkeypatch.setattr(verify, "_profiles", counted_stream(verify._profiles, pulled))
+    monkeypatch.setattr(verify, "_profiles", profiles)
 
 
 @pytest.mark.parametrize(
