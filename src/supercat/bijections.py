@@ -41,12 +41,14 @@ from .errors import DomainError
 from .numbers import catalan
 from .paths import (
     EMPTY_PATH,
+    RISE,
     DyckPath,
     LatticePath,
     TwoMotzkinPath,
     _BALLOT_EVEN,
     _DYCK,
     _MOTZKIN2,
+    _Family,
     _family_levels,
     _split,
     is_dyck,
@@ -155,8 +157,8 @@ def _bounded_gap(levels: tuple[int, ...]) -> bool:
     """The post-split maximum (the height) exceeds the pre-split maximum by at
     most 2: the family theorem 4 counts and the pair split reads."""
     h, _, x = _split(levels)
-    # exact: a walk from level 0 passes every level up to its maximum, so max(levels[:x + 1]) >= h - 2
-    return h < 3 or h - 2 in levels[: x + 1]
+    # exact: a walk from 0 passes every level up to h, so some point up to x sits at h - 2 iff its first visit does
+    return h < 3 or levels.index(h - 2) <= x
 
 
 def _in_f_image(levels: tuple[int, ...]) -> bool:
@@ -233,26 +235,29 @@ def _sign(level: int) -> int:
     return 1 if level % 2 == 0 else -1
 
 
-def _level_histogram(blocks: Iterable[bytes], length: int, points: slice = slice(None)) -> list[list[int]]:
+def _level_histogram(blocks: Iterable[bytes], length: int, points: slice = slice(None),
+                     family: _Family = _MOTZKIN2) -> list[list[int]]:
     """For blocks of packed level profiles (such as the engine's
-    :func:`~supercat.enumeration._profiles`) of paths from level 0 back to 0:
-    entry ``[i][l]`` counts the paths at level ``l`` at the ``i``-th of
-    ``points`` (every point by default).  Blocks are joined up to ``_BATCH``
-    bytes, and each point ``x``'s column of the join is counted at its levels,
-    0 to ``min(x, length - x)``; a torn profile or a level past them is an
-    internal error, never a dropped path."""
-    width = length + 1
+    :func:`~supercat.enumeration._profiles`) of the ``family``'s paths from
+    level 0 back to 0: entry ``[i][l]`` counts the paths at level ``l`` at the
+    ``i``-th of ``points`` (every point by default).  Blocks are joined up to
+    ``_BATCH`` bytes, and each point ``x``'s column of the join is counted at
+    the levels within its reach: 0 to ``min(x, length - x)``, and only those
+    of x's parity if the family has no level step.  A torn profile or a level
+    outside that reach is an internal error, never a dropped path."""
+    width, step = length + 1, 2 if all(RISE[c] for c in family[0]) else 1
     hist = [[0] * (length // 2 + 1) for _ in range(width)][points]
-    columns = [(x, range(min(x, length - x) + 1), counts) for x, counts in zip(range(width)[points], hist)]
+    columns = [(x, slice(x % step, min(x, length - x) + 1, step), counts)
+               for x, counts in zip(range(width)[points], hist)]
 
     def fold(joined: bytearray) -> None:
         paths, torn = divmod(len(joined), width)
         _check(not torn, f"{len(joined)} profile bytes are not whole profiles of {width} points")
-        for x, levels, counts in columns:
+        for x, reach, counts in columns:
             column = joined[x::width]
-            found = [column.count(level) for level in levels]
-            _check(sum(found) == paths, f"point {x} has a level above {levels[-1]}")
-            counts[:len(found)] = map(int.__add__, counts, found)
+            found = [column.count(level) for level in range(width)[reach]]
+            _check(sum(found) == paths, f"point {x} has a level outside its reach")
+            counts[reach] = map(int.__add__, counts[reach], found)
 
     joined = bytearray()
     for block in blocks:
@@ -291,7 +296,7 @@ def signed_count_dyck(m: int, n: int) -> SignedCount:
     2m-1 steps sits at level 1 (mod 4) for positive paths and 3 (mod 4) for
     negative ones."""
     _require(m >= 1 and n >= 1, "signed_count_dyck requires m, n >= 1")
-    hist = _level_histogram(_profiles(2 * (m + n - 1), _DYCK), 2 * (m + n - 1), slice(1, None, 2))
+    hist = _level_histogram(_profiles(2 * (m + n - 1), _DYCK), 2 * (m + n - 1), slice(1, None, 2), _DYCK)
     return SignedCount(*_mod4_split(hist[m - 1]))
 
 
@@ -463,9 +468,9 @@ def theorem4_paths(n: int) -> Iterator[DyckPath]:
     return (LatticePath(steps) for steps, _ in _theorem4_walks(n))
 
 
-def _theorem4_walks(n: int) -> Iterator[_Walk]:
+def _theorem4_walks(n: int, share: tuple[int, int] = (0, 1)) -> Iterator[_Walk]:
     height_one = "UD" * n
-    for walk in _dyck_walks(n):
+    for walk in _dyck_walks(n, share):
         if _bounded_gap(walk[1]):
             yield walk
             if walk[0] == height_one:
@@ -551,9 +556,18 @@ def pair_census(n: int) -> int:
     length 2n with heights differing by at most 1, by convolving one height
     tally per Dyck size 0..n; equals the super Catalan number T(2,n)."""
     _require(n >= 1, "pair_census requires n >= 1")
-    heights = [Counter(map(max, map(itemgetter(1), _dyck_walks(k)))) for k in range(n + 1)]
-    return sum(left[a] * right[b]
-               for left, right in zip(heights, reversed(heights))
+    return _close_pairs(_heights(n))
+
+
+def _heights(n: int, share: tuple[int, int] = (0, 1)) -> list[Counter]:
+    """One height tally per Dyck size 0..n, over the walks of the ``share``."""
+    return [Counter(map(max, map(itemgetter(1), _dyck_walks(k, share)))) for k in range(n + 1)]
+
+
+def _close_pairs(*shares: list[Counter]) -> int:
+    """The pairs :func:`pair_census` counts, from each share's :func:`_heights`, summed."""
+    heights = [sum(sizes, Counter()) for sizes in zip(*shares)]
+    return sum(left[a] * right[b] for left, right in zip(heights, reversed(heights))
                for a in left for b in right if _close(a, b))
 
 

@@ -13,7 +13,8 @@ paths' levels as ``bytes``, one per point, in one packed block per prefix:
 the prefix's levels packed once, joined in C to each of its tails' levels,
 packed once per call, and building no steps.  Order is lexicographic in the
 canonical step order U < D < S < W; two runs emit identical sequences, and
-both joins emit them in the same order.
+both joins emit them in the same order; k shares, each every k-th prefix,
+split a family between k workers.
 
 The public ``enum_*`` streams wrap each pair's steps in a
 :class:`LatticePath`, which recomputes levels only if they are read.
@@ -67,29 +68,33 @@ def _tails(length: int, terminal: int, rises: list[tuple[str, int]]) -> dict[int
     return table
 
 
-def _prefixes(length: int, family: _Family,
-              pack: Callable[[list[_Walk]], list] = list) -> Iterator[tuple[list[str], list[int], list]]:
+def _prefixes(length: int, family: _Family, pack: Callable[[list[_Walk]], list] = list,
+              share: tuple[int, int] = (0, 1)) -> Iterator[tuple[list[str], list[int], list]]:
     """The one backtrack: each prefix, all but the tail of ``length`` steps,
     of the family's paths in canonical order, as its live ``steps`` and
     ``levels`` buffers with the tails from its end level.  ``pack`` turns
-    each start level's tails into the form the join reads, once per call."""
+    each start level's tails into the form the join reads, once per call.  A
+    ``share`` ``(part, parts)`` keeps every parts-th prefix from the part-th."""
     alphabet, _, terminal = family
-    if terminal < 0 or terminal > length:
+    part, parts = share
+    cut = max(length - _TAIL[len(alphabet)], 0)
+    if terminal < 0 or terminal > length or part and not cut:  # share 0 holds a short path's one prefix
         return
     if all(RISE[c] for c in alphabet) and (length - terminal) % 2:
         # pure up/down steps cannot change the parity of length - terminal
         return
     rises = [(c, RISE[c]) for c in alphabet]
-    cut = max(length - _TAIL[len(rises)], 0)
     tails = {start: pack(walks) for start, walks in _tails(length - cut, terminal, rises).items()}
     steps = [""] * cut
     levels = [0] * (cut + 1)
     # choice[pos]: index into rises of the next step to try at pos
     choice = [0] * cut
-    pos = 0
+    pos = seen = 0  # seen: the prefixes reached so far
     while pos >= 0:
         if pos == cut:
-            yield steps, levels, tails[levels[cut]]
+            if seen % parts == part:
+                yield steps, levels, tails[levels[cut]]
+            seen += 1
             pos -= 1
             continue
         level = levels[pos]
@@ -108,29 +113,29 @@ def _prefixes(length: int, family: _Family,
             pos -= 1
 
 
-def _walks(length: int, family: _Family) -> Iterator[_Walk]:
-    """All paths of ``length`` steps in the family, in canonical order."""
-    for steps, levels, tails in _prefixes(length, family):
+def _walks(length: int, family: _Family, share: tuple[int, int] = (0, 1)) -> Iterator[_Walk]:
+    """All paths of ``length`` steps in the family (or in one ``share``), in canonical order."""
+    for steps, levels, tails in _prefixes(length, family, list, share):
         head, lead = "".join(steps), tuple(levels)
         for tail_steps, tail_levels in tails:
             yield head + tail_steps, lead + tail_levels
 
 
-def _profiles(length: int, family: _Family) -> Iterator[bytes]:
+def _profiles(length: int, family: _Family, share: tuple[int, int] = (0, 1)) -> Iterator[bytes]:
     """The level profiles of the family's paths of ``length`` steps, one byte
     per point, end to end in canonical order, packed in one block per engine
     prefix (a nonempty multiple of ``length + 1`` bytes); refused past a byte."""
     if length > 255:  # no level of a path exceeds its length
         raise DomainError(f"byte level profiles require length <= 255, got {length}")
     # head.join([b"", t1, t2, ...]) == head + t1 + head + t2 + ...: every path's profile, in one C join
-    prefixes = _prefixes(length, family, lambda tails: [b"", *(bytes(levels) for _, levels in tails)])
+    prefixes = _prefixes(length, family, lambda tails: [b"", *(bytes(levels) for _, levels in tails)], share)
     return (bytes(levels).join(tails) for _, levels, tails in prefixes)
 
 
-def _dyck_walks(n: int) -> Iterator[_Walk]:
+def _dyck_walks(n: int, share: tuple[int, int] = (0, 1)) -> Iterator[_Walk]:
     if n < 0:
         raise DomainError("enum_dyck requires n >= 0")
-    return _walks(2 * n, _DYCK)
+    return _walks(2 * n, _DYCK, share)
 
 
 def _motzkin2_walks(length: int) -> Iterator[_Walk]:

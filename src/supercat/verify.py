@@ -10,6 +10,12 @@ of forked worker processes, priciest row first; :func:`path_cost` sums the
 same prices.  Parts and rows merge per suite in order, so reports are identical
 for every worker count.  A 2-Motzkin row tallies its path family once and reads
 every (m, n) cell of its length off that pass.
+
+A tally row (theorem1, theorem4, pairs), whose check reads only sums over its
+paths, runs as one share per worker, every k-th engine prefix of k, if it costs
+at least its plan's total over the worker count, and merges the shares by exact
+sums before it checks; at one job its one share is the whole row.  Pathwise
+rows keep whole parts, as their failures come in path order.
 """
 
 from __future__ import annotations
@@ -65,28 +71,31 @@ def _checked(cases: Iterable[tuple[tuple, object, object]]) -> Row:
 class _Plan(NamedTuple):
     """A planned suite: ``part(b)`` for each b in ``rows`` and each of the
     row's independent ``parts``, merged in that order.  ``paths(b)`` is row
-    b's price, the paths its parts enumerate: none for a formula suite."""
+    b's price, the paths its parts enumerate: none for a formula suite.  A
+    tally plan has a ``merge`` and one part, ``part(b, share)``, a tally of one
+    share of row b's paths; the row is ``merge(b, tallies)``, in share order."""
 
     identity: str
     bounds: dict[str, int]
-    parts: tuple[Callable[[int], Row], ...]
+    parts: tuple[Callable, ...]
     rows: range
     paths: Callable[[int], int] = lambda b: 0
+    merge: Callable[[int, list], Row] | None = None
 
 
-def _rows(identity: str, lo: int, *parts: Callable[..., Row],
-          paths: Callable[[int], int] = _Plan._field_defaults["paths"], **bounds: int) -> _Plan:
+def _rows(identity: str, lo: int, *parts: Callable, paths: Callable[[int], int] = _Plan._field_defaults["paths"],
+          merge: Callable[[int, list], Row] | None = None, **bounds: int) -> _Plan:
     """Rows lo..hi of the last bound, hi its value, each checked by a partial
     of every one of ``parts`` and the other bounds and priced by ``paths``."""
     *fixed, (bound, hi) = bounds.items()
     if hi < lo:
         raise DomainError(f"{identity} requires {bound} >= {lo}")
     args = dict(fixed).values()
-    return _Plan(identity, bounds, tuple(partial(part, *args) for part in parts), range(lo, hi + 1), paths)
+    return _Plan(identity, bounds, tuple(partial(part, *args) for part in parts), range(lo, hi + 1), paths, merge)
 
 
-# One part of one row of a plan, run as ``part(b)``.
-_Task = tuple[_Plan, int, Callable[[int], Row]]
+# One part, or one share of a tally plan's part, of one row of a plan, run as ``part(b)``.
+_Task = tuple[_Plan, int, Callable[[int], object]]
 
 
 def _default_jobs() -> int:
@@ -107,19 +116,34 @@ def _check_jobs(jobs: int | None) -> int:
     return jobs
 
 
+def _shares(plan: _Plan, jobs: int) -> list[tuple[Callable, ...]]:
+    """Each row's tasks: its parts, or a tally row's shares, one per worker if
+    the row costs at least its plan's total over ``jobs`` (the smaller rows
+    already balance on the shared queue), else one."""
+    if not plan.merge:
+        return [plan.parts] * len(plan.rows)
+    total = sum(map(plan.paths, plan.rows))
+    counts = (jobs if plan.paths(b) * jobs >= total else 1 for b in plan.rows)
+    return [tuple(partial(plan.parts[0], share=(i, k)) for i in range(k)) for k in counts]
+
+
 def _execute(plans: list[_Plan], jobs: int) -> list[VerificationReport]:
     """Every plan's report.  At one job, or for one task, tasks run in order
-    in this process; else on :func:`_forked` workers, priciest row first."""
+    in this process; else on :func:`_forked` workers, priciest row first, each
+    of a tally row's :func:`_shares` at its row's price."""
     jobs = _check_jobs(jobs)
-    tasks = [(plan, b, part) for plan in plans for b in plan.rows for part in plan.parts]
+    shares = [_shares(plan, jobs) for plan in plans]
+    tasks = [(plan, b, part) for plan, row_parts in zip(plans, shares)
+             for b, parts in zip(plan.rows, row_parts) for part in parts]
     if jobs == 1 or len(tasks) < 2:
         results = [part(b) for _, b, part in tasks]
     else:
         order = sorted(range(len(tasks)), key=lambda i: tasks[i][0].paths(tasks[i][1]), reverse=True)
         results = _forked(tasks, order, min(jobs, len(tasks)))
     reports, merged = [], iter(results)
-    for plan in plans:
-        rows = list(islice(merged, len(plan.rows) * len(plan.parts)))
+    for plan, row_parts in zip(plans, shares):
+        rows = [list(islice(merged, len(parts))) for parts in row_parts]
+        rows = [plan.merge(b, row) for b, row in zip(plan.rows, rows)] if plan.merge else sum(rows, [])
         failures = tuple(failure for row_failures, _ in rows for failure in row_failures)
         reports.append(VerificationReport(plan.identity, plan.bounds, failures, sum(cases for _, cases in rows)))
     return reports
@@ -217,9 +241,9 @@ def _serve(tasks: list[_Task], task_r: int, result_w: int) -> None:
             out.flush()
 
 
-def _theorem1_row(s: int) -> Row:
-    """All cells with m + n == s, read off one level histogram of the byte
-    level profiles of the 2-Motzkin paths of length s - 2 (no steps built).
+def _theorem1_cells(s: int, tallies: list[list[list[int]]]) -> Row:
+    """All cells with m + n == s, read off the summed level histograms of the
+    shares of the 2-Motzkin paths of length s - 2 (byte profiles, no steps).
 
     At the point after m - 1 steps a path joins a walk from 0 to some level
     l and a reversed walk from l back to 0, so B(m, l+1) B(n, l+1) paths sit
@@ -227,7 +251,7 @@ def _theorem1_row(s: int) -> Row:
     reporting both sides as ``(level, count)`` pairs, and then its signed sum,
     each level's count times that level's sign, against T(m, n); a cell counts
     as one case."""
-    hist = bij._level_histogram(_profiles(s - 2, _MOTZKIN2), s - 2)
+    hist = [list(map(sum, zip(*point))) for point in zip(*tallies)]
     failures = []
     for m in range(1, s):
         n = s - m
@@ -247,7 +271,8 @@ def _theorem1_row(s: int) -> Row:
 def _theorem1(identity: str, *, max_sum: int = 14) -> _Plan:
     """P(m,n) - N(m,n) == T(m,n) for all m, n >= 1 with m + n <= max_sum,
     by exhausting the 2-Motzkin paths of each length."""
-    return _rows(identity, 2, _theorem1_row, paths=lambda s: catalan(s - 1), max_sum=max_sum)
+    return _rows(identity, 2, lambda s, share: bij._level_histogram(_profiles(s - 2, _MOTZKIN2, share), s - 2),
+                 paths=lambda s: catalan(s - 1), merge=_theorem1_cells, max_sum=max_sum)
 
 
 def _pathwise(s: int, failures: list[Failure], sides: Callable[[str, tuple[int, ...]], tuple]) -> Iterator[_Walk]:
@@ -273,7 +298,7 @@ def _theorem1_dyck_row(s: int) -> Row:
     hist = bij._level_histogram(iter(lambda: b"".join(map(bytes, islice(levels, 256))), b""), s - 2)
     paths = hist[0][0]  # every path starts at level 0
     # independent tally on the Dyck side: levels at each odd point, read mod 4
-    dyck_hist = bij._level_histogram(_profiles(2 * s - 2, _DYCK), 2 * s - 2, slice(1, None, 2))
+    dyck_hist = bij._level_histogram(_profiles(2 * s - 2, _DYCK), 2 * s - 2, slice(1, None, 2), _DYCK)
 
     def cell(m: int) -> tuple[tuple, object, object]:
         dyck = bij._mod4_split(dyck_hist[m - 1])
@@ -359,21 +384,23 @@ def _symmetry(identity: str, *, max_sum: int = 100) -> _Plan:
     return _rows(identity, max_sum, _symmetry_row, max_sum=max_sum)
 
 
-def _census_row(census: Callable[[int], int], n: int) -> Row:
-    return _checked([((n,), census(n), super_catalan_t(2, n))])
+def _census(n: int, count: int) -> Row:
+    return _checked([((n,), count, super_catalan_t(2, n))])
 
 
 def _theorem4(identity: str, *, max_n: int = 10) -> _Plan:
     """The bounded-gap census over Dyck paths of length 2n (height-one path
-    twice) equals T(2,n) for every 1 <= n <= max_n."""
-    return _rows(identity, 1, partial(_census_row, bij.theorem4_census), paths=catalan, max_n=max_n)
+    twice, in the one share that holds it) equals T(2,n) for every 1 <= n <= max_n."""
+    return _rows(identity, 1, lambda n, share: sum(1 for _ in bij._theorem4_walks(n, share)), paths=catalan,
+                 merge=lambda n, counts: _census(n, sum(counts)), max_n=max_n)
 
 
 def _pairs(identity: str, *, max_n: int = 9) -> _Plan:
     """The number of ordered Dyck-path pairs of total length 2n with height
-    difference at most 1 equals T(2,n) for every 1 <= n <= max_n."""
-    return _rows(identity, 1, partial(_census_row, bij.pair_census),
-                 paths=lambda n: sum(map(catalan, range(n + 1))), max_n=max_n)
+    difference at most 1 equals T(2,n) for every 1 <= n <= max_n, from the
+    shares' height tallies per Dyck size."""
+    return _rows(identity, 1, bij._heights, paths=lambda n: sum(map(catalan, range(n + 1))),
+                 merge=lambda n, tallies: _census(n, bij._close_pairs(*tallies)), max_n=max_n)
 
 
 def _injection_sources(start: bij.StartClass, forward: Callable[[_Walk], _Walk],

@@ -232,10 +232,26 @@ class TestSignedCount:
     def test_level_histogram_drops_no_profile(self):
         # a level above length // 2 and a block torn inside a profile each
         # fail the fold instead of being dropped from the counts
-        with pytest.raises(AssertionError, match=r"^internal: point 1 has a level above 1$"):
+        with pytest.raises(AssertionError, match=r"^internal: point 1 has a level outside its reach$"):
             bijections._level_histogram([bytes([0, 1, 0, 0, 2, 0])], 2)
         with pytest.raises(AssertionError, match=r"^internal: 5 profile bytes are not whole profiles of 3 points$"):
             bijections._level_histogram([bytes([0, 1, 0]), bytes([0, 1])], 2)
+
+    def test_level_histogram_counts_a_dyck_point_at_its_parity_only(self):
+        # with no level step, an odd point sits at an odd level: the Dyck
+        # histogram counts only those, and equals the every-level count
+        for n in range(8):
+            blocks = list(_profiles(2 * n, _DYCK))
+            odd = slice(1, None, 2)
+            assert (bijections._level_histogram(blocks, 2 * n, odd, _DYCK)
+                    == bijections._level_histogram(blocks, 2 * n, odd))
+        # an even level at an odd point is outside a Dyck point's reach, not a dropped path
+        flat = [bytes([0, 0, 0])]
+        assert bijections._level_histogram(flat, 2) == [[1, 0], [1, 0], [1, 0]]
+        with pytest.raises(AssertionError, match=r"^internal: point 1 has a level outside its reach$"):
+            bijections._level_histogram(flat, 2, slice(1, None, 2), _DYCK)
+        with pytest.raises(AssertionError, match=r"^internal: point 1 has a level outside its reach$"):
+            bijections._level_histogram(flat, 2, slice(None), _DYCK)
 
     def test_mod4_split_refuses_an_even_level(self):
         assert bijections._mod4_split([0, 3, 0, 2, 0, 5]) == (8, 2)
@@ -543,6 +559,12 @@ class TestTheorem4Census:
             for steps, levels in _dyck_walks(n):
                 mk = reference_markers(steps)
                 assert bijections._bounded_gap(levels) == (mk.h_plus <= mk.h_minus + 2)
+
+    def test_bounded_gap_matches_the_definition_at_n_10(self):
+        # the first-visit test reads no slice: every walk of the largest size theorem4 runs at by default
+        for steps, levels in _dyck_walks(10):
+            mk = reference_markers(steps)
+            assert bijections._bounded_gap(levels) == (mk.h_plus <= mk.h_minus + 2)
 
 
 class TestPairMap:

@@ -189,6 +189,34 @@ def test_profiles_are_the_walks_levels_in_order(family, lengths):
         assert all(block and len(block) % (length + 1) == 0 for block in blocks), length
 
 
+@pytest.mark.parametrize(
+    "family,lengths",
+    [
+        (_DYCK, (0, 4, 10, 12, 16)),
+        (_MOTZKIN2, (0, 3, 5, 6, 8)),
+        (_BALLOT_EVEN, (2, 10, 12, 15)),
+        ((*_DYCK[:2], 3), (3, 11, 13)),
+    ],
+    ids=["dyck", "motzkin2", "ballot-even", "ballot-2"],
+)
+@pytest.mark.parametrize("parts", [1, 2, 3])
+def test_shares_partition_the_stream_in_canonical_order(family, lengths, parts):
+    # short lengths have one prefix, the empty one, which share 0 holds; past
+    # the tail table's length the prefixes are dealt out in turn
+    for length in lengths:
+        whole = list(_walks(length, family))
+        index = {steps: i for i, (steps, _) in enumerate(whole)}
+        dealt = []
+        for part in range(parts):
+            share = list(_walks(length, family, (part, parts)))
+            at = [index[steps] for steps, _ in share]
+            assert at == sorted(at), (length, part)
+            dealt += at
+            packed = b"".join(_profiles(length, family, (part, parts)))
+            assert packed == b"".join(bytes(levels) for _, levels in share), (length, part)
+        assert sorted(dealt) == list(range(len(whole))), length
+
+
 def test_profiles_refuse_a_level_past_a_byte():
     # a length-255 stream is only built, never walked; one step more is refused before any path
     _profiles(255, _DYCK)

@@ -161,6 +161,46 @@ def test_the_pool_raises_the_earliest_error_once_every_earlier_task_ran(tmp_path
         assert ran == [3, 4, 2, 0, 1]
 
 
+def _gap_of_one(levels):
+    # the gap rule with 2 mistyped as 1
+    from supercat.paths import _split
+
+    h, _, x = _split(levels)
+    return h < 3 or h - 1 in levels[: x + 1]
+
+
+@pytest.mark.parametrize("name,bounds,mutant", [
+    ("theorem1", {"max_sum": 9}, None),
+    ("theorem4", {"max_n": 8}, None),
+    ("pairs", {"max_n": 8}, None),
+    ("theorem1", {"max_sum": 9}, ("_sign", SIGN_MUTANTS["% 3"])),
+    ("theorem4", {"max_n": 8}, ("_bounded_gap", _gap_of_one)),
+    ("pairs", {"max_n": 8}, ("_close", lambda a, b: abs(a - b) <= 2)),
+])
+def test_tally_rows_merge_their_shares_to_one_report(monkeypatch, name, bounds, mutant):
+    # a tally plan runs its priciest rows as one share per worker; the merged
+    # report, failures and their order included, is the one pass of --jobs 1
+    from supercat import bijections
+
+    if mutant is not None:
+        monkeypatch.setattr(bijections, *mutant)
+    reports = [verify.run_identity(name, jobs=jobs, **bounds) for jobs in (1, 2, 3)]
+    assert_every_worker_reaped()
+    assert reports[0] == reports[1] == reports[2]
+    assert reports[0].passed == (mutant is None)
+
+
+def test_only_tally_rows_at_a_workers_share_of_their_plan_are_split():
+    # theorem1 at max_sum 9 costs C(1) + ... + C(8) = 2,055 paths; only row 9,
+    # at C(8) = 1,430, reaches 2,055 / 3, and at one job nothing is split
+    plan = verify._plan("theorem1", max_sum=9)
+    assert [len(parts) for parts in verify._shares(plan, 3)] == [1] * 7 + [3]
+    assert [len(parts) for parts in verify._shares(plan, 1)] == [1] * 8
+    assert [part.keywords["share"] for part in verify._shares(plan, 3)[-1]] == [(0, 3), (1, 3), (2, 3)]
+    plan = verify._plan("pair-map", max_n=6)
+    assert verify._shares(plan, 3) == [plan.parts] * 6
+
+
 def test_m2_rows_run_their_parts_on_the_pool_and_reap_every_worker():
     for name in ("bijection-f", "bijection-g", "pair-map"):
         assert verify.run_identity(name, max_n=6, jobs=3) == verify.run_identity(name, max_n=6, jobs=1)
@@ -312,8 +352,8 @@ def count_paths(monkeypatch, pulled):
     walks, and each profile in the packed blocks the row tallies read."""
     from supercat import enumeration
 
-    def profiles(length, family, stream=verify._profiles):
-        for block in stream(length, family):
+    def profiles(length, family, share=(0, 1), stream=verify._profiles):
+        for block in stream(length, family, share):
             pulled.extend([block] * (len(block) // (length + 1)))
             yield block
 
@@ -334,15 +374,21 @@ def count_paths(monkeypatch, pulled):
     ],
 )
 def test_each_row_enumerates_its_price(monkeypatch, name, bounds):
-    # the pool's queue orders tasks by each row's price, so each must be exact
+    # the pool's queue orders tasks by each row's price, so each must be exact;
+    # a tally plan's shares enumerate it between them, and their merge passes
     pulled = []
     count_paths(monkeypatch, pulled)
     plan = verify._plan(name, **bounds)
     for b in plan.rows:
-        pulled.clear()
-        for part in plan.parts:
-            assert part(b)[0] == []
-        assert len(pulled) == plan.paths(b), (name, b)
+        for parts in (1, 3) if plan.merge else (None,):
+            pulled.clear()
+            if plan.merge:
+                (part,) = plan.parts
+                assert plan.merge(b, [part(b, share=(i, parts)) for i in range(parts)])[0] == []
+            else:
+                for part in plan.parts:
+                    assert part(b)[0] == []
+            assert len(pulled) == plan.paths(b), (name, b, parts)
 
 
 def test_pair_map_rows_are_priced_at_their_split_walks_and_compared_pairs(monkeypatch):
