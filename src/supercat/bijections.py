@@ -279,7 +279,6 @@ def _sign_split(counts: list[int]) -> tuple[int, int]:
 
 def _mod4_split(counts: list[int]) -> tuple[int, int]:
     """Paths at level 1 and at level 3 (mod 4), from one odd point's level counts."""
-    _check(not any(counts[0::2]), "odd point at even level")
     return sum(counts[1::4]), sum(counts[3::4])
 
 

@@ -16,6 +16,10 @@ paths, runs as one share per worker, every k-th engine prefix of k, if it costs
 at least its plan's total over the worker count, and merges the shares by exact
 sums before it checks; at one job its one share is the whole row.  Pathwise
 rows keep whole parts, as their failures come in path order.
+
+The m = 2 rows (bijection-f, bijection-g, pair-map) have one check,
+:func:`_round_trips`: each of a row's two parts is a filtered walk stream,
+its maps there and back, and the failures of one case.
 """
 
 from __future__ import annotations
@@ -403,6 +407,20 @@ def _pairs(identity: str, *, max_n: int = 9) -> _Plan:
                  merge=lambda n, tallies: _census(n, bij._close_pairs(*tallies)), max_n=max_n)
 
 
+def _round_trips(inputs: Iterable, there: Callable[[object], Iterable], back: Callable,
+                 failed: Callable[[object, object, object], tuple[Failure, ...]]) -> Row:
+    """The m = 2 rows' one check: each image y in ``there(x)`` of each input
+    x, in order, is one case, with the failures ``failed(x, y, back(y))``
+    returns for it, ``()`` when the round trip and any check on y hold."""
+    failures = []
+    cases = 0
+    for x in inputs:
+        for y in there(x):
+            cases += 1
+            failures.extend(failed(x, y, back(y)))
+    return failures, cases
+
+
 def _injection_sources(start: bij.StartClass, forward: Callable[[_Walk], _Walk],
                        inverse: Callable[[_Walk], _Walk], in_image: Callable[[tuple[int, ...]], bool],
                        n: int) -> Row:
@@ -414,36 +432,24 @@ def _injection_sources(start: bij.StartClass, forward: Callable[[_Walk], _Walk],
     checked to satisfy ``in_image``; :func:`_injection_targets`, the row's
     other part, puts every target in the image, so the image is exactly the
     targets.  No image is kept."""
-    failures = []
-    cases = 0
-    for walk in _dyck_walks(n + 1):
-        steps, levels = walk
-        if bij._start_class(steps, levels) is not start:
-            continue
-        cases += 1
-        image = forward(walk)
-        if not in_image(image[1]):
-            failures.append(Failure((n, steps), image[0], "outside the expected image"))
-        back = inverse(image)[0]
-        if back != steps:
-            failures.append(Failure((n, steps), back, steps))
-    return failures, cases
+    def failed(walk: _Walk, image: _Walk, back: _Walk) -> tuple[Failure, ...]:
+        steps = walk[0]
+        outside = () if in_image(image[1]) else (Failure((n, steps), image[0], "outside the expected image"),)
+        return outside if back[0] == steps else (*outside, Failure((n, steps), back[0], steps))
+
+    sources = (walk for walk in _dyck_walks(n + 1) if bij._start_class(*walk) is start)
+    return _round_trips(sources, lambda walk: (forward(walk),), inverse, failed)
 
 
 def _injection_targets(name: str, forward: Callable[[_Walk], _Walk], inverse: Callable[[_Walk], _Walk],
                        in_image: Callable[[tuple[int, ...]], bool], n: int) -> Row:
     """Each target, a Dyck walk of length 2n whose levels satisfy
     ``in_image``, round-trips through ``inverse`` and then ``forward``."""
-    failures = []
-    cases = 0
-    for walk in _dyck_walks(n):
-        steps, levels = walk
-        if not in_image(levels):
-            continue
-        cases += 1
-        if forward(inverse(walk))[0] != steps:
-            failures.append(Failure((n, steps), f"{name}({name}_inv) != id", steps))
-    return failures, cases
+    def failed(walk: _Walk, source: _Walk, back: _Walk) -> tuple[Failure, ...]:
+        return () if back[0] == walk[0] else (Failure((n, walk[0]), f"{name}({name}_inv) != id", walk[0]),)
+
+    targets = (walk for walk in _dyck_walks(n) if in_image(walk[1]))
+    return _round_trips(targets, lambda walk: (inverse(walk),), forward, failed)
 
 
 def _injection(identity: str, name: str, start: bij.StartClass, max_n: int, *maps: Callable) -> _Plan:
@@ -474,22 +480,18 @@ def _pair_map_split(n: int) -> Row:
     """Each bounded-gap Dyck walk of length 2n splits into pairs that join
     back to it, with split heights (h_minus, h_plus - 1); one case per pair,
     and their count is T(2, n)."""
-    failures = []
-    cases = 0
-    for walk in _dyck_walks(n):
+    def failed(walk: _Walk, pair: tuple[_Walk, _Walk], back: _Walk) -> tuple[Failure, ...]:
         steps, levels = walk
-        if not bij._bounded_gap(levels):
-            continue
-        pairs = bij._to_pair_all(walk)
-        for pair in pairs:
-            cases += 1
-            if bij._from_pair(*pair) != walk:
-                failures.append(Failure((n, steps), "from_pair(to_pair) != id", steps))
+        records = () if back == walk else (Failure((n, steps), "from_pair(to_pair) != id", steps),)
         h, _, x = _split(levels)
-        heights = (max(pairs[0][0][1]), max(pairs[0][1][1]))
+        heights = (max(pair[0][1]), max(pair[1][1]))
         h_minus = max(levels[: x + 1])
         if h > 1 and heights != (h_minus, h - 1):
-            failures.append(Failure((n, steps), heights, (h_minus, h - 1)))
+            records += (Failure((n, steps), heights, (h_minus, h - 1)),)
+        return records
+
+    walks = (walk for walk in _dyck_walks(n) if bij._bounded_gap(walk[1]))
+    failures, cases = _round_trips(walks, bij._to_pair_all, lambda pair: bij._from_pair(*pair), failed)
     expected = super_catalan_t(2, n)
     if cases != expected:
         failures.append(Failure((n, "pair count"), cases, expected))
@@ -499,17 +501,11 @@ def _pair_map_split(n: int) -> Row:
 def _pair_map_recovery(n: int) -> Row:
     """Each pair of Dyck walks of total length 2n with heights at most 1
     apart is among the pairs its join splits into."""
-    failures = []
-    cases = 0
-    for pair in _pair_walks(n):
-        first, second = pair
-        if not bij._close(max(first[1]), max(second[1])):
-            continue
-        cases += 1
-        joined = bij._from_pair(first, second)
-        if pair not in bij._to_pair_all(joined):
-            failures.append(Failure((n, first[0], second[0]), joined[0], "pair not recovered"))
-    return failures, cases
+    def failed(pair: tuple[_Walk, _Walk], joined: _Walk, pairs: tuple) -> tuple[Failure, ...]:
+        return () if pair in pairs else (Failure((n, pair[0][0], pair[1][0]), joined[0], "pair not recovered"),)
+
+    close = (pair for pair in _pair_walks(n) if bij._close(max(pair[0][1]), max(pair[1][1])))
+    return _round_trips(close, lambda pair: (bij._from_pair(*pair),), bij._to_pair_all, failed)
 
 
 def _pair_map(identity: str, *, max_n: int = 8) -> _Plan:

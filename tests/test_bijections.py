@@ -253,10 +253,8 @@ class TestSignedCount:
         with pytest.raises(AssertionError, match=r"^internal: point 1 has a level outside its reach$"):
             bijections._level_histogram(flat, 2, slice(None), _DYCK)
 
-    def test_mod4_split_refuses_an_even_level(self):
+    def test_mod4_split_sums_levels_1_and_3_mod_4(self):
         assert bijections._mod4_split([0, 3, 0, 2, 0, 5]) == (8, 2)
-        with pytest.raises(AssertionError, match="odd point at even level"):
-            bijections._mod4_split([0, 3, 1, 2])
 
 
 class TestSignedCountDyck:

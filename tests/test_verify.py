@@ -642,13 +642,14 @@ def test_non_injective_map_fails(monkeypatch):
         return true_f(first_walk if walk == second_walk else walk)
 
     monkeypatch.setattr(bijections, "_injection_f", collapsed)
-    report = verify.run_identity("bijection-f", max_n=3)
     image = true_f(second_walk)[0]
-    assert report.failures == (
-        ((3, second.steps), first.steps, second.steps),
-        ((3, image), "f(f_inv) != id", image),
-    )
-    assert not report.passed
+    for jobs in (1, 2):
+        report = verify.run_identity("bijection-f", max_n=3, jobs=jobs)
+        assert report.failures == (
+            ((3, second.steps), first.steps, second.steps),
+            ((3, image), "f(f_inv) != id", image),
+        )
+        assert not report.passed
 
 
 def test_image_outside_the_target_family_fails(monkeypatch):
@@ -666,11 +667,34 @@ def test_image_outside_the_target_family_fails(monkeypatch):
     monkeypatch.setattr(
         bijections, "_injection_f_inverse", lambda w: first_walk if w == flat_walk else true_inverse(w)
     )
-    report = verify.run_identity("bijection-f", max_n=3)
     image = true_f(first_walk)[0]
+    for jobs in (1, 2):
+        report = verify.run_identity("bijection-f", max_n=3, jobs=jobs)
+        assert report.failures == (
+            ((3, first.steps), "UDUDUD", "outside the expected image"),
+            ((3, image), "f(f_inv) != id", image),
+        )
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_a_source_failing_both_checks_reports_its_image_then_its_round_trip(monkeypatch, jobs):
+    from supercat import bijections
+    from supercat.paths import parse_path
+
+    true_f, true_inverse = bijections._injection_f, bijections._injection_f_inverse
+    source, flat, back = (parse_path(steps, "dyck") for steps in ("UUUUDDDD", "UDUDUD", "UUUDUDDD"))
+    source_walk, flat_walk, back_walk = ((p.steps, p.levels) for p in (source, flat, back))
+    # the source's image lies outside the image of f and maps back to another source: both checks fail
+    monkeypatch.setattr(bijections, "_injection_f", lambda w: flat_walk if w == source_walk else true_f(w))
+    monkeypatch.setattr(
+        bijections, "_injection_f_inverse", lambda w: back_walk if w == flat_walk else true_inverse(w)
+    )
+    report = verify.run_identity("bijection-f", max_n=3, jobs=jobs)
+    assert report.cases == 10
     assert report.failures == (
-        ((3, first.steps), "UDUDUD", "outside the expected image"),
-        ((3, image), "f(f_inv) != id", image),
+        ((3, "UUUUDDDD"), "UDUDUD", "outside the expected image"),
+        ((3, "UUUUDDDD"), "UUUDUDDD", "UUUUDDDD"),
+        ((3, "UUUDDD"), "f(f_inv) != id", "UUUDDD"),
     )
 
 
@@ -781,13 +805,14 @@ def test_failing_pair_map_report_is_pinned(monkeypatch):
         return ((pairs[0][1], pairs[0][0]),) if walk[0] == "UUDUDD" else pairs
 
     monkeypatch.setattr(bijections, "_to_pair_all", swapped)
-    report = verify.run_identity("pair-map", max_n=3)
-    assert report.cases == 22
-    assert report.failures == (
-        ((3, "UUDUDD"), "from_pair(to_pair) != id", "UUDUDD"),
-        ((3, "UUDUDD"), (1, 2), (2, 1)),
-        ((3, "UUDD", "UD"), "UUDUDD", "pair not recovered"),
-    )
+    for jobs in (1, 2):
+        report = verify.run_identity("pair-map", max_n=3, jobs=jobs)
+        assert report.cases == 22
+        assert report.failures == (
+            ((3, "UUDUDD"), "from_pair(to_pair) != id", "UUDUDD"),
+            ((3, "UUDUDD"), (1, 2), (2, 1)),
+            ((3, "UUDD", "UD"), "UUDUDD", "pair not recovered"),
+        )
 
 
 def test_failing_bijection_g_report_is_pinned(monkeypatch):
@@ -802,9 +827,10 @@ def test_failing_bijection_g_report_is_pinned(monkeypatch):
     monkeypatch.setattr(
         bijections, "_injection_g_inverse", lambda w: source_walk if w == flat_walk else true_inverse(w)
     )
-    report = verify.run_identity("bijection-g", max_n=4)
-    assert report.cases == 2
-    assert report.failures == (
-        ((4, "UUUDDUUDDD"), "UDUDUDUD", "outside the expected image"),
-        ((4, "UUUUDDDD"), "g(g_inv) != id", "UUUUDDDD"),
-    )
+    for jobs in (1, 2):
+        report = verify.run_identity("bijection-g", max_n=4, jobs=jobs)
+        assert report.cases == 2
+        assert report.failures == (
+            ((4, "UUUDDUUDDD"), "UDUDUDUD", "outside the expected image"),
+            ((4, "UUUUDDDD"), "g(g_inv) != id", "UUUUDDDD"),
+        )
