@@ -30,13 +30,13 @@ only the public maps build a :class:`~supercat.paths.LatticePath` or a
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from enum import Enum
 from itertools import starmap
 from operator import itemgetter
 from typing import NamedTuple
 
-from .enumeration import _dyck_walks, _profiles, _Walk
+from .enumeration import _BUDGET, _dyck_walks, _paths_text, _profiles, _Walk
 from .errors import DomainError
 from .numbers import catalan
 from .paths import (
@@ -146,6 +146,15 @@ def _path_pair(first: _Walk, second: _Walk) -> DyckPair:
 def _require(cond: bool, message: str) -> None:
     if not cond:
         raise DomainError(message)
+
+
+def _afford(call: str, paths: Callable[[int], int], size: int) -> None:
+    """Refuse an exhaustive tally over more than the path budget the CLI's
+    ``--force`` guards: ``paths(size)`` paths, a count that grows with size,
+    so a size past 1,000 is priced at 1,000, a lower bound and a cheap one."""
+    count = paths(min(size, 1000))
+    _require(count <= _BUDGET,
+             f"{call} would walk at least {_paths_text(count)} paths, more than the {_BUDGET:,} path budget")
 
 
 def _check(cond: bool, message: str) -> None:
@@ -286,7 +295,9 @@ def signed_count(m: int, n: int) -> SignedCount:
     """Exhaustively tally 2-Motzkin paths of length m+n-2 by sign; the
     difference equals the super Catalan number T(m,n)."""
     _require(m >= 1 and n >= 1, "signed_count requires m, n >= 1")
-    hist = _level_histogram(_profiles(m + n - 2, _MOTZKIN2), m + n - 2)
+    profiles = _profiles(m + n - 2, _MOTZKIN2)  # refuses a level past a byte first
+    _afford(f"signed_count({m}, {n})", catalan, m + n - 1)
+    hist = _level_histogram(profiles, m + n - 2)
     return SignedCount(*_sign_split(hist[m - 1]))
 
 
@@ -295,7 +306,9 @@ def signed_count_dyck(m: int, n: int) -> SignedCount:
     2m-1 steps sits at level 1 (mod 4) for positive paths and 3 (mod 4) for
     negative ones."""
     _require(m >= 1 and n >= 1, "signed_count_dyck requires m, n >= 1")
-    hist = _level_histogram(_profiles(2 * (m + n - 1), _DYCK), 2 * (m + n - 1), slice(1, None, 2), _DYCK)
+    profiles = _profiles(2 * (m + n - 1), _DYCK)
+    _afford(f"signed_count_dyck({m}, {n})", catalan, m + n - 1)
+    hist = _level_histogram(profiles, 2 * (m + n - 1), slice(1, None, 2), _DYCK)
     return SignedCount(*_mod4_split(hist[m - 1]))
 
 
@@ -457,6 +470,7 @@ def theorem4_census(n: int) -> int:
     pre-split maximum by at most 2, with the height-one path counted twice;
     equals the super Catalan number T(2,n)."""
     _require(n >= 1, "theorem4_census requires n >= 1")
+    _afford(f"theorem4_census({n})", catalan, n)
     return sum(1 for _ in _theorem4_walks(n))
 
 
@@ -555,6 +569,7 @@ def pair_census(n: int) -> int:
     length 2n with heights differing by at most 1, by convolving one height
     tally per Dyck size 0..n; equals the super Catalan number T(2,n)."""
     _require(n >= 1, "pair_census requires n >= 1")
+    _afford(f"pair_census({n})", lambda k: sum(map(catalan, range(k + 1))), n)
     return _close_pairs(_heights(n))
 
 
@@ -574,6 +589,7 @@ def start_class_sizes(n_plus_1: int) -> dict[StartClass, int]:
     """Sizes of the four start classes over Dyck paths of length
     2*n_plus_1 (length >= 6)."""
     _require(n_plus_1 >= 3, "start_class_sizes requires paths of length >= 6")
+    _afford(f"start_class_sizes({n_plus_1})", catalan, n_plus_1)
     sizes = Counter(starmap(_start_class, _dyck_walks(n_plus_1)))
     _check(sizes.total() == catalan(n_plus_1), "class sizes do not add up")
     return {cls: sizes[cls] for cls in StartClass}

@@ -18,11 +18,13 @@ from operator import itemgetter
 from . import bijections as bij
 from . import verify
 from .enumeration import (
+    _BUDGET,
     _ballot_even_walks,
     _ballot_walks,
     _dyck_walks,
     _motzkin2_walks,
     _pair_walks,
+    _paths_text,
 )
 from .errors import DomainError, SupercatError
 from .numbers import ballot_number, catalan, super_catalan_s, super_catalan_t
@@ -31,8 +33,9 @@ from .render import render_svg
 from .verify import VerificationReport
 
 # Verifications that would enumerate more paths than theorem1 does at
-# m+n <= 18 (C(1) + ... + C(17), about 1.8e8) refuse to run without --force.
-ENUMERATION_CAP = verify.path_cost("theorem1", max_sum=18)
+# m+n <= 18 (C(1) + ... + C(17), about 1.8e8) refuse to run without --force;
+# the library's exhaustive tallies refuse past the same budget.
+ENUMERATION_CAP = _BUDGET
 
 
 def _dumps(obj) -> str:
@@ -129,9 +132,8 @@ def _cmd_verify(args) -> int:
         # last row down, refuses without pricing the whole sweep
         over = (cost for cost in accumulate(map(plan.paths, reversed(plan.rows))) if cost > ENUMERATION_CAP)
         if not args.force and (cost := next(over, 0)):
-            count = f"{cost:,}" if cost < 10**30 else f"2^{cost.bit_length() - 1}"  # int-to-str has a digit limit
             print(
-                f"{name}: refusing a sweep over at least {count} paths, more than the "
+                f"{name}: refusing a sweep over at least {_paths_text(cost)} paths, more than the "
                 f"{ENUMERATION_CAP:,} budget; pass --force to run it anyway",
                 file=sys.stderr,
             )

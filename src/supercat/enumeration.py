@@ -31,6 +31,7 @@ from __future__ import annotations
 from collections.abc import Callable, Iterator
 
 from .errors import DomainError
+from .numbers import catalan
 from .paths import _BALLOT_EVEN, _DYCK, _MOTZKIN2, RISE, LatticePath, _Family
 
 __all__ = [
@@ -42,6 +43,18 @@ __all__ = [
 ]
 
 _Walk = tuple[str, tuple[int, ...]]
+
+# The most paths one call walks unforced: theorem1's sweep at m + n <= 18,
+# C(1) + ... + C(17), about 1.8e8.  The CLI refuses a longer sweep without
+# --force, and the library's exhaustive tallies refuse a bigger family.
+_BUDGET = sum(map(catalan, range(1, 18)))
+
+
+def _paths_text(count: int) -> str:
+    """A path count as refusals print it: in full, or as the power of two at
+    or below it when its decimal text would be long (int-to-str has a digit limit)."""
+    return f"{count:,}" if count < 10**30 else f"2^{count.bit_length() - 1}"
+
 
 # Steps left to the tail table, by alphabet size: long enough that the
 # per-prefix backtrack is a small share of the work, short enough that

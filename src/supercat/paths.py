@@ -13,7 +13,13 @@ which family an operation expects or guarantees.  A family is one value
 ``(alphabet, table, end)``: its steps in canonical order, the table deleting
 them, its end level.  The enumeration engine walks it, and the one membership
 test, :func:`_family_levels`, tests it for the ``is_*`` predicates, the maps'
-own output checks and :func:`parse_path`'s alphabet check.
+own output checks and :func:`parse_path`'s alphabet check.  Below 128 steps
+that test reads every level in a few C calls: the steps' rises plus one,
+one byte each, times ``0x0101...0100`` put ``levels[x] + x`` in byte lane
+``x`` (at most 254, so no lane carries), and subtracting the ramp
+``sum(x * 256**x)`` leaves the levels, a dip below the axis showing as a
+borrow.  Longer paths, and :attr:`LatticePath.levels`, which may go
+negative, take :func:`_levels`, the one per-step level rule.
 :func:`_split` is the one split-point scan of a Dyck path (its height,
 rightmost maximum and last level-one point before it) and its only internal
 form: the m = 2 maps and suites read it, and only the public :func:`markers`
@@ -50,6 +56,12 @@ __all__ = [
 
 RISE = {"U": 1, "D": -1, "S": 0, "W": 0}
 _RISES = bytes.maketrans("".join(RISE).encode(), bytes(rise & 0xFF for rise in RISE.values()))
+_LIFTS = bytes.maketrans("".join(RISE).encode(), bytes(rise + 1 for rise in RISE.values()))
+# For each length n < 128, (ones, mask, ramp) over its n + 1 byte lanes:
+# sum(256**x for x in 1..n), 256**(n + 1) - 1 and sum(x * 256**x for x in
+# 0..n); :func:`_family_levels` reads levels off them.  About 45 KB in all.
+_LANES = tuple((int.from_bytes(bytes([0] + [1] * n), "little"), (1 << 8 * n + 8) - 1,
+                int.from_bytes(bytes(range(n + 1)), "little")) for n in range(128))
 
 # Each family: its alphabet in the canonical step order of enumeration and
 # golden files, the table deleting that alphabet, and the level it ends on.
@@ -141,13 +153,30 @@ def _levels(steps: str) -> tuple[int, ...]:
 
 def _family_levels(steps: str, family: _Family) -> tuple[int, ...] | None:
     """The levels of steps over the family's alphabet that never go below the
-    axis and end on the family's level, else None."""
+    axis and end on the family's level, else None.
+
+    Below 128 steps one big-integer multiply does the level arithmetic.  Step
+    ``i`` becomes byte ``i`` of an integer, its rise plus one (0, 1 or 2);
+    times ``_LANES[n]``'s ones, byte ``x`` of the product is the sum of the
+    first ``x`` of them, ``levels[x] + x``, at most ``2x <= 254``, so no lane
+    carries into the next.  Masked to its ``n + 1`` bytes, less the ramp
+    ``sum(x * 256**x)``, byte ``x`` is ``levels[x]``; a level below the axis
+    borrows instead, leaving a negative total or a 255 byte.  Longer paths
+    take :func:`_levels` and scan for -1."""
     _, table, end = family
     if steps.translate(table):
         return None
-    levels = _levels(steps)
-    # steps move by at most one level, so a path below the axis passes -1
-    return levels if -1 not in levels and levels[-1] == end else None
+    if len(steps) >= len(_LANES):
+        levels = _levels(steps)
+        # steps move by at most one level, so a path below the axis passes -1
+        return levels if -1 not in levels and levels[-1] == end else None
+    ones, mask, ramp = _LANES[len(steps)]
+    lanes = (int.from_bytes(steps.encode().translate(_LIFTS), "little") * ones & mask) - ramp
+    if lanes < 0:
+        return None
+    raw = lanes.to_bytes(len(steps) + 1, "little")
+    # a tuple built from bytes is exact-size
+    return tuple(raw) if raw[-1] == end and 255 not in raw else None
 
 
 def is_dyck(path: LatticePath) -> bool:

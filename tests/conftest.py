@@ -48,6 +48,21 @@ def brute_family(length: int, terminal: int, alphabet: str) -> list[str]:
     return found
 
 
+def random_member(rng, length: int, alphabet: str, end: int = 0) -> str | None:
+    """A random nonnegative path over ``alphabet`` of ``length`` steps ending
+    at ``end``, built step by step under the completability constraint;
+    None when there is no such path.  Takes a seeded ``random.Random``."""
+    if end > length or (set(alphabet) <= {"U", "D"} and (length - end) % 2):
+        return None
+    steps, level = [], 0
+    for pos in range(length):
+        rem = length - pos - 1
+        ch = rng.choice([c for c in alphabet if level + RISE[c] >= 0 and abs(level + RISE[c] - end) <= rem])
+        steps.append(ch)
+        level += RISE[ch]
+    return "".join(steps)
+
+
 def brute_height(steps: str) -> int:
     level = 0
     top = 0

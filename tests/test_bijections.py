@@ -1,10 +1,12 @@
+import random
+import time
 from collections import Counter
 from itertools import product
 
 import pytest
 from hypothesis import given
 
-from conftest import dyck_paths, motzkin_paths, ref_catalan, ref_super_catalan_s, reference_markers
+from conftest import dyck_paths, motzkin_paths, random_member, ref_catalan, ref_super_catalan_s, reference_markers
 from supercat import bijections
 from supercat.bijections import (
     DyckPair,
@@ -40,6 +42,7 @@ from supercat.paths import (
     is_even_terminal_ballot,
     markers,
     parse_path,
+    reverse,
 )
 
 
@@ -628,3 +631,83 @@ class TestPairMap:
     def test_pair_census_matches_formula(self):
         for n in range(1, 8):
             assert pair_census(n) == super_catalan_t(2, n)
+
+
+class TestDeepMaps:
+    """Every map checks its output with the family test, which reads byte
+    lanes below 128 steps and a running sum from 128 on: round trips on both
+    sides of that cutover and far past it."""
+
+    @pytest.mark.parametrize("length", [128, 130, 1000])
+    def test_injections_round_trip(self, length):
+        rng = random.Random(length)
+        # up-up, then a Dyck path lifted to level 2, then down-down: never on level one in between
+        avoiding = dyck("UU" + random_member(rng, length - 4, "UD") + "DD")
+        # point 5 sits on level one, and the Dyck path lifted to level 2 after it
+        # climbs back to level 3, so the rightmost maximum lies beyond point 5
+        attaining = dyck("UUUDDU" + random_member(rng, length - 8, "UD") + "DD")
+        assert classify_start(avoiding) is StartClass.NSTAR
+        assert classify_start(attaining) is StartClass.NSTARSTAR
+        for path, there, back in ((avoiding, injection_f, injection_f_inverse),
+                                  (attaining, injection_g, injection_g_inverse)):
+            image = there(path)
+            assert len(image) == length - 2 and is_dyck(image)
+            assert back(image) == path
+
+    @pytest.mark.parametrize("sizes", [(62, 66), (128, 130), (500, 500)])
+    def test_pair_map_round_trip(self, sizes):
+        rng = random.Random(sum(sizes))
+        while True:
+            pair = DyckPair(*(dyck(random_member(rng, size, "UD")) for size in sizes))
+            if abs(pair.first.height - pair.second.height) <= 1:
+                break
+        joined = from_pair(pair)
+        assert len(joined) == sum(sizes)
+        assert to_pair_all(joined) == (pair,)
+
+    @pytest.mark.parametrize("length", [63, 127, 128, 129, 999])
+    def test_motzkin_maps_and_reverse_round_trip(self, length):
+        path = parse_path(random_member(random.Random(length), length, "UDSW"), "motzkin")
+        image = motzkin_to_dyck(path)
+        assert len(image) == 2 * length + 2 and is_dyck(image)
+        assert dyck_to_motzkin(image) == path
+        mirrored = reverse(path)
+        assert mirrored.levels == path.levels[::-1]
+        assert reverse(mirrored) == path
+
+
+class TestPathBudget:
+    """The exhaustive tallies refuse, at once, a family of more paths than the
+    CLI's --force budget, C(1) + ... + C(17) = 178,405,156."""
+
+    def test_signed_count_100_100_raises_at_once(self):
+        start = time.perf_counter()
+        with pytest.raises(DomainError, match=r"^signed_count\(100, 100\) would walk at least 2\^385 paths, "
+                                              r"more than the 178,405,156 path budget$"):
+            signed_count(100, 100)
+        assert time.perf_counter() - start < 1
+
+    @pytest.mark.parametrize("call,paths", [
+        (lambda: signed_count(9, 10), "477,638,700"),
+        (lambda: signed_count_dyck(10, 9), "477,638,700"),
+        (lambda: theorem4_census(18), "477,638,700"),
+        (lambda: start_class_sizes(18), "477,638,700"),
+        # sizes 0..17: one path more than the budget
+        (lambda: pair_census(17), "178,405,157"),
+    ])
+    def test_the_first_size_past_the_budget_is_refused(self, call, paths):
+        with pytest.raises(DomainError, match=f"would walk at least {paths} paths, more than the 178,405,156"):
+            call()
+
+    @pytest.mark.parametrize("call", [lambda: theorem4_census(10**9), lambda: pair_census(10**9),
+                                      lambda: start_class_sizes(10**9)])
+    def test_a_huge_size_is_refused_at_once(self, call):
+        start = time.perf_counter()
+        with pytest.raises(DomainError, match=r"would walk at least 2\^\d+ paths"):
+            call()
+        assert time.perf_counter() - start < 5
+
+    def test_the_budget_is_the_clis(self):
+        from supercat import cli, enumeration, verify
+
+        assert enumeration._BUDGET == cli.ENUMERATION_CAP == verify.path_cost("theorem1", max_sum=18)

@@ -142,6 +142,17 @@ class TestVerify:
         assert f"refusing a sweep over at least 2^{catalan(max_sum - 1).bit_length() - 1} paths" in err
         assert err.count("\n") == 1 and len(err) < 160
 
+    @pytest.mark.parametrize("argv,count", [
+        (("theorem1", "--max-sum", "19"), "477,638,700"),
+        (("pairs", "--max-n", "40"), "3,541,413,699,369,763,259,450"),
+        (("theorem1", "--max-sum", "5000"), f"2^{catalan(4999).bit_length() - 1}"),
+    ])
+    def test_refusal_line_is_pinned(self, capsys, argv, count):
+        code, out, err = run(capsys, "verify", *argv)
+        assert (code, out) == (2, "")
+        assert err == (f"{argv[0]}: refusing a sweep over at least {count} paths, more than the "
+                       "178,405,156 budget; pass --force to run it anyway\n")
+
     def test_refusal_agrees_with_path_cost(self, capsys, monkeypatch):
         from supercat import cli, verify
 

@@ -1,13 +1,15 @@
 import copy
 import pickle
+import random
+import sys
 from dataclasses import FrozenInstanceError
-from itertools import product
+from itertools import accumulate, product
 from types import SimpleNamespace
 
 import pytest
 from hypothesis import given
 
-from conftest import brute_family, dyck_paths, motzkin_paths, reference_markers
+from conftest import brute_family, dyck_paths, motzkin_paths, random_member, reference_markers
 from supercat.bijections import weight
 from supercat.enumeration import _walks, enum_dyck, enum_motzkin2
 from supercat.errors import DomainError, ParseError
@@ -16,6 +18,7 @@ from supercat.paths import (
     _DYCK,
     _MOTZKIN2,
     EMPTY_PATH,
+    RISE,
     LatticePath,
     PathMarkers,
     _family_levels,
@@ -195,6 +198,79 @@ class TestValidate:
         assert not is_even_terminal_ballot(path)
         with pytest.raises(KeyError):
             path.levels
+
+
+def accumulate_levels(steps: str, family) -> tuple[int, ...] | None:
+    """The family test by a plain running sum, with no byte lanes."""
+    alphabet, _, end = family
+    if any(step not in alphabet for step in steps):
+        return None
+    levels = tuple(accumulate((RISE[step] for step in steps), initial=0))
+    return levels if min(levels) >= 0 and levels[-1] == end else None
+
+
+FAMILIES = pytest.mark.parametrize("family", [_DYCK, _MOTZKIN2, _BALLOT_EVEN], ids=["dyck", "motzkin2", "ballot"])
+
+
+class TestLaneKernel:
+    """``_family_levels`` reads levels off byte lanes below 128 steps and by
+    a running sum from 128 on; both must agree with the plain reference."""
+
+    @FAMILIES
+    def test_matches_a_running_sum_at_every_length_to_260(self, family):
+        alphabet, _, end = family
+        rng = random.Random(f"lanes {alphabet} {end}")
+        for length in range(261):
+            words = ["U" * length, "D" * length]
+            words += ["".join(rng.choice(alphabet) for _ in range(length)) for _ in range(3)]
+            for target in (end, end + 1, end + 2):
+                member = random_member(rng, length, alphabet, target)
+                if member is not None:
+                    x = rng.randrange(length) if length else 0
+                    # the member, and the member with one step turned down
+                    words += [member, member[:x] + "D" + member[x + 1 :]]
+            for steps in words:
+                assert _family_levels(steps, family) == accumulate_levels(steps, family), (length, steps)
+
+    @FAMILIES
+    def test_a_path_first_dipping_at_its_last_step(self, family):
+        # a zig-zag to the axis (one level step to fix the parity), then
+        # down: -1 only in the last lane
+        for length in range(1, 261):
+            steps = "UD" * ((length - 1) // 2) + "S" * ((length - 1) % 2) + "D"
+            assert accumulate_levels(steps, family) is None
+            assert _family_levels(steps, family) is None, length
+            # a step earlier it stays on the axis
+            assert _family_levels(steps[:-1], family) == accumulate_levels(steps[:-1], family)
+
+    @FAMILIES
+    @pytest.mark.parametrize("length", [126, 127, 128, 129])
+    def test_members_and_near_misses_at_the_cutover(self, family, length):
+        alphabet, _, end = family
+        rng = random.Random(length)
+        for _ in range(20):
+            member = random_member(rng, length, alphabet, end)
+            if member is None:  # an up/down family at the wrong parity
+                assert (length - end) % 2 and alphabet == "UD"
+                member = random_member(rng, length, alphabet, end + 1)
+                assert _family_levels(member, family) is None
+                continue
+            levels = _family_levels(member, family)
+            assert levels is not None and levels == accumulate_levels(member, family)
+            x = rng.randrange(length)
+            for foreign in ("\x00", "\x01", "X", "\u00e9", "\U0001f600"):
+                assert _family_levels(member[:x] + foreign + member[x + 1 :], family) is None
+
+    @pytest.mark.parametrize("length", [0, 1, 10, 127, 128, 200])
+    def test_levels_are_an_exact_size_tuple(self, length):
+        steps = "U" * length
+        levels = _family_levels(steps, (_DYCK[0], _DYCK[1], length))
+        assert levels == tuple(range(length + 1))
+        assert sys.getsizeof(levels) == sys.getsizeof(tuple(list(levels)))
+
+    def test_path_levels_may_go_below_the_axis(self):
+        assert LatticePath("DDU").levels == (0, -1, -2, -1)
+        assert not is_motzkin2(LatticePath("DDU"))
 
 
 class TestMarkers:
