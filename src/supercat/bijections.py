@@ -10,8 +10,8 @@ Index conventions, used throughout this module:
   indices 1 and 2.
 
 Every public map validates its input's precondition (raising
-:class:`~supercat.errors.DomainError`; a nonempty Dyck input only through
-:func:`_nonempty_dyck`) and then runs its private ``_`` core, which trusts
+:class:`~supercat.errors.DomainError`; a Dyck input by :func:`_walk`'s family
+test, handing on its levels) and then runs its private ``_`` core, which trusts
 input the enumeration engine or another map has already checked.  Public
 maps and cores alike check their output with the one family test,
 :func:`~supercat.paths._family_levels`, on the family value the engine
@@ -36,7 +36,7 @@ from itertools import starmap
 from operator import itemgetter
 from typing import NamedTuple
 
-from .enumeration import _BUDGET, _dyck_walks, _paths_text, _profiles, _Walk
+from .enumeration import _BUDGET, _dyck_walks, _over_budget, _paths_text, _profiles, _Walk
 from .errors import DomainError
 from .numbers import catalan
 from .paths import (
@@ -51,7 +51,6 @@ from .paths import (
     _Family,
     _family_levels,
     _split,
-    is_dyck,
     is_motzkin2,
 )
 
@@ -125,9 +124,9 @@ class DyckPair(NamedTuple):
     second: DyckPath
 
 
-def _walk(path: LatticePath) -> _Walk:
-    """The steps a public map checks and the levels derived from them."""
-    return path.steps, path.levels
+def _walk(path: LatticePath) -> tuple[str, tuple[int, ...] | None]:
+    """A public Dyck input's steps and its one family test's levels, None off the family."""
+    return path.steps, _family_levels(path.steps, _DYCK)
 
 
 _EMPTY_WALK = _walk(EMPTY_PATH)
@@ -135,8 +134,9 @@ _EMPTY_WALK = _walk(EMPTY_PATH)
 
 def _nonempty_dyck(path: DyckPath, name: str) -> _Walk:
     """The walk of a nonempty Dyck path: the one input check of the maps that need one."""
-    _require(is_dyck(path) and len(path) >= 2, f"{name} requires a nonempty valid Dyck path")
-    return _walk(path)
+    walk = _walk(path)
+    _require(walk[1] is not None and len(path) >= 2, f"{name} requires a nonempty valid Dyck path")
+    return walk
 
 
 def _path_pair(first: _Walk, second: _Walk) -> DyckPair:
@@ -152,9 +152,9 @@ def _afford(call: str, paths: Callable[[int], int], size: int) -> None:
     """Refuse an exhaustive tally over more than the path budget the CLI's
     ``--force`` guards: ``paths(size)`` paths, a count that grows with size,
     so a size past 1,000 is priced at 1,000, a lower bound and a cheap one."""
-    count = paths(min(size, 1000))
-    _require(count <= _BUDGET,
-             f"{call} would walk at least {_paths_text(count)} paths, more than the {_BUDGET:,} path budget")
+    if count := _over_budget((paths(min(size, 1000)),)):
+        raise DomainError(f"{call} would walk at least {_paths_text(count)} paths, "
+                          f"more than the {_BUDGET:,} path budget")
 
 
 def _check(cond: bool, message: str) -> None:
@@ -325,12 +325,13 @@ def _start_walk(path: DyckPath, name: str, start: StartClass | None = None) -> _
     """The walk of a Dyck path of length >= 6, in the class ``start`` if one is
     given: the one input check of :func:`classify_start` and the maps defined
     on one class, raised in the caller's name."""
-    _require(is_dyck(path), f"{name} requires a valid Dyck path")
+    walk = _walk(path)
+    _require(walk[1] is not None, f"{name} requires a valid Dyck path")
     _require(len(path) >= 6, f"{name} requires length >= 6")
     reach = "avoiding" if start is StartClass.NSTAR else "attaining"
-    _require(start is None or _start_class(*_walk(path)) is start,
+    _require(start is None or _start_class(*walk) is start,
              f"{name} requires an up-up-up start {reach} level one before the rightmost maximum")
-    return _walk(path)
+    return walk
 
 
 def _start_class(steps: str, levels: tuple[int, ...]) -> StartClass:
@@ -540,10 +541,9 @@ def from_pair(pair: DyckPair) -> DyckPath:
     junction becomes an up step, and the up step entering the second
     component's leftmost maximum becomes a down step.
     """
-    first, second = pair
-    _require(is_dyck(first) and is_dyck(second), "from_pair requires two valid (possibly empty) Dyck paths")
-    _require(len(first) > 0 or len(second) > 0, "from_pair requires a nonempty pair")
-    first, second = _walk(first), _walk(second)
+    first, second = map(_walk, pair)
+    _require(None not in (first[1], second[1]), "from_pair requires two valid (possibly empty) Dyck paths")
+    _require(bool(first[0] or second[0]), "from_pair requires a nonempty pair")
     _require(_close(max(first[1]), max(second[1])),
              "from_pair requires the pair heights to differ by at most 1")
     return LatticePath(_from_pair(first, second)[0])

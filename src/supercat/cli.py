@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from itertools import accumulate, islice
+from itertools import islice
 from operator import itemgetter
 
 from . import bijections as bij
@@ -23,6 +23,7 @@ from .enumeration import (
     _ballot_walks,
     _dyck_walks,
     _motzkin2_walks,
+    _over_budget,
     _pair_walks,
     _paths_text,
 )
@@ -31,11 +32,6 @@ from .numbers import ballot_number, catalan, super_catalan_s, super_catalan_t
 from .paths import parse_path, reverse
 from .render import render_svg
 from .verify import VerificationReport
-
-# Verifications that would enumerate more paths than theorem1 does at
-# m+n <= 18 (C(1) + ... + C(17), about 1.8e8) refuse to run without --force;
-# the library's exhaustive tallies refuse past the same budget.
-ENUMERATION_CAP = _BUDGET
 
 
 def _dumps(obj) -> str:
@@ -128,13 +124,10 @@ def _cmd_verify(args) -> int:
     bounds = {key: args.max if value is None else value for key, value in explicit.items()}
     for name in names:
         plan = verify._plan(name, **bounds)
-        # prices are nonnegative: the first partial sum over the cap, from the
-        # last row down, refuses without pricing the whole sweep
-        over = (cost for cost in accumulate(map(plan.paths, reversed(plan.rows))) if cost > ENUMERATION_CAP)
-        if not args.force and (cost := next(over, 0)):
+        if not args.force and (cost := _over_budget(map(plan.paths, reversed(plan.rows)))):
             print(
                 f"{name}: refusing a sweep over at least {_paths_text(cost)} paths, more than the "
-                f"{ENUMERATION_CAP:,} budget; pass --force to run it anyway",
+                f"{_BUDGET:,} budget; pass --force to run it anyway",
                 file=sys.stderr,
             )
             return 2

@@ -28,7 +28,8 @@ side of theorem1-dyck's, the signed counts) take :func:`_profiles`.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterator
+from collections.abc import Callable, Iterable, Iterator
+from itertools import accumulate
 
 from .errors import DomainError
 from .numbers import catalan
@@ -45,9 +46,15 @@ __all__ = [
 _Walk = tuple[str, tuple[int, ...]]
 
 # The most paths one call walks unforced: theorem1's sweep at m + n <= 18,
-# C(1) + ... + C(17), about 1.8e8.  The CLI refuses a longer sweep without
-# --force, and the library's exhaustive tallies refuse a bigger family.
+# C(1) + ... + C(17), about 1.8e8.  Through _over_budget, the CLI refuses a longer
+# sweep without --force, and the library's exhaustive tallies a bigger family.
 _BUDGET = sum(map(catalan, range(1, 18)))
+
+
+def _over_budget(prices: Iterable[int]) -> int:
+    """The one budget test: the first running total of path prices past
+    ``_BUDGET``, else 0.  It reads no price after that one."""
+    return next((total for total in accumulate(prices) if total > _BUDGET), 0)
 
 
 def _paths_text(count: int) -> str:

@@ -18,8 +18,9 @@ that test reads every level in a few C calls: the steps' rises plus one,
 one byte each, times ``0x0101...0100`` put ``levels[x] + x`` in byte lane
 ``x`` (at most 254, so no lane carries), and subtracting the ramp
 ``sum(x * 256**x)`` leaves the levels, a dip below the axis showing as a
-borrow.  Longer paths, and :attr:`LatticePath.levels`, which may go
-negative, take :func:`_levels`, the one per-step level rule.
+borrow.  Longer paths take :func:`_levels`, the one per-step level rule, as
+does :attr:`LatticePath.levels`, which may go negative; only ``weight``,
+``height`` and ``render_svg`` read it, and the maps read the family test's.
 :func:`_split` is the one split-point scan of a Dyck path (its height,
 rightmost maximum and last level-one point before it) and its only internal
 form: the m = 2 maps and suites read it, and only the public :func:`markers`
@@ -229,9 +230,9 @@ def markers(path: DyckPath) -> PathMarkers:
     """Compute :class:`PathMarkers` for a valid, nonempty Dyck path."""
     if len(path) == 0:
         raise DomainError("markers undefined for empty path")
-    if not is_dyck(path):
+    levels = _family_levels(path.steps, _DYCK)
+    if levels is None:
         raise DomainError("markers require a valid Dyck path")
-    levels = path.levels
     h, rightmost, x = _split(levels)
     # the suffix from x holds the rightmost maximum, so its maximum is h
     return PathMarkers(h, levels.index(h), rightmost, x, max(levels[: x + 1]), h)

@@ -18,8 +18,8 @@ sums before it checks; at one job its one share is the whole row.  Pathwise
 rows keep whole parts, as their failures come in path order.
 
 The m = 2 rows (bijection-f, bijection-g, pair-map) have one check,
-:func:`_round_trips`: each of a row's two parts is a filtered walk stream,
-its maps there and back, and the failures of one case.
+:func:`_round_trips`: each of a row's two parts is a filtered walk stream
+paired with its images, the map back, and the failures of one case.
 """
 
 from __future__ import annotations
@@ -407,18 +407,16 @@ def _pairs(identity: str, *, max_n: int = 9) -> _Plan:
                  merge=lambda n, tallies: _census(n, bij._close_pairs(*tallies)), max_n=max_n)
 
 
-def _round_trips(inputs: Iterable, there: Callable[[object], Iterable], back: Callable,
+def _round_trips(cases: Iterable[tuple[object, object]], back: Callable,
                  failed: Callable[[object, object, object], tuple[Failure, ...]]) -> Row:
-    """The m = 2 rows' one check: each image y in ``there(x)`` of each input
-    x, in order, is one case, with the failures ``failed(x, y, back(y))``
-    returns for it, ``()`` when the round trip and any check on y hold."""
+    """The m = 2 rows' one check: each input and image ``(x, y)`` of ``cases``, in order, is
+    one case, with the failures ``failed(x, y, back(y))`` returns, ``()`` when all checks hold."""
     failures = []
-    cases = 0
-    for x in inputs:
-        for y in there(x):
-            cases += 1
-            failures.extend(failed(x, y, back(y)))
-    return failures, cases
+    count = 0
+    for x, y in cases:
+        count += 1
+        failures.extend(failed(x, y, back(y)))
+    return failures, count
 
 
 def _injection_sources(start: bij.StartClass, forward: Callable[[_Walk], _Walk],
@@ -438,7 +436,7 @@ def _injection_sources(start: bij.StartClass, forward: Callable[[_Walk], _Walk],
         return outside if back[0] == steps else (*outside, Failure((n, steps), back[0], steps))
 
     sources = (walk for walk in _dyck_walks(n + 1) if bij._start_class(*walk) is start)
-    return _round_trips(sources, lambda walk: (forward(walk),), inverse, failed)
+    return _round_trips(((walk, forward(walk)) for walk in sources), inverse, failed)
 
 
 def _injection_targets(name: str, forward: Callable[[_Walk], _Walk], inverse: Callable[[_Walk], _Walk],
@@ -449,7 +447,7 @@ def _injection_targets(name: str, forward: Callable[[_Walk], _Walk], inverse: Ca
         return () if back[0] == walk[0] else (Failure((n, walk[0]), f"{name}({name}_inv) != id", walk[0]),)
 
     targets = (walk for walk in _dyck_walks(n) if in_image(walk[1]))
-    return _round_trips(targets, lambda walk: (inverse(walk),), forward, failed)
+    return _round_trips(((walk, inverse(walk)) for walk in targets), forward, failed)
 
 
 def _injection(identity: str, name: str, start: bij.StartClass, max_n: int, *maps: Callable) -> _Plan:
@@ -491,7 +489,8 @@ def _pair_map_split(n: int) -> Row:
         return records
 
     walks = (walk for walk in _dyck_walks(n) if bij._bounded_gap(walk[1]))
-    failures, cases = _round_trips(walks, bij._to_pair_all, lambda pair: bij._from_pair(*pair), failed)
+    pairs = ((walk, pair) for walk in walks for pair in bij._to_pair_all(walk))
+    failures, cases = _round_trips(pairs, lambda pair: bij._from_pair(*pair), failed)
     expected = super_catalan_t(2, n)
     if cases != expected:
         failures.append(Failure((n, "pair count"), cases, expected))
@@ -505,7 +504,7 @@ def _pair_map_recovery(n: int) -> Row:
         return () if pair in pairs else (Failure((n, pair[0][0], pair[1][0]), joined[0], "pair not recovered"),)
 
     close = (pair for pair in _pair_walks(n) if bij._close(max(pair[0][1]), max(pair[1][1])))
-    return _round_trips(close, lambda pair: (bij._from_pair(*pair),), bij._to_pair_all, failed)
+    return _round_trips(((pair, bij._from_pair(*pair)) for pair in close), bij._to_pair_all, failed)
 
 
 def _pair_map(identity: str, *, max_n: int = 8) -> _Plan:

@@ -676,6 +676,39 @@ class TestDeepMaps:
         assert reverse(mirrored) == path
 
 
+def test_public_maps_read_their_family_tests_levels(monkeypatch):
+    # below 128 steps the family test reads byte lanes, so a public map that
+    # hands its core the levels its check read never runs the per-step rule
+    from supercat import paths
+
+    rng = random.Random(126)
+    avoiding = "UU" + random_member(rng, 122, "UD") + "DD"
+    attaining = "UUUDDU" + random_member(rng, 118, "UD") + "DD"
+    first, second = random_member(rng, 60, "UD"), random_member(rng, 62, "UD")
+    while abs(dyck(first).height - dyck(second).height) > 1:
+        second = random_member(rng, 62, "UD")
+    joined = from_pair(DyckPair(dyck(first), dyck(second))).steps
+    calls = [
+        (injection_f, avoiding), (injection_f_inverse, injection_f(dyck(avoiding)).steps),
+        (g_intermediate, attaining), (injection_g, attaining),
+        (injection_g_inverse, injection_g(dyck(attaining)).steps),
+        (classify_start, avoiding), (classify_start, attaining), (classify_start, "UDUDUD"),
+        (to_pair, joined), (to_pair_all, joined), (to_pair_all, "UDUDUD"),
+        (dyck_to_motzkin, "UUDUDD"), (dyck_to_motzkin, avoiding),
+        (markers, avoiding), (markers, attaining), (markers, "UD"),
+    ]
+    want = [fn(dyck(steps)) for fn, steps in calls]
+    pairs = [(first, second), ("", "UD"), ("UD", ""), ("UUDD", "UD")]
+    want_joined = [from_pair(DyckPair(dyck(a), dyck(b))) for a, b in pairs]
+
+    def second_profile(steps):
+        raise AssertionError(f"a second level profile of {steps!r}")
+
+    monkeypatch.setattr(paths, "_levels", second_profile)
+    assert [fn(dyck(steps)) for fn, steps in calls] == want
+    assert [from_pair(DyckPair(dyck(a), dyck(b))) for a, b in pairs] == want_joined
+
+
 class TestPathBudget:
     """The exhaustive tallies refuse, at once, a family of more paths than the
     CLI's --force budget, C(1) + ... + C(17) = 178,405,156."""
@@ -710,4 +743,4 @@ class TestPathBudget:
     def test_the_budget_is_the_clis(self):
         from supercat import cli, enumeration, verify
 
-        assert enumeration._BUDGET == cli.ENUMERATION_CAP == verify.path_cost("theorem1", max_sum=18)
+        assert cli._BUDGET == enumeration._BUDGET == verify.path_cost("theorem1", max_sum=18)

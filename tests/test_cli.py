@@ -154,7 +154,7 @@ class TestVerify:
                        "178,405,156 budget; pass --force to run it anyway\n")
 
     def test_refusal_agrees_with_path_cost(self, capsys, monkeypatch):
-        from supercat import cli, verify
+        from supercat import enumeration, verify
 
         def passed(names, *, jobs, **bounds):
             return [verify.VerificationReport(name, {}, (), 1) for name in names]
@@ -167,23 +167,23 @@ class TestVerify:
                 except DomainError:
                     want = 1
                 else:
-                    want = 2 if cost > cli.ENUMERATION_CAP else 0
+                    want = 2 if cost > enumeration._BUDGET else 0
                 assert main(["verify", name, "--max", str(bound), "--jobs", "1"]) == want, (name, bound)
         capsys.readouterr()
 
     def test_cap_is_a_path_budget(self):
-        from supercat import cli, verify
+        from supercat import enumeration, verify
 
-        assert verify.path_cost("theorem1", max_sum=18) <= cli.ENUMERATION_CAP
-        assert verify.path_cost("theorem1", max_sum=19) > cli.ENUMERATION_CAP
+        assert verify.path_cost("theorem1", max_sum=18) <= enumeration._BUDGET
+        assert verify.path_cost("theorem1", max_sum=19) > enumeration._BUDGET
         # theorem1-dyck walks two families, so its largest bound is one less
-        assert verify.path_cost("theorem1-dyck", max_sum=17) <= cli.ENUMERATION_CAP
-        assert verify.path_cost("theorem1-dyck", max_sum=18) > cli.ENUMERATION_CAP
+        assert verify.path_cost("theorem1-dyck", max_sum=17) <= enumeration._BUDGET
+        assert verify.path_cost("theorem1-dyck", max_sum=18) > enumeration._BUDGET
         # pairs walks every Dyck size up to n for each row n
-        assert verify.path_cost("pairs", max_n=16) <= cli.ENUMERATION_CAP
-        assert verify.path_cost("pairs", max_n=17) > cli.ENUMERATION_CAP
+        assert verify.path_cost("pairs", max_n=16) <= enumeration._BUDGET
+        assert verify.path_cost("pairs", max_n=17) > enumeration._BUDGET
         # every suite runs at its defaults without --force
-        assert all(verify.path_cost(name) <= cli.ENUMERATION_CAP for name in verify.IDENTITIES)
+        assert all(verify.path_cost(name) <= enumeration._BUDGET for name in verify.IDENTITIES)
 
     def test_costly_small_bound_refused_without_force(self, capsys, monkeypatch):
         from supercat import verify

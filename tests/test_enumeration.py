@@ -6,7 +6,9 @@ import pytest
 
 from conftest import brute_family, brute_height, canon_key, ref_ballot, ref_catalan
 from supercat.enumeration import (
+    _BUDGET,
     _dyck_walks,
+    _over_budget,
     _pair_walks,
     _profiles,
     _walks,
@@ -226,6 +228,19 @@ def test_profiles_refuse_a_level_past_a_byte():
         signed_count_dyck(200, 100)
     with pytest.raises(DomainError, match=r"^byte level profiles require length <= 255, got 256$"):
         signed_count(129, 129)
+
+
+def test_over_budget_is_the_first_total_past_the_budget():
+    assert _over_budget([]) == 0
+    assert _over_budget([_BUDGET]) == 0
+    assert _over_budget([_BUDGET - 1, 1, 0]) == 0
+
+    def prices():
+        yield _BUDGET - 5
+        yield 10
+        raise AssertionError("priced a row past the crossing one")
+
+    assert _over_budget(prices()) == _BUDGET + 5
 
 
 def test_pairs_requires_positive_n():

@@ -715,7 +715,7 @@ def test_suites_do_not_revalidate_their_paths(monkeypatch):
 
     monkeypatch.setattr(bijections, "_dyck_walk", counted(bijections._dyck_walk, calls))
     monkeypatch.setattr(paths, "is_dyck", counted(paths.is_dyck, validations))
-    monkeypatch.setattr(bijections, "is_dyck", counted(bijections.is_dyck, validations))
+    monkeypatch.setattr(bijections, "_walk", counted(bijections._walk, validations))
     report = verify.run_identity("bijection-f", max_n=6)
     assert report.passed and report.cases == 380
     assert len(calls) <= 2 * report.cases
